@@ -335,12 +335,23 @@ def cmd_oracle(args):
 # --- spectrum ---------------------------------------------------------------
 
 
+def _bounded(flag, value, default, low, high=None):
+    """The flag's value, or its default when unset; out of [low, high] is a
+    usage error naming the flag."""
+    if value is None:
+        return default
+    if value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{flag} must be {bounds}, got {value}")
+    return value
+
+
 def cmd_spectrum(args):
     model = parse_model(args.model)
-    k = args.k or 2
-    N = args.N or 32
-    trials = args.trials or 20
-    n_max = args.n_max or 4
+    k = _bounded("--k", args.k, 2, 1)
+    N = _bounded("--N", args.N, 32, 1)
+    trials = _bounded("--trials", args.trials, 20, 1)
+    n_max = _bounded("--n-max", args.n_max, 4, 1, 12)
     seed = args.seed if args.seed is not None else 11
     report = run_experiment(
         model, args.target, k, N, trials, n_max, seed, with_hist=bool(args.hist)
@@ -348,7 +359,7 @@ def cmd_spectrum(args):
     if args.hist:
         with open(args.hist, "w") as fh:
             fh.write(histogram_svg(report.hist))
-    tol = args.tol or 0.10
+    tol = 0.10 if args.tol is None else args.tol
     passed = True
     for n, emp, se, pred in report.rows:
         if pred == 0.0:

@@ -1,20 +1,57 @@
 """Spectral experiments: normalized sums of all flattenings and their
 trace-power moments against the predicted diluted limit laws.
+
+The pipeline never forms a single flattening.  It rests on three identities.
+
+* Coset union.  S_n is the disjoint union of the cosets (i n) S_{n-1} for
+  i = 1..n, with (n n) the identity.  Summing a tensor over all permutations
+  of its n axes therefore takes n(n-1)/2 swapped-axis adds: with the first
+  m-1 axes summed, add the m-1 copies that swap axis m with an earlier one
+  (subtract them for the signed sum).  The sum of all (2k)! flattenings is
+  this sum reshaped, and S3 = S + S* comes from the same single sum.
+* Orbit-weighted compression.  An entry of S1 or S3 depends only on the
+  multiset of its row indices and on that of its column indices; an entry
+  of S2 changes sign with their order.  Over the sorted multi-indices r
+  (strictly increasing for S2) with orbit sizes o_r, the vectors
+  e_r = o_r^(-1/2) sum_{I in orbit(r)} (+-)e_I are orthonormal and span the
+  rows and columns, so A = V B V^T with B[r, s] = sqrt(o_r o_s) A[r, s].
+  Hence A A* (or A itself when Hermitian) has the spectrum of B B* (or B)
+  padded with side - d zeros, where d = C(N+k-1, k) on Sym^k and C(N, k)
+  on Lambda^k, and tr (A A*)^n = tr (B B*)^n.
+* Half-power pairing.  tr C^(a+b) = sum_ij (C^a)_ij (C^b)_ji, so the
+  moments up to n_max need the powers of C up to ceil(n_max/2) only.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .moments import predicted_moments
-from .perms import group
-from .tensors import FlatMatrix, flatten, phi_N, sample_tensor
+# flatten is unused here but stays importable: the benchmark's tracer tests
+# check that it is patched in this namespace too
+from .tensors import FlatMatrix, flatten, sample_tensor  # noqa: F401
+
+
+def _all_axes_sum(entries, signed):
+    """Sum of the tensor over all permutations of its axes, weighted by the
+    signature when signed, built one coset (i m) S_{m-1} at a time."""
+    add = np.subtract if signed else np.add
+    total = entries
+    for m in range(1, entries.ndim):
+        acc = add(total, total.swapaxes(0, m), dtype=complex)
+        for i in range(1, m):
+            add(acc, total.swapaxes(i, m), out=acc)
+        total = acc
+    return total
 
 
 def build_target(t, which, model):
@@ -24,39 +61,56 @@ def build_target(t, which, model):
     the adjoints (Hermitian).  Normalizations make the limiting nonzero
     spectral component have unit variance.
     """
+    if which not in ("S1", "S2", "S3"):
+        raise ValueError(f"unknown target {which!r}")
     k = t.k
     side = t.N**k
-    total = np.zeros((side, side), dtype=complex)
-    c = model.c
-    if which == "S1":
-        for sigma in group(2 * k):
-            total += flatten(t, sigma).data
-        total /= math.sqrt(math.factorial(2 * k) * math.factorial(k) * c)
-    elif which == "S2":
-        for sigma in group(2 * k):
-            total += sigma.signature() * flatten(t, sigma).data
-        total /= math.sqrt(math.factorial(2 * k) * math.factorial(k) * c)
-    elif which == "S3":
-        denom = (
-            math.factorial(2 * k)
-            * math.factorial(k)
-            * 2
-            * (c + complex(model.c_prime).real)
-        )
+    denom = math.factorial(2 * k) * math.factorial(k)
+    if which == "S3":
+        denom *= 2 * (model.c + complex(model.c_prime).real)
         if denom <= 0:
             raise ValueError("c + Re c' must be positive for the Hermitian target")
-        for sigma in group(2 * k):
-            m = flatten(t, sigma).data
-            total += m + m.conj().T
-        total /= math.sqrt(denom)
     else:
-        raise ValueError(f"unknown target {which!r}")
+        denom *= model.c
+    total = _all_axes_sum(t.entries, signed=which == "S2").reshape(side, side)
+    if which == "S3":
+        total += total.conj().T
+    total /= math.sqrt(denom)
     return FlatMatrix(t.N, t.k, total)
+
+
+@functools.lru_cache(maxsize=None)
+def symmetry_basis(N, k, antisymmetric):
+    """Row-major indices of the orbit representatives of [N]^k under
+    permutations of the coordinates (sorted tuples; strictly increasing
+    when antisymmetric) and the square roots of their orbit sizes."""
+    if antisymmetric:
+        reps = list(itertools.combinations(range(N), k))
+        orbits = [math.factorial(k)] * len(reps)
+    else:
+        reps = list(itertools.combinations_with_replacement(range(N), k))
+        orbits = [
+            math.factorial(k)
+            // math.prod(math.factorial(c) for c in Counter(r).values())
+            for r in reps
+        ]
+    index = np.ravel_multi_index(np.array(reps, dtype=np.intp).reshape(-1, k).T, (N,) * k)
+    weight = np.sqrt(np.array(orbits, dtype=float))
+    index.flags.writeable = weight.flags.writeable = False
+    return index, weight
+
+
+def compress(A, which):
+    """The block B[r, s] = sqrt(o_r o_s) A[r, s] of a target on Sym^k (S1,
+    S3) or Lambda^k (S2), in the orbit basis of the module docstring."""
+    index, weight = symmetry_basis(A.N, A.k, which == "S2")
+    return A.data[np.ix_(index, index)] * np.multiply.outer(weight, weight)
 
 
 def trace_power_moments(A, hermitian, n_max):
     """Normalized traces of (A A*)^n, or of A^n when the matrix is declared
-    Hermitian, by iterated multiplication (no eigendecomposition)."""
+    Hermitian, for n = 1..n_max by half-power pairing (no
+    eigendecomposition)."""
     if n_max > 12:
         raise ValueError("n_max exceeds guard 12")
     data = A.data if isinstance(A, FlatMatrix) else A
@@ -67,13 +121,34 @@ def trace_power_moments(A, hermitian, n_max):
         base = data
     else:
         base = data @ data.conj().T
+    powers = [None, base]  # powers[a] = base^a
+    while len(powers) <= (n_max + 1) // 2:
+        powers.append(powers[-1] @ base)
     out = []
-    power = base
     for n in range(1, n_max + 1):
-        out.append(complex(np.trace(power)) / side)
-        if n < n_max:
-            power = power @ base
+        a = (n + 1) // 2
+        b = n - a
+        tr = np.trace(base) if b == 0 else (powers[a] * powers[b].T).sum()
+        out.append(complex(tr) / side)
     return out
+
+
+def compressed_moments(A, which, n_max):
+    """trace_power_moments of a build_target output, computed on its
+    compressed block and rescaled by d/side."""
+    B = compress(A, which)
+    if B.shape[0] == 0:
+        return [0j] * n_max
+    scale = B.shape[0] / A.side
+    return [m * scale for m in trace_power_moments(B, which == "S3", n_max)]
+
+
+def compressed_spectrum(A, which):
+    """empirical_spectrum of a build_target output, from the eigenvalues of
+    its compressed block padded with side - d zeros."""
+    B = compress(A, which)
+    eigs = empirical_spectrum(B, which == "S3") if B.shape[0] else np.zeros(0)
+    return np.sort(np.concatenate([eigs, np.zeros(A.side - B.shape[0])]))
 
 
 def empirical_spectrum(A, hermitian):
@@ -123,6 +198,7 @@ class SpectralReport:
     seed: int
     rows: list = field(default_factory=list)  # (n, empirical, stderr, predicted)
     hist: dict = None
+    counters: dict = None  # side, compressed_side and matmuls per trial
 
     def to_json(self):
         return json.dumps(
@@ -144,6 +220,7 @@ class SpectralReport:
                     for n, emp, se, pred in self.rows
                 ],
                 "histogram": self.hist,
+                "counters": self.counters,
             },
             indent=2,
             sort_keys=True,
@@ -167,15 +244,18 @@ def run_experiment(model, which, k, N, trials, n_max, seed, with_hist=False):
     for trial in range(trials):
         t = sample_tensor(model, N, k, seed, trial)
         A = build_target(t, which, model)
-        moms = trace_power_moments(A, hermitian, n_max)
-        samples[trial] = [m.real for m in moms]
+        samples[trial] = [m.real for m in compressed_moments(A, which, n_max)]
         if with_hist:
-            pooled.extend(empirical_spectrum(A, hermitian).tolist())
+            pooled.append(compressed_spectrum(A, which))
     means = samples.mean(axis=0)
     stderr = (
         samples.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(n_max)
     )
     predicted = predicted_moments(which, k, n_max)
+    d = symmetry_basis(N, k, which == "S2")[0].size
+    # trace_power_moments forms B B* unless Hermitian, then the powers up to
+    # ceil(n_max/2); empirical_spectrum forms B B* once more
+    matmuls = (n_max + 1) // 2 - hermitian + (with_hist and not hermitian) if d else 0
     report = SpectralReport(
         target=which,
         model=model.describe(),
@@ -188,9 +268,10 @@ def run_experiment(model, which, k, N, trials, n_max, seed, with_hist=False):
             (n + 1, float(means[n]), float(stderr[n]), float(predicted[n]))
             for n in range(n_max)
         ],
+        counters={"side": N**k, "compressed_side": d, "matmuls": int(matmuls)},
     )
     if with_hist:
-        report.hist = histogram(np.array(pooled), N**k)
+        report.hist = histogram(np.concatenate(pooled), N**k)
     return report
 
 

@@ -354,7 +354,7 @@ def choi_check(N, k):
     return min_eig, defect
 
 
-# --- binary / CSV export -------------------------------------------------
+# --- binary export -------------------------------------------------------
 
 _KIND_TENSOR = 0
 _KIND_MATRIX = 1
@@ -418,11 +418,3 @@ def load_matrix(path):
     side = N**k
     return FlatMatrix(N, k, flat.reshape(side, side))
 
-
-def matrix_to_csv(m, max_side=64):
-    if m.side > max_side:
-        raise ValueError(f"matrix side {m.side} too large for CSV export")
-    lines = []
-    for row in m.data:
-        lines.append(",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row))
-    return "\n".join(lines) + "\n"

@@ -85,16 +85,11 @@ def n_blocks(labeling):
     return max(labeling) + 1 if labeling else 0
 
 
-def entry_reference(edge, labeling, k):
+def _edge_entry(edge, labeling, k):
     """The block tuple of the tensor entry a quotient hyperedge references:
     matrix row indices are the outputs and column indices the inputs for a
     plain letter, swapped for an adjoint letter, then routed through the
-    flattening permutation.  The adjoint case is additionally conjugated,
-    which only matters for the m/n counts, not the tuple."""
-    return _edge_entry(edge, labeling, k)
-
-
-def _edge_entry(edge, labeling, k):
+    flattening permutation."""
     if edge.eps == "1":
         half = edge.outputs + edge.inputs
     else:

@@ -24,7 +24,7 @@ from tensorflat.moments import (
     word_phi,
 )
 from tensorflat.perms import Permutation, compose, coset_key, embed_join, group, tau
-from tensorflat.spectra import build_target
+from tensorflat.spectra import build_target, compressed_moments
 from tensorflat.tensors import (
     TensorModel,
     apply_perm_left,
@@ -225,29 +225,6 @@ def test_criterion_4_oracle_engine_simulation(capsys):
     )
 
 
-def _fast_trace_moments(A, hermitian):
-    """First four normalized power-trace moments of A A* (or of a Hermitian
-    A itself) using at most two full products."""
-    data = A.data
-    side = data.shape[0]
-    if hermitian:
-        B = data @ data
-        return [
-            float(np.trace(data).real) / side,
-            float(np.linalg.norm(data) ** 2) / side,
-            float((B * data.T).sum().real) / side,
-            float(np.linalg.norm(B) ** 2) / side,
-        ]
-    B = data @ data.conj().T
-    B2 = B @ B
-    return [
-        float(np.trace(B).real) / side,
-        float(np.linalg.norm(B) ** 2) / side,
-        float((B2 * B.T).sum().real) / side,
-        float(np.linalg.norm(B2) ** 2) / side,
-    ]
-
-
 # Finite-size bias of the moment estimators decays like 1/N with constants
 # large enough that raw values at N=32 sit 20-90% above their limits.  The
 # three-point Richardson combination below removes the 1/N and 1/N^2 terms,
@@ -263,10 +240,14 @@ def _extrapolated_moments(model_fn, which, seed):
         model = model_fn(N)
         rows = np.array(
             [
-                _fast_trace_moments(
-                    build_target(sample_tensor(model, N, 2, seed, trial), which, model),
-                    which == "S3",
-                )
+                [
+                    m.real
+                    for m in compressed_moments(
+                        build_target(sample_tensor(model, N, 2, seed, trial), which, model),
+                        which,
+                        4,
+                    )
+                ]
                 for trial in range(trials)
             ]
         )

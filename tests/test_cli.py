@@ -132,6 +132,45 @@ def test_spectrum_command(capsys, tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+def spectrum_argv(**changes):
+    """A small spectrum run; changes maps flag names (n_max for --n-max) to
+    values."""
+    flags = {"k": "1", "N": "16", "trials": "6", "n_max": "2", "seed": "5", **changes}
+    argv = ["spectrum"]
+    for name, value in flags.items():
+        argv += ["--" + name.replace("_", "-"), value]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("k", "0"), ("N", "0"), ("trials", "0"), ("trials", "-1"), ("n_max", "0"), ("n_max", "13")],
+)
+def test_spectrum_rejects_out_of_range_flags(capsys, name, value):
+    code = main(spectrum_argv(**{name: value}))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "--" + name.replace("_", "-") in lines[0]
+
+
+def test_spectrum_tol_zero_is_a_value(capsys):
+    code, out = run(capsys, *spectrum_argv())
+    assert code == 0 and "PASS" in out
+    # the same run at tolerance 0 cannot match the prediction exactly
+    code, out = run(capsys, *spectrum_argv(tol="0"))
+    assert code == 1 and "FAIL" in out
+
+
+def test_spectrum_json_counters(capsys):
+    code, out = run(capsys, *spectrum_argv(k="2", format="json"))
+    assert code in (0, 1)
+    counters = json.loads(out)["report"]["counters"]
+    # side N^k = 256, Sym^2 of C^16 has dimension 136, n_max 2 needs B B* only
+    assert counters == {"side": 256, "compressed_side": 136, "matmuls": 1}
+
+
 def test_freeness_command(capsys):
     code, out = run(capsys, "freeness", "--k", "2", "--rho", "2", "--rho2", "1,1")
     assert code == 0

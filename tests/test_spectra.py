@@ -7,21 +7,121 @@ import pytest
 from tensorflat.perms import Permutation, group
 from tensorflat.spectra import (
     build_target,
+    compressed_moments,
+    compressed_spectrum,
     empirical_spectrum,
     histogram,
     histogram_svg,
     run_experiment,
+    symmetry_basis,
     trace_power_moments,
 )
 from tensorflat.tensors import (
     FlatMatrix,
     TensorModel,
+    flatten,
     perm_matrix,
     phi_N,
     sample_tensor,
 )
 
 CG = TensorModel.complex_ginibre()
+
+
+# --- dense references for the fast path -------------------------------------
+
+
+def dense_target(t, which, model):
+    """The all-flattening sum, one flattening at a time."""
+    k = t.k
+    total = np.zeros((t.N**k, t.N**k), dtype=complex)
+    for sigma in group(2 * k):
+        m = flatten(t, sigma).data
+        if which == "S1":
+            total += m
+        elif which == "S2":
+            total += sigma.signature() * m
+        else:
+            total += m + m.conj().T
+    c = model.c if which != "S3" else 2 * (model.c + complex(model.c_prime).real)
+    return total / math.sqrt(math.factorial(2 * k) * math.factorial(k) * c)
+
+
+def dense_spectrum(data, hermitian):
+    return np.sort(np.linalg.eigvalsh(data if hermitian else data @ data.conj().T))
+
+
+def dense_moments(data, hermitian, n_max):
+    """Normalized traces by iterated full products."""
+    base = data if hermitian else data @ data.conj().T
+    power = np.eye(base.shape[0], dtype=complex)
+    out = []
+    for _ in range(n_max):
+        power = power @ base
+        out.append(complex(np.trace(power)) / base.shape[0])
+    return out
+
+
+def _models(N):
+    return (CG, TensorModel.real_ginibre(), TensorModel.diluted(1.0 / N))
+
+
+FAST_CASES = [
+    (which, k, N, index)
+    for k, sizes in ((1, (1, 4, 16)), (2, (2, 5, 16)), (3, (2, 4, 6)))
+    for N in sizes
+    for which in ("S1", "S2", "S3")
+    for index in range(3)
+    # S2 antisymmetrizes all 2k axes, so it vanishes for N < 2k and only
+    # rounding noise is left to compare
+    if not (which == "S2" and N < 2 * k)
+]
+
+
+@pytest.mark.parametrize("which, k, N, index", FAST_CASES)
+def test_fast_path_matches_dense(which, k, N, index):
+    model = _models(N)[index]
+    herm = which == "S3"
+    t = sample_tensor(model, N, k, 17, index)
+    A = build_target(t, which, model)
+    dense = dense_target(t, which, model)
+    assert np.abs(A.data - dense).max() <= 1e-10 * np.abs(dense).max()
+    eigs = dense_spectrum(dense, herm)
+    spec = compressed_spectrum(A, which)
+    assert spec.shape == (N**k,)
+    assert np.abs(spec - eigs).max() <= 1e-10 * np.abs(eigs).max()
+    n_max = 12
+    # moment n is pinned relative to the mean of |eigenvalue|^n
+    scales = [np.mean(np.abs(eigs) ** n) for n in range(1, n_max + 1)]
+    for moms in (compressed_moments(A, which, n_max), trace_power_moments(dense, herm, n_max)):
+        for got, want, scale in zip(moms, dense_moments(dense, herm, n_max), scales):
+            assert abs(got - want) <= 1e-10 * scale
+
+
+def test_symmetry_basis_dimensions():
+    for N, k in ((40, 2), (64, 2), (6, 3), (2, 3)):
+        index, weight = symmetry_basis(N, k, False)
+        assert index.size == math.comb(N + k - 1, k)
+        assert (weight**2).sum() == pytest.approx(N**k)
+        index, weight = symmetry_basis(N, k, True)
+        assert index.size == math.comb(N, k)
+        assert (weight**2).sum() == pytest.approx(math.factorial(k) * math.comb(N, k))
+    assert symmetry_basis(40, 2, False)[0].size == 820
+    assert symmetry_basis(64, 2, False)[0].size == 2080
+
+
+@pytest.mark.parametrize("k, N", [(2, 1), (3, 2)])
+def test_empty_exterior_power(k, N):
+    # Lambda^k of C^N is empty for N < k: S2 vanishes identically
+    t = sample_tensor(CG, N, k, 9)
+    A = build_target(t, "S2", CG)
+    assert not A.data.any()
+    assert compressed_moments(A, "S2", 4) == [0, 0, 0, 0]
+    assert not compressed_spectrum(A, "S2").any()
+    report = run_experiment(CG, "S2", k, N, 1, 4, seed=9, with_hist=True)
+    assert [row[1] for row in report.rows] == [0.0] * 4
+    assert report.hist["zero_mass"] == N**k
+    assert report.counters == {"side": N**k, "compressed_side": 0, "matmuls": 0}
 
 
 def test_hermitian_target_is_hermitian():
