@@ -8,11 +8,10 @@ lists the pairs with the largest fitted 1/N constants.
 """
 
 import argparse
-import math
 
 from tensorflat.moments import plain_word, word_phi
 from tensorflat.perms import group
-from tensorflat.tensors import TensorModel
+from tensorflat.tensors import parse_model
 from tensorflat.traffic import full_trace_expect
 
 
@@ -24,8 +23,6 @@ def main():
     ap.add_argument("--model", default="complex_ginibre")
     ap.add_argument("--top", type=int, default=10)
     args = ap.parse_args()
-
-    from tensorflat.cli import parse_model
 
     model = parse_model(args.model)
     k = args.k

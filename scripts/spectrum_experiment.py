@@ -7,11 +7,10 @@ Example:
 """
 
 import argparse
-import json
 import pathlib
 
 from tensorflat.spectra import histogram_svg, run_experiment
-from tensorflat.tensors import TensorModel
+from tensorflat.tensors import parse_model
 
 
 def main():
@@ -25,8 +24,6 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out-dir", default="out")
     args = ap.parse_args()
-
-    from tensorflat.cli import parse_model
 
     model = parse_model(args.model)
     out_dir = pathlib.Path(args.out_dir)

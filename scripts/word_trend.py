@@ -14,23 +14,11 @@ import math
 
 import numpy as np
 
+from tensorflat.cli import load_word
 from tensorflat.moments import word_phi
-from tensorflat.perms import Permutation, embed_join
-from tensorflat.tensors import phi_N, sample_tensor, word_eval
-from tensorflat.traffic import full_trace_expect
-
-
-def folded_letters(w):
-    """Absorb the interleaved permutation operators into the flattenings so
-    the plain expected-trace oracle applies."""
-    ident = Permutation.identity(w.k)
-    out = []
-    for letter, mu in zip(w.letters, w.etas):
-        if letter.eps == "1":
-            out.append((embed_join(ident, mu.inverse()) * letter.sigma, "1"))
-        else:
-            out.append((embed_join(mu.inverse(), ident) * letter.sigma, "*"))
-    return out
+from tensorflat.perms import Permutation
+from tensorflat.tensors import parse_model, phi_N, sample_tensor, word_eval
+from tensorflat.traffic import folded_letters, full_trace_expect
 
 
 def main():
@@ -42,8 +30,6 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    from tensorflat.cli import load_word, parse_model
-
     w = load_word(args.word)
     model = parse_model(args.model)
     limit = complex(word_phi(w, model.c, model.c_prime))
@@ -53,7 +39,8 @@ def main():
         header += f" {'monte carlo':>22} {'3 SE':>10}"
     print(header)
     spec = [(le.sigma, le.eps, eta) for le, eta in zip(w.letters, w.etas)]
-    word = folded_letters(w)
+    # the unit coefficient of the conditional expectation is the trace
+    word = folded_letters(w, Permutation.identity(w.k))
     for N in (int(s) for s in args.sizes.split(",")):
         exact = full_trace_expect(word, w.k, N, model)
         line = (

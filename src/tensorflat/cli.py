@@ -19,7 +19,7 @@ from .group_algebra import AlgebraElement, max_coeff_diff
 from .moments import (
     Letter,
     Word,
-    character_mixture,
+    character_coefficients,
     covariance,
     freeness_conditions,
     scalar_freeness_report,
@@ -34,37 +34,18 @@ from .tensors import (
     cond_expect_N,
     flatten,
     choi_check,
+    parse_model,
     perm_matrix,
     phi_N,
     sample_tensor,
     save_matrix,
-    trial_rng,
     word_eval,
 )
 from .traffic import full_trace_expect_detailed, word_cond_expect_exact
 
 
-def parse_model(spec):
-    """Model spec strings: complex_ginibre | real_ginibre | diluted[:p=0.1]."""
-    if spec is None or spec == "complex_ginibre":
-        return TensorModel.complex_ginibre()
-    if spec == "real_ginibre":
-        return TensorModel.real_ginibre()
-    if spec.startswith("diluted"):
-        p = 0.5
-        if ":" in spec:
-            for item in spec.split(":", 1)[1].split(","):
-                key, _, value = item.partition("=")
-                if key == "p":
-                    p = float(value)
-                else:
-                    raise ValueError(f"unknown diluted parameter {key!r}")
-        return TensorModel.diluted(p)
-    raise ValueError(f"unknown model spec {spec!r}")
-
-
 def parse_perm(text):
-    return Permutation(json.loads(text) if isinstance(text, str) else text)
+    return Permutation(json.loads(text))
 
 
 def load_word(spec):
@@ -76,16 +57,21 @@ def load_word(spec):
     return Word.from_json(text)
 
 
-def load_config_file(path):
-    out = {}
+def config_flags(path):
+    """The flat key=value lines of a config file as flag tokens: key (or
+    key with dashes for underscores) names the flag, as in n_max=4 or
+    n-max=4 for --n-max 4."""
+    tokens = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"{path}:{number}: expected key=value, got {line!r}")
+            tokens += ["--" + key.strip().replace("_", "-"), value.strip()]
+    return tokens
 
 
 def resolved_config(args):
@@ -102,16 +88,14 @@ def emit(args, payload, table_lines):
             "seed": payload["config"]["seed"],
             "streams": payload["config"].get("trials", 1),
         }
-    fmt = getattr(args, "format", None) or "table"
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True, default=str)
-    elif fmt == "csv":
-        text = payload.get("csv", "")
+    elif args.format == "csv":
+        text = payload["csv"]
     else:
         text = "\n".join(table_lines)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -121,9 +105,8 @@ def emit(args, payload, table_lines):
 
 
 def cmd_check(args):
-    k_max = min(args.k or 2, 3)
-    N = args.N or 4
-    rng = np.random.default_rng(args.seed or 0)
+    k_max, N = args.k, args.N
+    rng = np.random.default_rng(args.seed)
     model = TensorModel.complex_ginibre()
     results = []
 
@@ -132,7 +115,7 @@ def cmd_check(args):
 
     for k in range(1, k_max + 1):
         perms2k = group(2 * k)
-        t = sample_tensor(model, min(N, 4), k, args.seed or 0)
+        t = sample_tensor(model, N, k, args.seed)
         # flattening / permutation-operator intertwining identity
         worst = 0.0
         for _ in range(5):
@@ -178,14 +161,13 @@ def cmd_check(args):
         record(f"coset counts k={k}", skk == want and skkt == want // 2, f"{skk}/{skkt}")
     for k in range(1, k_max + 1):
         record(f"character convolution k={k}", character_convolution_check(k))
-    if N ** (2 * min(k_max, 2)) <= 4096:
-        kk = min(k_max, 2)
-        mineig, defect = choi_check(min(N, 3), kk)
-        record(
-            f"choi k={kk}",
-            mineig >= -1e-10 and defect <= 1e-10,
-            f"min eig {mineig:.2e}, defect {defect:.2e}",
-        )
+    kk = min(k_max, 2)
+    mineig, defect = choi_check(N, kk)
+    record(
+        f"choi k={kk}",
+        mineig >= -1e-10 and defect <= 1e-10,
+        f"min eig {mineig:.2e}, defect {defect:.2e}",
+    )
 
     failures = [r for r in results if not r["passed"]]
     lines = [
@@ -202,14 +184,11 @@ def cmd_check(args):
 
 
 def cmd_covariance(args):
-    k = args.k or 2
+    k, N, trials, seed = args.k, args.N, args.trials, args.seed
     sigma = parse_perm(args.sigma)
     sigma2 = parse_perm(args.sigma2)
     eta = parse_perm(args.eta) if args.eta else Permutation.identity(k)
     model = parse_model(args.model)
-    N = args.N or 8
-    trials = args.trials or 100
-    seed = args.seed if args.seed is not None else 7
 
     w = Word(
         k,
@@ -248,12 +227,11 @@ def cmd_covariance(args):
             f" {r['mc_stderr']:10.2e} {r['oracle'][0]:+.5f}{r['oracle'][1]:+.5f}j"
             f" {r['limit'][0]:+.4f}{r['limit'][1]:+.4f}j"
         )
-    tol = args.tol or 0.0
     passed = True
-    if tol:
+    if args.tol is not None:
         for r in rows:
             gap = math.hypot(r["oracle"][0] - r["limit"][0], r["oracle"][1] - r["limit"][1])
-            if gap > tol:
+            if gap > args.tol:
                 passed = False
     emit(args, {"rows": rows, "passed": passed}, lines)
     return 0 if passed else 1
@@ -270,7 +248,7 @@ def cmd_moments(args):
     enum = word_expectation_enumerated(w, c, cp)
     agreement = max_coeff_diff(limit, enum)
     phi_lim = complex(word_phi(w, c, cp))
-    n_list = [int(v) for v in (args.N_list or "4,6,8").split(",")]
+    n_list = [int(v) for v in args.N_list.split(",")]
     trend = []
     for N in n_list:
         folded = word_cond_expect_exact(w, N, model)
@@ -278,12 +256,11 @@ def cmd_moments(args):
             {"N": N, "oracle_phi": [folded.phi().real, folded.phi().imag],
              "gap": abs(folded.phi() - phi_lim)}
         )
-    tol = args.tol or 1e-12
-    passed = agreement <= tol
+    passed = agreement <= args.tol
     lines = [
         f"limit phi = {phi_lim.real:+.6f}{phi_lim.imag:+.6f}j",
         f"recursion vs enumeration max diff = {agreement:.2e} "
-        f"({'PASS' if passed else 'FAIL'} at {tol:.0e})",
+        f"({'PASS' if passed else 'FAIL'} at {args.tol:.0e})",
         f"{'N':>4} {'oracle phi':>22} {'|gap to limit|':>14}",
     ]
     for row in trend:
@@ -311,7 +288,7 @@ def cmd_moments(args):
 def cmd_oracle(args):
     w = load_word(args.word)
     model = parse_model(args.model)
-    N = args.N or 5
+    N = args.N
     if any(not eta.is_identity() for eta in w.etas):
         value = word_cond_expect_exact(w, N, model).phi()
         count = zeros = None
@@ -335,37 +312,20 @@ def cmd_oracle(args):
 # --- spectrum ---------------------------------------------------------------
 
 
-def _bounded(flag, value, default, low, high=None):
-    """The flag's value, or its default when unset; out of [low, high] is a
-    usage error naming the flag."""
-    if value is None:
-        return default
-    if value < low or (high is not None and value > high):
-        bounds = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{flag} must be {bounds}, got {value}")
-    return value
-
-
 def cmd_spectrum(args):
-    model = parse_model(args.model)
-    k = _bounded("--k", args.k, 2, 1)
-    N = _bounded("--N", args.N, 32, 1)
-    trials = _bounded("--trials", args.trials, 20, 1)
-    n_max = _bounded("--n-max", args.n_max, 4, 1, 12)
-    seed = args.seed if args.seed is not None else 11
     report = run_experiment(
-        model, args.target, k, N, trials, n_max, seed, with_hist=bool(args.hist)
+        parse_model(args.model), args.target, args.k, args.N, args.trials, args.n_max,
+        args.seed, with_hist=bool(args.hist),
     )
     if args.hist:
         with open(args.hist, "w") as fh:
             fh.write(histogram_svg(report.hist))
-    tol = 0.10 if args.tol is None else args.tol
     passed = True
     for n, emp, se, pred in report.rows:
         if pred == 0.0:
             if abs(emp) > max(3 * se, 1e-12):
                 passed = False
-        elif abs(emp - pred) > tol * abs(pred):
+        elif abs(emp - pred) > args.tol * abs(pred):
             passed = False
     lines = [f"{'n':>3} {'predicted':>12} {'empirical':>12} {'stderr':>10}"]
     for n, emp, se, pred in report.rows:
@@ -383,27 +343,16 @@ def cmd_spectrum(args):
 
 
 def cmd_freeness(args):
-    k = args.k or 2
+    k = args.k
     model = parse_model(args.model)
     payload = {}
     lines = []
-    code = 0
     if args.rho:
-        from .characters import character_value
-
         rho = check_partition(json.loads(f"[{args.rho}]"))
-        rho2 = check_partition(json.loads(f"[{args.rho2 or args.rho}]"))
-        a = {
-            (e1, e2): (1 if e1.is_identity() else 0) * character_value(rho, e2)
-            for e1 in group(k)
-            for e2 in group(k)
-        }
-        a2 = {
-            (e1, e2): (1 if e1.is_identity() else 0) * character_value(rho2, e2)
-            for e1 in group(k)
-            for e2 in group(k)
-        }
-        cross, a_scal, a2_scal = freeness_conditions(a, a2, k)
+        rho2 = check_partition(json.loads(f"[{args.rho if args.rho2 is None else args.rho2}]"))
+        cross, a_scal, a2_scal = freeness_conditions(
+            character_coefficients(k, rho), character_coefficients(k, rho2), k
+        )
         payload.update(
             {"cross_free": cross, "a_scalar": a_scal, "a2_scalar": a2_scal}
         )
@@ -418,97 +367,120 @@ def cmd_freeness(args):
         payload["scalar_circular"] = scalar
         lines.append(f"scalar circular family: {scalar}")
     if not payload:
-        print("freeness: provide --rho or --letters", file=sys.stderr)
-        return 2
+        raise ValueError("freeness: provide --rho or --letters")
     emit(args, payload, lines)
-    return code
+    return 0
 
 
 # --- parser -----------------------------------------------------------------
 
 
+class Parser(argparse.ArgumentParser):
+    """Reports a rejected command line or config file as a ValueError, which
+    main prints in one line with exit code 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def bounded(low, high=None):
+    """An argparse type: an int in low..high (no upper bound when None)."""
+
+    def parse(text):
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bounds = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="tensorflat", description="random tensor flattening toolkit"
-    )
+    """One subparser per command, declaring exactly the flags the command
+    reads, each with its default and bounds."""
+    parser = Parser(prog="tensorflat", description="random tensor flattening toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p):
-        p.add_argument("--config", help="flat key=value config file; flags override")
-        p.add_argument("--k", type=int)
-        p.add_argument("--N", type=int)
-        p.add_argument("--model", help="complex_ginibre | real_ginibre | diluted:p=0.1")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--format", choices=["table", "json", "csv"])
-        p.add_argument("--out")
-        p.add_argument("--dump", help="write a binary matrix dump of the last sample")
+    def command(name, func, summary, formats=("table", "json")):
+        # no abbreviations: a config key must name its flag in full
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="flat key=value file of flags; flags given here win")
+        p.add_argument("--format", default="table", choices=formats)
+        p.add_argument("--out", help="write the report to this file")
+        return p
 
-    p = sub.add_parser("check", help="exact identity suite")
-    shared(p)
-    p.set_defaults(func=cmd_check)
+    def model(p):
+        p.add_argument(
+            "--model",
+            default="complex_ginibre",
+            help="complex_ginibre | real_ginibre | diluted:p=0.1",
+        )
 
-    p = sub.add_parser("covariance", help="two-letter covariance: MC vs oracle vs limit")
-    shared(p)
+    p = command("check", cmd_check, "exact identity suite")
+    p.add_argument("--k", type=bounded(1, 3), default=2)
+    p.add_argument("--N", type=bounded(1, 4), default=4)
+    p.add_argument("--seed", type=int, default=0)
+
+    p = command("covariance", cmd_covariance, "two-letter covariance: MC vs oracle vs limit")
+    p.add_argument("--k", type=bounded(1), default=2)
+    p.add_argument("--N", type=bounded(1), default=8)
+    model(p)
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--trials", type=bounded(1), default=100)
+    p.add_argument("--tol", type=float, help="fail when |oracle - limit| exceeds this")
     p.add_argument("--sigma", required=True, help="JSON image array of length 2k")
     p.add_argument("--sigma2", required=True)
     p.add_argument("--eta", help="JSON image array of length k")
     p.add_argument("--eps", default="1", choices=["1", "*"])
     p.add_argument("--eps2", default="*", choices=["1", "*"])
-    p.set_defaults(func=cmd_covariance)
+    p.add_argument("--dump", help="write a binary matrix dump of the last sample")
 
-    p = sub.add_parser("moments", help="limit moments of a word, with oracle trend")
-    shared(p)
+    p = command("moments", cmd_moments, "limit moments of a word, with oracle trend")
+    model(p)
+    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--word", required=True, help="word JSON (inline or file path)")
-    p.add_argument("--N-list", dest="N_list", help="comma-separated sizes, default 4,6,8")
-    p.set_defaults(func=cmd_moments)
+    p.add_argument("--N-list", dest="N_list", default="4,6,8", help="comma-separated sizes")
 
-    p = sub.add_parser("oracle", help="exact expected trace of a word at finite N")
-    shared(p)
+    p = command("oracle", cmd_oracle, "exact expected trace of a word at finite N")
+    p.add_argument("--N", type=bounded(1), default=5)
+    model(p)
     p.add_argument("--word", required=True)
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("spectrum", help="spectral moment experiment")
-    shared(p)
+    p = command("spectrum", cmd_spectrum, "spectral moment experiment", ("table", "json", "csv"))
+    p.add_argument("--k", type=bounded(1), default=2)
+    p.add_argument("--N", type=bounded(1), default=32)
+    model(p)
+    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--trials", type=bounded(1), default=20)
+    p.add_argument("--tol", type=float, default=0.10)
     p.add_argument("--target", default="S1", choices=["S1", "S2", "S3"])
-    p.add_argument("--n-max", dest="n_max", type=int)
+    p.add_argument("--n-max", dest="n_max", type=bounded(1, 12), default=4)
     p.add_argument("--hist", help="write an SVG histogram to this path")
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("freeness", help="freeness criteria for combinations")
-    shared(p)
+    p = command("freeness", cmd_freeness, "freeness criteria for combinations")
+    p.add_argument("--k", type=bounded(1), default=2)
+    model(p)
     p.add_argument("--rho", help="partition of k, comma separated, e.g. 2,1")
     p.add_argument("--rho2")
     p.add_argument("--letters", help="JSON list of {sigma, eps}")
-    p.set_defaults(func=cmd_freeness)
 
     return parser
 
 
-def apply_config_file(args):
-    if not getattr(args, "config", None):
-        return args
-    file_values = load_config_file(args.config)
-    for key, value in file_values.items():
-        if getattr(args, key, None) is None:
-            current = args.__dict__.get(key)
-            if current is None:
-                # cast numerics where the flag expects them
-                if key in ("k", "N", "seed", "trials", "n_max"):
-                    value = int(value)
-                elif key == "tol":
-                    value = float(value)
-                setattr(args, key, value)
-    return args
-
-
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    args = apply_config_file(args)
     try:
+        args = parser.parse_args(argv)
+        if args.config:
+            # the file's flags go right after the command token, so that
+            # the flags given on the command line come later and win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + config_flags(args.config) + argv[at:])
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

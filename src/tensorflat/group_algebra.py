@@ -131,14 +131,6 @@ def multiply(x, y):
     return AlgebraElement(x.k, out)
 
 
-def adjoint(x):
-    return x.adjoint()
-
-
-def phi(x):
-    return x.phi()
-
-
 def approx_eq(x, y, tol):
     if x.k != y.k:
         raise ValueError(f"mixing algebras of degree {x.k} and {y.k}")

@@ -256,9 +256,6 @@ class Mixture:
         )
         return cls(k, terms)
 
-    def items(self):
-        return self.terms
-
     def adjoint_letters(self):
         """Terms of the adjoint mixture (eps flipped, coefficients conjugated)."""
         flipped = {}
@@ -266,15 +263,6 @@ class Mixture:
             key = (sigma, "*" if eps == "1" else "1")
             flipped[key] = flipped.get(key, 0) + coeff.conjugate()
         return Mixture.from_map(self.k, flipped)
-
-    def to_json(self):
-        return {
-            "k": self.k,
-            "terms": [
-                {"sigma": list(s.image), "eps": e, "re": c.real, "im": c.imag}
-                for (s, e), c in self.terms
-            ],
-        }
 
 
 def mixture_covariance(s, eta, s2, c, cp, conj_second=False):
@@ -291,9 +279,23 @@ def mixture_covariance(s, eta, s2, c, cp, conj_second=False):
     return out
 
 
+def target_scale(which, k, c, cp=0.0):
+    """The divisor of the spectral target `which` (S1, S2 or S3): the square
+    root of (2k)! k! c, with 2 (c + Re c') in place of c for the Hermitian
+    S3, so that the limiting nonzero spectral component has unit variance."""
+    if which == "S3":
+        c = 2 * (c + complex(cp).real)
+        if c <= 0:
+            raise ValueError("c + Re c' must be positive for the Hermitian target")
+    elif which not in ("S1", "S2"):
+        raise ValueError(f"unknown target {which!r}")
+    return math.sqrt(math.factorial(2 * k) * math.factorial(k) * c)
+
+
 def all_sigma_mixture(k, c, signed=False):
-    """The normalized sum of all flattenings (optionally signature-weighted)."""
-    norm = 1.0 / math.sqrt(math.factorial(2 * k) * math.factorial(k) * c)
+    """The normalized sum of all flattenings (optionally signature-weighted):
+    the target S1, or S2 when signed."""
+    norm = 1.0 / target_scale("S2" if signed else "S1", k, c)
     terms = {}
     for sigma in group(2 * k):
         w = sigma.signature() if signed else 1
@@ -302,11 +304,9 @@ def all_sigma_mixture(k, c, signed=False):
 
 
 def hermitized_mixture(k, c, cp):
-    """The normalized Hermitian sum of all flattenings plus their adjoints."""
-    denom = math.factorial(2 * k) * math.factorial(k) * 2 * (c + complex(cp).real)
-    if denom <= 0:
-        raise ValueError("c + Re c' must be positive for the Hermitian target")
-    norm = 1.0 / math.sqrt(denom)
+    """The normalized Hermitian sum of all flattenings plus their adjoints:
+    the target S3."""
+    norm = 1.0 / target_scale("S3", k, c, cp)
     terms = {}
     for sigma in group(2 * k):
         terms[(sigma, "1")] = norm
@@ -314,26 +314,32 @@ def hermitized_mixture(k, c, cp):
     return Mixture.from_map(k, terms)
 
 
-def character_mixture(k, rho, base_sigma=None, left_delta=True):
-    """Mixture with coefficients a(eta1, eta2) = delta(eta1 = id) chi^rho(eta2)
-    placed on (eta1 join eta2) base_sigma; with left_delta=False the
-    character runs over both factors."""
+def character_coefficients(k, rho, left_delta=True):
+    """The coefficient map (eta1, eta2) -> delta(eta1 = id) chi^rho(eta2) on
+    the doubled group, the pairs with eta1 != id left out; with
+    left_delta=False the character runs over both factors,
+    chi^rho(eta1) chi^rho(eta2)."""
     from .characters import character_value
 
-    if base_sigma is None:
-        base_sigma = Permutation.identity(2 * k)
-    terms = {}
-    for eta1 in group(k):
-        for eta2 in group(k):
-            if left_delta and not eta1.is_identity():
-                continue
-            coeff = character_value(rho, eta2)
-            if not left_delta:
-                coeff = character_value(rho, eta1) * character_value(rho, eta2)
-            sigma = embed_join(eta1, eta2) * base_sigma
-            key = (sigma, "1")
-            terms[key] = terms.get(key, 0) + coeff
-    return Mixture.from_map(k, terms)
+    chi = {eta: character_value(rho, eta) for eta in group(k)}
+    return {
+        (eta1, eta2): (1 if left_delta else chi[eta1]) * chi[eta2]
+        for eta1 in group(k)
+        if not left_delta or eta1.is_identity()
+        for eta2 in group(k)
+    }
+
+
+def character_mixture(k, rho, left_delta=True):
+    """Mixture with the character_coefficients a(eta1, eta2) placed on the
+    flattening by eta1 join eta2."""
+    return Mixture.from_map(
+        k,
+        {
+            (embed_join(eta1, eta2), "1"): coeff
+            for (eta1, eta2), coeff in character_coefficients(k, rho, left_delta).items()
+        },
+    )
 
 
 def parastat_mixture(k, lam):

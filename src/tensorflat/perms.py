@@ -51,10 +51,6 @@ class Permutation:
                 image[a - 1] = b
         return cls(image)
 
-    @classmethod
-    def transposition(cls, n, a, b):
-        return cls.from_cycles(n, [(a, b)])
-
     def __call__(self, i):
         return self.image[i - 1]
 
@@ -123,14 +119,6 @@ def compose(sigma, pi):
     if sigma.n != pi.n:
         raise ValueError(f"degree mismatch: {sigma.n} vs {pi.n}")
     return Permutation(tuple(sigma.image[v - 1] for v in pi.image))
-
-
-def signature(sigma):
-    return sigma.signature()
-
-
-def cycle_count(sigma):
-    return sigma.cycle_count()
 
 
 def embed_join(eta, eta2):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import predicted_moments
+from .moments import predicted_moments, target_scale
 # flatten is unused here but stays importable: the benchmark's tracer tests
 # check that it is patched in this namespace too
 from .tensors import FlatMatrix, flatten, sample_tensor  # noqa: F401
@@ -58,24 +58,15 @@ def build_target(t, which, model):
     """One of the three normalized all-flattening sums.
 
     S1 sums every flattening, S2 weights by signature, S3 symmetrizes with
-    the adjoints (Hermitian).  Normalizations make the limiting nonzero
-    spectral component have unit variance.
+    the adjoints (Hermitian): the Mixtures all_sigma_mixture and
+    hermitized_mixture, divided by the same target_scale.
     """
-    if which not in ("S1", "S2", "S3"):
-        raise ValueError(f"unknown target {which!r}")
-    k = t.k
-    side = t.N**k
-    denom = math.factorial(2 * k) * math.factorial(k)
-    if which == "S3":
-        denom *= 2 * (model.c + complex(model.c_prime).real)
-        if denom <= 0:
-            raise ValueError("c + Re c' must be positive for the Hermitian target")
-    else:
-        denom *= model.c
+    scale = target_scale(which, t.k, model.c, model.c_prime)
+    side = t.N**t.k
     total = _all_axes_sum(t.entries, signed=which == "S2").reshape(side, side)
     if which == "S3":
         total += total.conj().T
-    total /= math.sqrt(denom)
+    total /= scale
     return FlatMatrix(t.N, t.k, total)
 
 
@@ -107,20 +98,27 @@ def compress(A, which):
     return A.data[np.ix_(index, index)] * np.multiply.outer(weight, weight)
 
 
+def _spectral_operand(A, hermitian):
+    """A, checked to be Hermitian when declared so, or else A A*: the matrix
+    whose traces and eigenvalues the moments and the spectrum describe."""
+    data = A.data if isinstance(A, FlatMatrix) else A
+    if not hermitian:
+        return data @ data.conj().T
+    if np.abs(data - data.conj().T).max(initial=0.0) > 1e-10:
+        raise ValueError("matrix declared hermitian is not")
+    return data
+
+
 def trace_power_moments(A, hermitian, n_max):
     """Normalized traces of (A A*)^n, or of A^n when the matrix is declared
     Hermitian, for n = 1..n_max by half-power pairing (no
     eigendecomposition)."""
     if n_max > 12:
         raise ValueError("n_max exceeds guard 12")
-    data = A.data if isinstance(A, FlatMatrix) else A
-    side = data.shape[0]
-    if hermitian:
-        if np.abs(data - data.conj().T).max() > 1e-10:
-            raise ValueError("matrix declared hermitian is not")
-        base = data
-    else:
-        base = data @ data.conj().T
+    base = _spectral_operand(A, hermitian)
+    side = base.shape[0]
+    if side == 0:
+        raise ValueError("the empty 0x0 matrix has no normalized trace moments")
     powers = [None, base]  # powers[a] = base^a
     while len(powers) <= (n_max + 1) // 2:
         powers.append(powers[-1] @ base)
@@ -147,7 +145,7 @@ def compressed_spectrum(A, which):
     """empirical_spectrum of a build_target output, from the eigenvalues of
     its compressed block padded with side - d zeros."""
     B = compress(A, which)
-    eigs = empirical_spectrum(B, which == "S3") if B.shape[0] else np.zeros(0)
+    eigs = empirical_spectrum(B, which == "S3")
     return np.sort(np.concatenate([eigs, np.zeros(A.side - B.shape[0])]))
 
 
@@ -156,13 +154,7 @@ def empirical_spectrum(A, hermitian):
     data = A.data if isinstance(A, FlatMatrix) else A
     if data.shape[0] > 4096:
         raise ValueError("matrix side exceeds eigensolver guard 4096")
-    if hermitian:
-        if np.abs(data - data.conj().T).max() > 1e-10:
-            raise ValueError("matrix declared hermitian is not")
-        target = data
-    else:
-        target = data @ data.conj().T
-    return np.sort(np.linalg.eigvalsh(target))
+    return np.sort(np.linalg.eigvalsh(_spectral_operand(data, hermitian)))
 
 
 def histogram(values, side):

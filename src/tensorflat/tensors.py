@@ -14,6 +14,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -21,30 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .group_algebra import AlgebraElement
-from .perms import Permutation, embed_join
 
 MAGIC = b"TFLAT1\x00"
-
-
-class MultiIndexCodec:
-    """Row-major linearization of [N]^k (1-based tuples)."""
-
-    def __init__(self, N, k):
-        self.N = N
-        self.k = k
-
-    def encode(self, tup):
-        out = 0
-        for v in tup:
-            out = out * self.N + (v - 1)
-        return out
-
-    def decode(self, idx):
-        out = []
-        for _ in range(self.k):
-            out.append(idx % self.N + 1)
-            idx //= self.N
-        return tuple(reversed(out))
 
 
 def double_factorial(n):
@@ -180,14 +159,30 @@ class TensorModel:
         return out
 
 
+def parse_model(spec):
+    """Model spec strings: complex_ginibre | real_ginibre | diluted[:p=0.1]."""
+    if spec is None or spec == "complex_ginibre":
+        return TensorModel.complex_ginibre()
+    if spec == "real_ginibre":
+        return TensorModel.real_ginibre()
+    if spec.startswith("diluted"):
+        p = 0.5
+        if ":" in spec:
+            for item in spec.split(":", 1)[1].split(","):
+                key, _, value = item.partition("=")
+                if key == "p":
+                    p = float(value)
+                else:
+                    raise ValueError(f"unknown diluted parameter {key!r}")
+        return TensorModel.diluted(p)
+    raise ValueError(f"unknown model spec {spec!r}")
+
+
 @dataclass(frozen=True)
 class RandomTensor:
     N: int
     k: int
     entries: np.ndarray  # shape (N,) * 2k, complex
-
-    def entry(self, tup):
-        return self.entries[tuple(v - 1 for v in tup)]
 
 
 @dataclass(frozen=True)
@@ -199,12 +194,6 @@ class FlatMatrix:
     @property
     def side(self):
         return self.N**self.k
-
-    def adjoint(self):
-        return FlatMatrix(self.N, self.k, self.data.conj().T)
-
-    def transpose(self):
-        return FlatMatrix(self.N, self.k, self.data.T)
 
 
 def trial_rng(seed, trial=0):
@@ -369,7 +358,10 @@ def _read_header(fh):
     magic = fh.read(len(MAGIC))
     if magic != MAGIC:
         raise ValueError("bad magic; not a tensorflat binary file")
-    kind, N, k, dtype = struct.unpack("<BIIB", fh.read(10))
+    header = fh.read(10)
+    if len(header) != 10:
+        raise ValueError("truncated header; not a tensorflat binary file")
+    kind, N, k, dtype = struct.unpack("<BIIB", header)
     if dtype != 0:
         raise ValueError(f"unsupported dtype code {dtype}")
     return kind, N, k
@@ -384,6 +376,11 @@ def _write_payload(fh, arr):
 
 
 def _read_payload(fh, count):
+    """The count complex entries after the header, once the file is known to
+    hold exactly 16 bytes for each."""
+    found = os.fstat(fh.fileno()).st_size - fh.tell()
+    if found != 16 * count:
+        raise ValueError(f"payload size mismatch: expected {16 * count} bytes, found {found}")
     inter = np.frombuffer(fh.read(16 * count), dtype="<f8")
     return inter[0::2] + 1j * inter[1::2]
 

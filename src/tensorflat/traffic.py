@@ -10,12 +10,12 @@ limit recursion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .perms import Permutation
-
 import numpy as np
+
+from .group_algebra import AlgebraElement
+from .perms import Permutation, embed_join, group
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,6 @@ class TestHypergraph:
     L: int
     n_vertices: int  # k * L, vertex (row r, col c) has id (c-1)*k + (r-1)
     edges: tuple  # of Hyperedge
-
-    def vertex_id(self, row, col):
-        return (col - 1) * self.k + (row - 1)
-
-    def vertex_label(self, vid):
-        return (vid % self.k + 1, vid // self.k + 1)
 
 
 def build_test_hypergraph(word, k):
@@ -147,18 +141,12 @@ def inj_trace_expect(T, labeling, N, model):
 def full_trace_expect(word, k, N, model):
     """Exact expected normalized trace of the word, summing the injective
     trace over every partition of the strip vertices."""
-    if k * len(word) > 12:
-        raise ValueError(f"k*L = {k * len(word)} exceeds partition guard 12")
-    T = build_test_hypergraph(word, k)
-    total = 0.0 + 0.0j
-    for labeling in set_partitions(T.n_vertices):
-        total += inj_trace_expect(T, labeling, N, model)
-    return total
+    return full_trace_expect_detailed(word, k, N, model)[0]
 
 
 def full_trace_expect_detailed(word, k, N, model):
-    """Like full_trace_expect but also reports how many partitions were
-    enumerated and how many were discarded with zero weight."""
+    """full_trace_expect, together with how many partitions were enumerated
+    and how many were discarded with zero weight."""
     if k * len(word) > 12:
         raise ValueError(f"k*L = {k * len(word)} exceeds partition guard 12")
     T = build_test_hypergraph(word, k)
@@ -174,34 +162,34 @@ def full_trace_expect_detailed(word, k, N, model):
     return total, count, zeros
 
 
+def folded_letters(w, eta):
+    """The (sigma, eps) letters of a Word (from the moments module) with its
+    interleaved permutation operators absorbed into the flattenings, the
+    last one followed by u_eta^{-1}: a plain letter followed by u_mu is the
+    flattening by (id join mu^{-1}) sigma, an adjoint letter by
+    (mu^{-1} join id) sigma.  The plain expected trace of the result is the
+    coefficient of u_eta in the expected conditional expectation."""
+    ident = Permutation.identity(w.k)
+    L = len(w)
+    folded = []
+    for idx, letter in enumerate(w.letters):
+        mu = w.etas[idx] if idx < L - 1 else w.etas[idx] * eta.inverse()
+        if letter.eps == "1":
+            sigma = embed_join(ident, mu.inverse()) * letter.sigma
+        else:
+            sigma = embed_join(mu.inverse(), ident) * letter.sigma
+        folded.append((sigma, letter.eps))
+    return folded
+
+
 def word_cond_expect_exact(w, N, model):
     """Exact expectation of the finite-N conditional expectation of a word
-    (a Word from the moments module), as a group-algebra element.
-
-    The interleaved permutation operators are absorbed into the flattening
-    permutations (a plain letter followed by u_mu is the flattening by
-    (id join mu^{-1}) sigma, an adjoint letter by (mu^{-1} join id) sigma),
-    after which each coefficient is a plain expected word trace.
-    """
-    from .group_algebra import AlgebraElement
-    from .perms import embed_join, group
-
-    k = w.k
-    L = len(w)
-    ident = Permutation.identity(k)
-    coeffs = {}
-    for eta in group(k):
-        folded = []
-        for idx in range(L):
-            letter = w.letters[idx]
-            mu = w.etas[idx] if idx < L - 1 else w.etas[idx] * eta.inverse()
-            if letter.eps == "1":
-                sig = embed_join(ident, mu.inverse()) * letter.sigma
-            else:
-                sig = embed_join(mu.inverse(), ident) * letter.sigma
-            folded.append((sig, letter.eps))
-        coeffs[eta] = full_trace_expect(folded, k, N, model)
-    return AlgebraElement(k, coeffs)
+    (a Word from the moments module), as a group-algebra element: each
+    coefficient is the plain expected trace of the folded_letters."""
+    coeffs = {
+        eta: full_trace_expect(folded_letters(w, eta), w.k, N, model) for eta in group(w.k)
+    }
+    return AlgebraElement(w.k, coeffs)
 
 
 def trace_of_graph(T, tensor):

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from tensorflat.cli import main, parse_model
+from tensorflat.cli import main
+from tensorflat.tensors import load_matrix, parse_model
 
 
 def run(capsys, *argv):
@@ -192,6 +193,108 @@ def test_config_file(capsys, tmp_path):
     )
     payload = json.loads(out)
     assert payload["config"]["k"] == 2
+
+
+def usage_error(capsys, *argv):
+    """The one stderr line of a run that must exit 2 with no report."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+COVARIANCE_K1 = ["covariance", "--k", "1", "--sigma", "[1,2]", "--sigma2", "[1,2]", "--N", "3"]
+WORD_K1 = json.dumps({"k": 1, "letters": [{"sigma": [1, 2], "eps": "1"}] * 2})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--dump", "f"],
+        COVARIANCE_K1 + ["--n-max", "2"],
+        ["moments", "--word", WORD_K1, "--trials", "2"],
+        ["oracle", "--word", WORD_K1, "--seed", "3"],
+        ["spectrum", "--dump", "f"],
+        ["freeness", "--rho", "2", "--N", "3"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        COVARIANCE_K1,
+        ["moments", "--word", WORD_K1],
+        ["oracle", "--word", WORD_K1],
+        ["freeness", "--rho", "2"],
+    ],
+)
+def test_csv_format_only_for_spectrum(capsys, argv):
+    assert "invalid choice: 'csv'" in usage_error(capsys, *argv, "--format", "csv")
+
+
+def test_spectrum_csv(capsys):
+    code, out = run(capsys, *spectrum_argv(format="csv"))
+    assert code == 0 and out.startswith("n,predicted,empirical,stderr")
+
+
+@pytest.mark.parametrize("flag, value, bound", [("k", "4", "1..3"), ("k", "0", "1..3"), ("N", "5", "1..4")])
+def test_check_rejects_sizes_past_its_bounds(capsys, flag, value, bound):
+    line = usage_error(capsys, "check", "--" + flag, value)
+    assert f"--{flag}: must be in {bound}, got {value}" in line
+
+
+def test_covariance_rejects_no_trials_before_dumping(capsys, tmp_path):
+    dump = tmp_path / "last.bin"
+    line = usage_error(capsys, *COVARIANCE_K1, "--trials", "-1", "--dump", str(dump))
+    assert "--trials: must be >= 1" in line
+    assert not dump.exists()
+
+
+def test_truncated_dump_file_names_the_byte_counts(capsys, tmp_path):
+    dump = tmp_path / "last.bin"
+    code, _ = run(capsys, *COVARIANCE_K1, "--trials", "2", "--dump", str(dump))
+    assert code == 0
+    assert load_matrix(dump).data.shape == (3, 3)
+    dump.write_bytes(dump.read_bytes()[:-1])
+    # 3 x 3 complex entries of 16 bytes each
+    with pytest.raises(ValueError, match="expected 144 bytes, found 143"):
+        load_matrix(dump)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("trails=3\n", "unrecognized arguments: --trails 3"),
+        ("see=3\n", "unrecognized arguments: --see 3"),
+        ("format=xml\n", "invalid choice: 'xml'"),
+        ("k=0\n", "--k: must be in 1..3, got 0"),
+        ("seed\n", "expected key=value"),
+    ],
+)
+def test_config_values_are_checked_like_flags(capsys, tmp_path, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert message in usage_error(capsys, "check", "--config", str(cfg))
+
+
+def test_missing_config_file_exits_2(capsys, tmp_path):
+    assert "No such file" in usage_error(capsys, "check", "--config", str(tmp_path / "none.cfg"))
+
+
+def test_config_block_reports_the_defaults_used(capsys):
+    code, out = run(capsys, "oracle", "--word", WORD_K1, "--format", "json")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["N"] == 5 and config["model"] == "complex_ginibre"
+    code, out = run(capsys, "moments", "--word", WORD_K1, "--tol", "0", "--format", "json")
+    config = json.loads(out)["config"]
+    assert config["tol"] == 0.0 and config["N_list"] == "4,6,8"
 
 
 def test_guard_errors_exit_2(capsys):

@@ -11,6 +11,7 @@ from tensorflat.moments import (
     Word,
     all_sigma_mixture,
     catalan,
+    character_coefficients,
     character_mixture,
     covariance,
     enumerate_nc_pairings,
@@ -21,6 +22,7 @@ from tensorflat.moments import (
     plain_word,
     predicted_moments,
     scalar_freeness_report,
+    target_scale,
     word_expectation,
     word_expectation_enumerated,
     word_phi,
@@ -201,6 +203,16 @@ def test_hermitized_mixture_covariance():
     cov = mixture_covariance(s, id2, s, c, cp, conj_second=True)
     expected = AlgebraElement(k, {eta: 0.5 for eta in group(k)})
     assert approx_eq(cov, expected, 1e-12)
+    with pytest.raises(ValueError, match="c \\+ Re c' must be positive"):
+        hermitized_mixture(k, 1.0, -1.0)
+
+
+def test_target_scale():
+    assert target_scale("S1", 2, 1.0) == target_scale("S2", 2, 1.0) == math.sqrt(48)
+    # real Ginibre: c = c' = 1
+    assert target_scale("S3", 2, 1.0, 1.0) == math.sqrt(48 * 4)
+    with pytest.raises(ValueError, match="unknown target"):
+        target_scale("S9", 2, 1.0)
 
 
 def test_mixtures_in_distinct_extended_cosets_are_uncorrelated():
@@ -220,16 +232,7 @@ def test_mixtures_in_distinct_extended_cosets_are_uncorrelated():
 
 def test_freeness_conditions_characters():
     k = 2
-    from tensorflat.characters import character_value
-
-    def charmap(rho):
-        return {
-            (e1, e2): (1 if e1.is_identity() else 0) * character_value(rho, e2)
-            for e1 in group(k)
-            for e2 in group(k)
-        }
-
-    a, a2 = charmap((2,)), charmap((1, 1))
+    a, a2 = character_coefficients(k, (2,)), character_coefficients(k, (1, 1))
     cross, a_scal, a2_scal = freeness_conditions(a, a2, k)
     assert cross and a_scal and a2_scal
     ones = {(e1, e2): 1.0 for e1 in group(k) for e2 in group(k)}
@@ -276,16 +279,17 @@ def test_character_mixture_is_self_scalar():
     k = 2
     s = character_mixture(k, (1, 1))
     cov = mixture_covariance(s, id2, s, 1.0, 0.0, conj_second=True)
+    assert not cov.is_zero()
     # supported somewhere, but the left-shifted self correlations vanish
-    from tensorflat.characters import character_value
-
-    a = {
-        (e1, e2): (1 if e1.is_identity() else 0) * character_value((1, 1), e2)
-        for e1 in group(k)
-        for e2 in group(k)
-    }
+    a = character_coefficients(k, (1, 1))
     _, a_scal, _ = freeness_conditions(a, a, k)
     assert a_scal
+    # the mixture carries the coefficients on the flattenings eta1 join eta2
+    for left_delta in (True, False):
+        terms = dict(character_mixture(k, (1, 1), left_delta=left_delta).terms)
+        for (e1, e2), coeff in character_coefficients(k, (1, 1), left_delta).items():
+            assert terms.get((embed_join(e1, e2), "1"), 0) == coeff
+    assert character_coefficients(k, (1, 1), False)[(swap2, swap2)] == 1
 
 
 def test_predicted_moments():

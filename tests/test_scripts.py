@@ -1,0 +1,69 @@
+"""The runnable wrappers in scripts/, each run once at tiny sizes."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from tensorflat.moments import Word
+from tensorflat.tensors import parse_model
+from tensorflat.traffic import word_cond_expect_exact
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# k = 2 with every interleaved permutation the swap; at N = 3 its exact
+# trace is 0.1317, and 1.1852 with the swaps left out
+TWISTED = {
+    "k": 2,
+    "letters": [
+        {"sigma": [2, 1, 3, 4], "eps": "*"},
+        {"sigma": [2, 3, 1, 4], "eps": "1"},
+        {"sigma": [1, 3, 2, 4], "eps": "*"},
+        {"sigma": [1, 2, 3, 4], "eps": "1"},
+    ],
+    "etas": [[2, 1]] * 4,
+}
+
+
+def run_script(name, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("covariance_scan.py", ["--k", "1", "--N", "2", "--N2", "3", "--top", "2"]),
+        ("spectrum_experiment.py", ["--k", "1", "--sizes", "3", "--trials", "2", "--n-max", "2"]),
+    ],
+)
+def test_script_runs(tmp_path, name, argv):
+    if name == "spectrum_experiment.py":
+        argv = argv + ["--out-dir", str(tmp_path)]
+    assert run_script(name, *argv)
+
+
+def test_word_trend_exact_column_is_the_oracle():
+    model = "diluted:p=0.5"
+    out = run_script(
+        "word_trend.py", "--word", json.dumps(TWISTED), "--sizes", "2,3",
+        "--model", model, "--trials", "2",
+    )
+    rows = [line.split() for line in out.splitlines()[2:]]
+    assert [int(row[0]) for row in rows] == [2, 3]
+    w = Word.from_json(TWISTED)
+    for row in rows:
+        exact = word_cond_expect_exact(w, int(row[0]), parse_model(model)).phi()
+        assert row[1] == f"{exact.real:+.8f}{exact.imag:+.8f}j"

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from tensorflat.perms import Permutation, group
+from tensorflat.moments import all_sigma_mixture, hermitized_mixture
+from tensorflat.perms import group
 from tensorflat.spectra import (
     build_target,
     compressed_moments,
@@ -21,7 +22,6 @@ from tensorflat.tensors import (
     TensorModel,
     flatten,
     perm_matrix,
-    phi_N,
     sample_tensor,
 )
 
@@ -32,19 +32,16 @@ CG = TensorModel.complex_ginibre()
 
 
 def dense_target(t, which, model):
-    """The all-flattening sum, one flattening at a time."""
-    k = t.k
-    total = np.zeros((t.N**k, t.N**k), dtype=complex)
-    for sigma in group(2 * k):
+    """The target's library Mixture, evaluated one flattening at a time."""
+    if which == "S3":
+        mixture = hermitized_mixture(t.k, model.c, model.c_prime)
+    else:
+        mixture = all_sigma_mixture(t.k, model.c, signed=which == "S2")
+    total = np.zeros((t.N**t.k, t.N**t.k), dtype=complex)
+    for (sigma, eps), coeff in mixture.terms:
         m = flatten(t, sigma).data
-        if which == "S1":
-            total += m
-        elif which == "S2":
-            total += sigma.signature() * m
-        else:
-            total += m + m.conj().T
-    c = model.c if which != "S3" else 2 * (model.c + complex(model.c_prime).real)
-    return total / math.sqrt(math.factorial(2 * k) * math.factorial(k) * c)
+        total += coeff * (m if eps == "1" else m.conj().T)
+    return total
 
 
 def dense_spectrum(data, hermitian):
@@ -122,6 +119,14 @@ def test_empty_exterior_power(k, N):
     assert [row[1] for row in report.rows] == [0.0] * 4
     assert report.hist["zero_mass"] == N**k
     assert report.counters == {"side": N**k, "compressed_side": 0, "matmuls": 0}
+
+
+def test_empty_matrix():
+    empty = np.zeros((0, 0), dtype=complex)
+    for hermitian in (False, True):
+        assert empirical_spectrum(empty, hermitian).shape == (0,)
+        with pytest.raises(ValueError, match="empty 0x0"):
+            trace_power_moments(empty, hermitian, 2)
 
 
 def test_hermitian_target_is_hermitian():

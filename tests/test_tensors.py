@@ -7,7 +7,6 @@ from tensorflat.group_algebra import AlgebraElement, approx_eq
 from tensorflat.perms import Permutation, compose, embed_join, group, tau
 from tensorflat.tensors import (
     FlatMatrix,
-    MultiIndexCodec,
     TensorModel,
     apply_perm_left,
     apply_perm_right,
@@ -28,24 +27,16 @@ CG = TensorModel.complex_ginibre()
 
 
 def brute_force_flatten(t, sigma):
-    """Reference implementation straight from the entry formula."""
+    """Reference implementation straight from the entry formula, with
+    0-based multi-indices decoded row-major."""
     N, k = t.N, t.k
-    codec = MultiIndexCodec(N, k)
     side = N**k
     out = np.zeros((side, side), dtype=complex)
     for r in range(side):
         for c in range(side):
-            i = codec.decode(r) + codec.decode(c)
-            out[r, c] = t.entry(tuple(i[sigma(p) - 1] for p in range(1, 2 * k + 1)))
+            i = np.unravel_index(r, (N,) * k) + np.unravel_index(c, (N,) * k)
+            out[r, c] = t.entries[tuple(i[sigma(p) - 1] for p in range(1, 2 * k + 1))]
     return out
-
-
-def test_codec_roundtrip():
-    codec = MultiIndexCodec(3, 4)
-    for idx in range(3**4):
-        assert codec.encode(codec.decode(idx)) == idx
-    assert codec.encode((1, 1, 1, 1)) == 0
-    assert codec.encode((1, 1, 1, 2)) == 1
 
 
 @pytest.mark.parametrize("k,N", [(1, 4), (2, 3)])
@@ -236,3 +227,10 @@ def test_binary_roundtrip(tmp_path):
     assert np.array_equal(m.data, m2.data)
     with pytest.raises(ValueError):
         load_tensor(mp)
+    # 3^4 entries of 16 bytes after the 17-byte header, one entry cut off
+    p.write_bytes(p.read_bytes()[:-16])
+    with pytest.raises(ValueError, match="expected 1296 bytes, found 1280"):
+        load_tensor(p)
+    p.write_bytes(p.read_bytes()[:12])
+    with pytest.raises(ValueError, match="truncated header"):
+        load_tensor(p)
