@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 tolerance failure, 2 usage or guard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -41,7 +42,12 @@ from .tensors import (
     save_matrix,
     word_eval,
 )
-from .traffic import full_trace_expect_detailed, word_cond_expect_exact
+from .traffic import (
+    folded_letters,
+    full_trace_expect,
+    full_trace_expect_detailed,
+    word_cond_expect_exact,
+)
 
 
 def parse_perm(text):
@@ -241,6 +247,7 @@ def cmd_covariance(args):
 
 
 def cmd_moments(args):
+    n_list = sizes(args.N_list, "--N-list")
     w = load_word(args.word)
     model = parse_model(args.model)
     c, cp = model.c, model.c_prime
@@ -248,14 +255,11 @@ def cmd_moments(args):
     enum = word_expectation_enumerated(w, c, cp)
     agreement = max_coeff_diff(limit, enum)
     phi_lim = complex(word_phi(w, c, cp))
-    n_list = [int(v) for v in args.N_list.split(",")]
+    letters = folded_letters(w, Permutation.identity(w.k))
     trend = []
     for N in n_list:
-        folded = word_cond_expect_exact(w, N, model)
-        trend.append(
-            {"N": N, "oracle_phi": [folded.phi().real, folded.phi().imag],
-             "gap": abs(folded.phi() - phi_lim)}
-        )
+        phi = full_trace_expect(letters, w.k, N, model)
+        trend.append({"N": N, "oracle_phi": [phi.real, phi.imag], "gap": abs(phi - phi_lim)})
     passed = agreement <= args.tol
     lines = [
         f"limit phi = {phi_lim.real:+.6f}{phi_lim.imag:+.6f}j",
@@ -289,22 +293,17 @@ def cmd_oracle(args):
     w = load_word(args.word)
     model = parse_model(args.model)
     N = args.N
-    if any(not eta.is_identity() for eta in w.etas):
-        value = word_cond_expect_exact(w, N, model).phi()
-        count = zeros = None
-    else:
-        pairs = [(l.sigma, l.eps) for l in w.letters]
-        value, count, zeros = full_trace_expect_detailed(pairs, w.k, N, model)
+    letters = folded_letters(w, Permutation.identity(w.k))
+    value, count, pruned = full_trace_expect_detailed(letters, w.k, N, model)
     payload = {
-        "exact": [complex(value).real, complex(value).imag],
+        "exact": [value.real, value.imag],
         "per_partition_count": count,
-        "pruned_count": zeros,
+        "pruned_count": pruned,
     }
     lines = [
-        f"exact expected trace at N={N}: {complex(value).real:+.8f}{complex(value).imag:+.8f}j"
+        f"exact expected trace at N={N}: {value.real:+.8f}{value.imag:+.8f}j",
+        f"letter partitions: {count} summed, {pruned} candidate blocks with zero cumulant",
     ]
-    if count is not None:
-        lines.append(f"partitions: {count} total, {zeros} with zero weight")
     emit(args, payload, lines)
     return 0
 
@@ -397,9 +396,21 @@ def bounded(low, high=None):
     return parse
 
 
+def sizes(text, flag):
+    """A comma-separated list of sizes, each at least 1."""
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+    if min(values) < 1:
+        raise ValueError(f"{flag}: every size must be >= 1, got {text!r}")
+    return values
+
+
+@functools.cache
 def build_parser():
     """One subparser per command, declaring exactly the flags the command
-    reads, each with its default and bounds."""
+    reads, each with its default and bounds.  Built once per process."""
     parser = Parser(prog="tensorflat", description="random tensor flattening toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -66,10 +66,13 @@ class Word:
     def from_json(cls, data):
         if isinstance(data, str):
             data = json.loads(data)
-        k = data["k"]
-        letters = tuple(
-            Letter(Permutation(item["sigma"]), item["eps"]) for item in data["letters"]
-        )
+        try:
+            k = data["k"]
+            letters = tuple(
+                Letter(Permutation(item["sigma"]), item["eps"]) for item in data["letters"]
+            )
+        except KeyError as exc:
+            raise ValueError(f"word JSON lacks the key {exc.args[0]!r}") from None
         etas = tuple(Permutation(img) for img in data.get("etas") or [])
         if not etas:
             etas = tuple(Permutation.identity(k) for _ in letters)

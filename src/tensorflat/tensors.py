@@ -125,6 +125,39 @@ class TensorModel:
             return double_factorial(m + n - 1) * float(N) ** (-k * (m + n) / 2.0)
         return self._diluted_moment(m, n) / self.scale(N, k) ** (m + n)
 
+    def entry_cumulants(self, order, N, k):
+        """Joint cumulants kappa[m, n] at size N of m copies of the entry and
+        n of its conjugate, for 1 <= m + n <= order.
+
+        The Gaussian laws have closed forms whose zeros are exact: only
+        kappa[1, 1] = N^-k (complex), or the three second-order cumulants
+        (real).  The diluted law runs the moment-cumulant recursion over
+        entry_moment, splitting off the block of one plain copy (of one
+        conjugate copy when m = 0):
+          mu[m, n] = sum_{a, b} C(m-1, a) C(n, b) kappa[a+1, b] mu[m-1-a, n-b].
+        No value is rounded to zero.
+        """
+        keys = [(m, s - m) for s in range(1, order + 1) for m in range(s + 1)]
+        if self.kind != "diluted":
+            support = {(1, 1)} if self.kind == "complex_ginibre" else {(2, 0), (1, 1), (0, 2)}
+            return {key: float(N) ** -k if key in support else 0.0 for key in keys}
+        mu = {key: self.entry_moment(*key, N, k) for key in keys}
+        mu[(0, 0)] = 1.0
+        kappa = {}
+        for m, n in keys:
+            if m:
+                rest = sum(
+                    math.comb(m - 1, a) * math.comb(n, b) * kappa[(a + 1, b)] * mu[(m - 1 - a, n - b)]
+                    for a in range(m) for b in range(n + 1) if (a, b) != (m - 1, n)
+                )
+            else:
+                rest = sum(
+                    math.comb(n - 1, b) * kappa[(0, b + 1)] * mu[(0, n - 1 - b)]
+                    for b in range(n - 1)
+                )
+            kappa[(m, n)] = mu[(m, n)] - rest
+        return kappa
+
     def _diluted_moment(self, m, n):
         # E[(x - alpha p)^m (conj(x) - conj(alpha) p)^n] by binomial expansion,
         # with x = Bernoulli(p) * y so E[x^a conj(x)^b] = p E[y^a conj(y)^b]

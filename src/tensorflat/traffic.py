@@ -1,15 +1,35 @@
-"""Exact expected traces of words via the injective-trace decomposition.
+"""Exact expected traces of words at finite N.
 
 A word of L flattening letters becomes a cyclic strip hypergraph on k rows
 and L columns: hyperedge l has inputs in column l+1 (cyclically) and outputs
-in column l.  Summing the injective trace of every vertex-partition quotient
-reproduces the full expected trace exactly at finite N, which makes this
-module an oracle that is independent of both the Monte Carlo sampler and the
-limit recursion.
+in column l, and reads the tensor entry at the vertex tuple e_l (routed
+through its flattening permutation).  The expected normalized trace is
+
+    N^-k * sum over vertex maps i of E[prod_l X_{i(e_l)}^{eps_l}],
+
+and since entries at distinct tuples are independent, the moment-cumulant
+formula (Nica-Speicher, Lectures on the Combinatorics of Free Probability,
+2006) turns it into a sum over partitions pi of the L letters:
+
+    N^-k * sum_pi prod_{B in pi} kappa[m_B, n_B] * N^(#components of pi),
+
+where block B holds m_B plain and n_B adjoint letters, kappa is the joint
+cumulant of the entry law (TensorModel.entry_cumulants), and the components
+are those of the vertices once the tuples of the letters in each block are
+identified coordinatewise.  full_trace_expect_detailed evaluates this sum,
+enumerating only blocks with a nonzero cumulant.
+
+The vertex-partition picture stays as well: summing the injective trace of
+every vertex-partition quotient (inj_trace_expect over set_partitions)
+gives the same value, and the q-profiles of those quotients carry the
+exponent bounds of the graph combinatorics.  Both are independent of the
+Monte Carlo sampler and of the limit recursion.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,28 +158,63 @@ def inj_trace_expect(T, labeling, N, model):
     return float(N) ** (-k - k * len(classes)) * falling * weight
 
 
+MAX_LETTERS = 12  # the letter partitions grow like Bell(L)
+
+
 def full_trace_expect(word, k, N, model):
-    """Exact expected normalized trace of the word, summing the injective
-    trace over every partition of the strip vertices."""
+    """Exact expected normalized trace of the word: the letter-partition
+    cumulant sum of the module docstring."""
     return full_trace_expect_detailed(word, k, N, model)[0]
 
 
 def full_trace_expect_detailed(word, k, N, model):
-    """full_trace_expect, together with how many partitions were enumerated
-    and how many were discarded with zero weight."""
-    if k * len(word) > 12:
-        raise ValueError(f"k*L = {k * len(word)} exceeds partition guard 12")
+    """full_trace_expect, together with the number of letter partitions
+    summed and the number of candidate blocks pruned for a zero cumulant.
+
+    The partitions are built block by block: the block of the lowest letter
+    left, then the letters after it.  Components are tracked by relabeling
+    the vertices of one side of every merge."""
+    L = len(word)
+    if L > MAX_LETTERS:
+        raise ValueError(f"L = {L} letters exceeds the oracle guard of {MAX_LETTERS} letters")
     T = build_test_hypergraph(word, k)
+    entries = [_edge_entry(edge, range(T.n_vertices), k) for edge in T.edges]
+    plain = [int(edge.eps == "1") for edge in T.edges]
+    kappa = model.entry_cumulants(L, N, k)
+    powers = [float(N) ** c for c in range(T.n_vertices + 1)]
     total = 0.0 + 0.0j
-    count = 0
-    zeros = 0
-    for labeling in set_partitions(T.n_vertices):
-        count += 1
-        val = inj_trace_expect(T, labeling, N, model)
-        if val == 0:
-            zeros += 1
-        total += val
-    return total, count, zeros
+    count = pruned = 0
+
+    def extend(left, labels, comps, weight):
+        nonlocal total, count, pruned
+        if not left:
+            total += weight * powers[comps]
+            count += 1
+            return
+        first, rest = left[0], left[1:]
+        plains = [l for l in rest if plain[l]]
+        adjoints = [l for l in rest if not plain[l]]
+        for a in range(len(plains) + 1):
+            for b in range(len(adjoints) + 1):
+                kap = kappa[(a + plain[first], b + 1 - plain[first])]
+                if kap == 0:
+                    pruned += math.comb(len(plains), a) * math.comb(len(adjoints), b)
+                    continue
+                for with_plain, with_adjoint in itertools.product(
+                    itertools.combinations(plains, a), itertools.combinations(adjoints, b)
+                ):
+                    block = with_plain + with_adjoint
+                    lab, c = labels, comps
+                    for l in block:
+                        for u, v in zip(entries[first], entries[l]):
+                            x, y = lab[u], lab[v]
+                            if x != y:
+                                lab = [x if z == y else z for z in lab]
+                                c -= 1
+                    extend(tuple(l for l in rest if l not in block), lab, c, weight * kap)
+
+    extend(tuple(range(L)), list(range(T.n_vertices)), T.n_vertices, 1.0)
+    return total * float(N) ** -k, count, pruned
 
 
 def folded_letters(w, eta):
@@ -212,8 +267,6 @@ def trace_of_graph(T, tensor):
 def inj_trace_of_graph(T, labeling, tensor):
     """Normalized injective trace of a quotient for a fixed sampled tensor:
     only labelings assigning distinct values to distinct blocks contribute."""
-    import itertools
-
     N, k = tensor.N, tensor.k
     blocks = n_blocks(labeling)
     if blocks > N:

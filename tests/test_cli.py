@@ -3,7 +3,9 @@ import json
 import pytest
 
 from tensorflat.cli import main
+from tensorflat.moments import Word
 from tensorflat.tensors import load_matrix, parse_model
+from tensorflat.traffic import word_cond_expect_exact
 
 
 def run(capsys, *argv):
@@ -103,7 +105,23 @@ def test_oracle_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["exact"][0] == pytest.approx(1.0)
-    assert payload["per_partition_count"] == 2
+    # letter partitions: {0, 1} summed, the singleton {0} pruned
+    assert payload["per_partition_count"] == 1
+    assert payload["pruned_count"] == 1
+
+
+def test_oracle_twisted_word_reports_counts(capsys):
+    data = {
+        "k": 2,
+        "letters": [{"sigma": [2, 1, 3, 4], "eps": "1"}, {"sigma": [1, 2, 4, 3], "eps": "*"}],
+        "etas": [[2, 1], [1, 2]],
+    }
+    code, out = run(capsys, "oracle", "--word", json.dumps(data), "--N", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    want = word_cond_expect_exact(Word.from_json(data), 3, parse_model(None)).phi()
+    assert payload["exact"] == pytest.approx([want.real, want.imag], abs=1e-15)
+    assert payload["per_partition_count"] == 1 and payload["pruned_count"] == 1
 
 
 def test_spectrum_command(capsys, tmp_path):
@@ -301,12 +319,25 @@ def test_guard_errors_exit_2(capsys):
     word = json.dumps(
         {
             "k": 2,
-            "letters": [{"sigma": [1, 2, 3, 4], "eps": "1"}] * 8,
-            "etas": [[1, 2]] * 8,
+            "letters": [{"sigma": [1, 2, 3, 4], "eps": "1"}] * 13,
+            "etas": [[1, 2]] * 13,
         }
     )
-    code, _ = run(capsys, "oracle", "--word", word, "--N", "4")
-    assert code == 2
+    assert "guard of 12 letters" in usage_error(capsys, "oracle", "--word", word, "--N", "4")
+
+
+@pytest.mark.parametrize(
+    "word,key", [('{"letters": []}', "'k'"), ('{"k": 1}', "'letters'"), (
+        '{"k": 1, "letters": [{"sigma": [1, 2]}]}', "'eps'")]
+)
+@pytest.mark.parametrize("command", ["oracle", "moments"])
+def test_word_missing_a_key_exits_2(capsys, command, word, key):
+    assert key in usage_error(capsys, command, "--word", word)
+
+
+@pytest.mark.parametrize("sizes", ["0,-3", "4,0", "4,x"])
+def test_moments_n_list_sizes_are_checked(capsys, sizes):
+    assert "--N-list" in usage_error(capsys, "moments", "--word", WORD_K1, "--N-list", sizes)
 
 
 def test_out_file(capsys, tmp_path):

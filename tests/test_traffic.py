@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorflat.group_algebra import approx_eq, max_coeff_diff
 from tensorflat.moments import Letter, Word, plain_word, word_expectation
 from tensorflat.perms import Permutation, compose, embed_join, group, tau
 from tensorflat.tensors import TensorModel, phi_N, sample_tensor, word_eval
 from tensorflat.traffic import (
+    MAX_LETTERS,
     build_test_hypergraph,
     dependence_classes,
+    folded_letters,
     full_trace_expect,
     full_trace_expect_detailed,
     inj_trace_expect,
@@ -23,6 +27,46 @@ from tensorflat.traffic import (
 )
 
 CG = TensorModel.complex_ginibre()
+RG = TensorModel.real_ginibre()
+
+
+def shifted_real_base_moments(a=0.6 + 0.3j, s=0.8, max_order=12):
+    """E[y^m conj(y)^n] of y = a + s g with g standard real Gaussian: a base
+    that is neither centred nor circular (E y = a, E y^2 = a^2 + s^2)."""
+
+    def gauss(r):
+        return s**r * math.prod(range(r - 1, 0, -2)) if r % 2 == 0 else 0.0
+
+    return {
+        (m, n): sum(
+            math.comb(m, i) * math.comb(n, j) * a ** (m - i) * a.conjugate() ** (n - j)
+            * gauss(i + j)
+            for i in range(m + 1) for j in range(n + 1)
+        )
+        for m in range(max_order + 1) for n in range(max_order + 1 - m) if m + n
+    }
+
+
+def models(N):
+    """complex, real, diluted at p = 1/N, and a diluted law whose base is
+    neither centred nor circular, so every mixed cumulant is in play."""
+    return {
+        "complex": CG,
+        "real": RG,
+        "diluted": TensorModel.diluted(1 / N),
+        "diluted-shifted": TensorModel.diluted(0.3, base_moments=shifted_real_base_moments()),
+    }
+
+
+def vertex_partition_reference(word, k, N, model):
+    """The expected trace as the sum of the injective traces of all
+    Bell(kL) vertex-partition quotients."""
+    T = build_test_hypergraph(word, k)
+    return sum(inj_trace_expect(T, lab, N, model) for lab in set_partitions(T.n_vertices))
+
+
+def assert_pinned(value, ref):
+    assert abs(value - ref) <= 1e-12 * abs(ref), (value, ref)
 
 
 def bell(n):
@@ -259,19 +303,142 @@ def test_final_q_bounds_contribution_order():
 
 
 def test_detailed_counts():
+    # complex Ginibre pairs a plain letter with an adjoint one: the letter
+    # partition {0, 1} is summed, and the candidate singleton {0} is pruned
+    # for its zero cumulant kappa[1, 0]
     k = 1
     sigma = group(2)[0]
-    val, count, zeros = full_trace_expect_detailed(
+    val, count, pruned = full_trace_expect_detailed(
         [(sigma, "1"), (sigma, "*")], k, 4, CG
     )
-    assert count == bell(2)
-    assert 0 <= zeros < count
+    assert (count, pruned) == (1, 1)
     assert val == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "name,count",
+    [
+        ("complex", 6),  # plain/adjoint pairings, 3!
+        ("real", 15),  # perfect matchings of 6
+        ("diluted", 16),  # circular and centred: blocks with as many * as 1
+        ("diluted-shifted", 41),  # centred only: no singletons
+    ],
+)
+def test_letter_partitions_summed_per_model(name, count):
+    word = [(group(2)[0], e) for e in "1*1*1*"]
+    assert full_trace_expect_detailed(word, 1, 3, models(3)[name])[1] == count
+
+
 def test_guard():
-    with pytest.raises(ValueError):
-        full_trace_expect([(group(4)[0], "1")] * 8, 2, 3, CG)
+    word = [(group(4)[0], "1")] * (MAX_LETTERS + 1)
+    with pytest.raises(ValueError, match=f"guard of {MAX_LETTERS} letters"):
+        full_trace_expect(word, 2, 3, CG)
+
+
+@pytest.mark.parametrize("name", ["complex", "real", "diluted-shifted"])
+def test_word_past_the_vertex_partition_reach(name):
+    # the identity flattening of a k=2 tensor at size 2 is a 4 x 4 matrix
+    # with the entry law of a k=1 tensor at size 4, so this k=2, L=8 word
+    # (kL = 16, Bell(16) vertex partitions) equals a k=1 word the reference
+    # can sum
+    model = models(3)[name]
+    eps = "1**11*1*"
+    value = full_trace_expect([(Permutation.identity(4), e) for e in eps], 2, 2, model)
+    ref = vertex_partition_reference([(Permutation.identity(2), e) for e in eps], 1, 4, model)
+    assert value != 0
+    assert_pinned(value, ref)
+
+
+def balanced_word(rng, k, L, twisted):
+    """L random letters, half of them adjoint; when twisted, random
+    interleaved permutations folded in, the last one against a random
+    coefficient eta."""
+    eps = ["1", "*"] * (L // 2) + ["1"] * (L % 2)
+    rng.shuffle(eps)
+    letters = tuple(Letter(group(2 * k)[rng.integers(math.factorial(2 * k))], e) for e in eps)
+    if not twisted:
+        return [(l.sigma, l.eps) for l in letters]
+    perms = group(k)
+    etas = tuple(perms[rng.integers(len(perms))] for _ in range(L))
+    return folded_letters(Word(k, letters, etas), perms[rng.integers(len(perms))])
+
+
+# an odd word vanishes for every law but the shifted diluted one, whose
+# cumulants need not balance plain and adjoint letters
+PINNED = [
+    # N at least kL: every vertex partition has an injective labeling
+    (1, 4, 5), (1, 6, 7), (1, 8, 9), (2, 2, 5), (2, 3, 7), (2, 4, 9), (3, 2, 7),
+    # N below kL
+    (1, 6, 2), (1, 8, 3), (1, 10, 3), (2, 3, 1), (2, 3, 2), (2, 4, 3), (2, 5, 3),
+    (3, 2, 2), (3, 3, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "k,L,N,twisted", [case + (t,) for case in PINNED for t in (False, True) if t <= (case[0] > 1)]
+)
+def test_letter_partitions_match_vertex_partitions(k, L, N, twisted):
+    rng = np.random.default_rng(100 * k + 10 * L + N + twisted)
+    word = balanced_word(rng, k, L, twisted)
+    for model in models(N).values():
+        value = full_trace_expect(word, k, N, model)
+        assert_pinned(value, vertex_partition_reference(word, k, N, model))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 2),
+    letters=st.lists(
+        st.tuples(st.integers(0, 23), st.sampled_from("1*")), min_size=1, max_size=4
+    ),
+    N=st.integers(1, 5),
+    name=st.sampled_from(["complex", "real", "diluted", "diluted-shifted"]),
+)
+def test_letter_partitions_match_vertex_partitions_property(k, letters, N, name):
+    perms = group(2 * k)
+    word = [(perms[i % len(perms)], e) for i, e in letters]
+    model = models(N)[name]
+    assert_pinned(
+        full_trace_expect(word, k, N, model), vertex_partition_reference(word, k, N, model)
+    )
+
+
+def test_gaussian_cumulants_closed_form():
+    N, k = 4, 2
+    for model, support in ((CG, {(1, 1)}), (RG, {(2, 0), (1, 1), (0, 2)})):
+        kappa = model.entry_cumulants(8, N, k)
+        assert set(kappa) == {(m, n) for m in range(9) for n in range(9) if 1 <= m + n <= 8}
+        assert {key for key, value in kappa.items() if value != 0} == support
+        assert all(kappa[key] == N**-k for key in support)
+
+
+def test_diluted_cumulant_zeros_are_exact():
+    N, k = 3, 2
+    circular = models(N)["diluted"].entry_cumulants(8, N, k)
+    assert all((value == 0) == (m != n) for (m, n), value in circular.items())
+    shifted = models(N)["diluted-shifted"].entry_cumulants(8, N, k)
+    assert shifted[(1, 0)] == shifted[(0, 1)] == 0
+    assert all(value != 0 for key, value in shifted.items() if sum(key) > 1)
+
+
+@pytest.mark.parametrize("name", ["complex", "real", "diluted", "diluted-shifted"])
+def test_cumulants_reproduce_entry_moments(name):
+    # moment-cumulant formula over the partitions of m plain and n conjugate
+    # copies of one entry
+    N, k, order = 3, 2, 6
+    model = models(N)[name]
+    kappa = model.entry_cumulants(order, N, k)
+    for m in range(order + 1):
+        for n in range(order + 1 - m):
+            if m + n == 0:
+                continue
+            plain = [1] * m + [0] * n
+            total = 0
+            for lab in set_partitions(m + n):
+                blocks = [[plain[i] for i, x in enumerate(lab) if x == b] for b in range(n_blocks(lab))]
+                total += math.prod(kappa[(sum(b), len(b) - sum(b))] for b in blocks)
+            moment = model.entry_moment(m, n, N, k)
+            assert abs(total - moment) <= 1e-12 * max(abs(moment), N ** (-k * (m + n) / 2))
 
 
 def test_to_dot_mentions_edges():
