@@ -64,16 +64,24 @@ class Word:
 
     @classmethod
     def from_json(cls, data):
+        """The word of a JSON object (or its text) {"k", "letters", "etas"};
+        JSON of another shape raises a one-line ValueError naming the fault."""
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict):
+            raise ValueError(f"word JSON must be an object, got {type(data).__name__}")
         try:
-            k = data["k"]
-            letters = tuple(
-                Letter(Permutation(item["sigma"]), item["eps"]) for item in data["letters"]
-            )
+            k, items = data["k"], data["letters"]
+            if type(k) is not int:  # not isinstance: a bool is an int too
+                raise ValueError(f"word JSON: k must be an integer, got {k!r}")
+            if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
+                raise ValueError("word JSON: letters must be a list of {sigma, eps} objects")
+            letters = tuple(Letter(Permutation(item["sigma"]), item["eps"]) for item in items)
+            etas = tuple(Permutation(img) for img in data.get("etas") or [])
         except KeyError as exc:
             raise ValueError(f"word JSON lacks the key {exc.args[0]!r}") from None
-        etas = tuple(Permutation(img) for img in data.get("etas") or [])
+        except TypeError as exc:
+            raise ValueError(f"word JSON: a sigma or eta is not a list of integers ({exc})") from None
         if not etas:
             etas = tuple(Permutation.identity(k) for _ in letters)
         return cls(k, letters, etas)

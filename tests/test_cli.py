@@ -1,10 +1,14 @@
 import json
+import math
+import warnings
 
+import numpy as np
 import pytest
 
 from tensorflat.cli import main
 from tensorflat.moments import Word
-from tensorflat.tensors import load_matrix, parse_model
+from tensorflat.perms import Permutation, group
+from tensorflat.tensors import cond_expect_N, load_matrix, parse_model, sample_tensor, word_eval
 from tensorflat.traffic import word_cond_expect_exact
 
 
@@ -65,9 +69,69 @@ def test_covariance_command(capsys):
         "json",
     )
     assert code == 0
-    rows = json.loads(out)["rows"]
-    limit = {tuple(r["eta"]): r["limit"] for r in rows}
+    payload = json.loads(out)
+    limit = {tuple(r["eta"]): r["limit"] for r in payload["rows"]}
     assert limit[(1,)] == [1.0, 0.0]
+    assert payload["counters"] == {"side": 6, "trials": 40, "pairings": 1, "matmuls": 0}
+    assert set(payload["timings"]) == {"sample_s", "estimate_s"}
+    assert all(v >= 0 for v in payload["timings"].values())
+
+
+def covariance_word(sigma, eps, eta, sigma2, eps2):
+    k = len(eta)
+    return [(Permutation(sigma), eps, Permutation(eta)),
+            (Permutation(sigma2), eps2, Permutation.identity(k))]
+
+
+@pytest.mark.parametrize(
+    "k,N,sigma,sigma2,eta,eps,eps2,model",
+    [
+        (1, 5, [2, 1], [1, 2], [1], "1", "*", "real_ginibre"),
+        (2, 4, [3, 1, 4, 2], [1, 2, 3, 4], [2, 1], "*", "1", "complex_ginibre"),
+        (2, 3, [2, 1, 4, 3], [4, 3, 2, 1], [2, 1], "1", "1", "diluted:p=0.3"),
+        (3, 2, [2, 3, 1, 4, 5, 6], [1, 2, 3, 6, 4, 5], [3, 1, 2], "*", "*", "complex_ginibre"),
+    ],
+)
+def test_covariance_rows_equal_the_formed_product_reference(
+    capsys, k, N, sigma, sigma2, eta, eps, eps2, model
+):
+    trials, seed = 6, 5
+    word = covariance_word(sigma, eps, eta, sigma2, eps2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # N < k: coefficients are not unique
+        code, out = run(
+            capsys, "covariance", "--k", str(k), "--N", str(N), "--model", model,
+            "--sigma", json.dumps(sigma), "--sigma2", json.dumps(sigma2), "--eta", json.dumps(eta),
+            "--eps", eps, "--eps2", eps2, "--trials", str(trials), "--seed", str(seed),
+            "--format", "json",
+        )
+        # per trial, the projection of the formed product of the whole word
+        samples = []
+        for trial in range(trials):
+            t = sample_tensor(parse_model(model), N, k, seed, trial)
+            est = cond_expect_N(word_eval(t, word).data, k)
+            samples.append([est.coeff(h) for h in group(k)])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    for row, h, vals in zip(rows, group(k), np.array(samples).T, strict=True):
+        assert row["eta"] == list(h.image)
+        mean, se = vals.mean(), vals.std(ddof=1) / math.sqrt(trials)
+        assert abs(complex(*row["mc_mean"]) - mean) <= 1e-12 * max(1.0, abs(mean))
+        assert abs(row["mc_stderr"] - se) <= 1e-12 * max(1.0, se)
+
+
+def test_covariance_dump_is_the_last_formed_product(capsys, tmp_path):
+    dump = tmp_path / "last.bin"
+    sigma, sigma2, eta = [3, 1, 4, 2], [1, 2, 3, 4], [2, 1]
+    code, _ = run(
+        capsys, "covariance", "--k", "2", "--N", "3", "--sigma", json.dumps(sigma),
+        "--sigma2", json.dumps(sigma2), "--eta", json.dumps(eta), "--eps", "*",
+        "--trials", "3", "--seed", "4", "--dump", str(dump),
+    )
+    assert code == 0
+    last = sample_tensor(parse_model("complex_ginibre"), 3, 2, 4, trial=2)
+    want = word_eval(last, covariance_word(sigma, "*", eta, sigma2, "*")).data
+    np.testing.assert_allclose(load_matrix(dump).data, want, rtol=0, atol=1e-12)
 
 
 def test_moments_command(capsys, tmp_path):
@@ -333,6 +397,22 @@ def test_guard_errors_exit_2(capsys):
 @pytest.mark.parametrize("command", ["oracle", "moments"])
 def test_word_missing_a_key_exits_2(capsys, command, word, key):
     assert key in usage_error(capsys, command, "--word", word)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[1, 2]", "word JSON must be an object, got list"),
+        ('{"k": 1, "letters": [1]}', "letters must be a list of {sigma, eps} objects"),
+        ('{"k": "a", "letters": []}', "k must be an integer, got 'a'"),
+        ('{"k": 1, "letters": [{"sigma": 5, "eps": "1"}]}', "not a list of integers"),
+    ],
+)
+@pytest.mark.parametrize("command", ["oracle", "moments"])
+def test_word_of_the_wrong_shape_exits_2(capsys, tmp_path, command, text, message):
+    path = tmp_path / "word.json"
+    path.write_text(text)
+    assert message in usage_error(capsys, command, "--word", str(path))
 
 
 @pytest.mark.parametrize("sizes", ["0,-3", "4,0", "4,x"])

@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tensorflat.group_algebra import AlgebraElement, approx_eq
+from tensorflat.group_algebra import AlgebraElement, approx_eq, max_coeff_diff
 from tensorflat.perms import Permutation, compose, embed_join, group, tau
 from tensorflat.tensors import (
     FlatMatrix,
@@ -20,6 +23,7 @@ from tensorflat.tensors import (
     sample_tensor,
     save_matrix,
     save_tensor,
+    tuple_index_map,
     word_eval,
 )
 
@@ -200,6 +204,65 @@ def test_word_eval():
     m = flatten(t, sigma).data
     prod = word_eval(t, [(sigma, "1", ident), (sigma, "*", ident)]).data
     assert np.allclose(prod, m @ m.conj().T)
+    # the identity flattening is a view of the tensor; the word is a copy
+    out = word_eval(t, [(Permutation.identity(2), "1", ident)]).data
+    assert np.array_equal(out, t.entries) and not np.shares_memory(out, t.entries)
+
+
+def test_tuple_index_map_is_shared_and_read_only():
+    eta = Permutation([2, 3, 1])
+    m = tuple_index_map(eta, 3)
+    assert tuple_index_map(Permutation([2, 3, 1]), 3) is m
+    assert not m.flags.writeable
+    assert np.array_equal(m[tuple_index_map(eta.inverse(), 3)], np.arange(27))
+
+
+def assert_same_projection(fast, slow):
+    """The paired projection agrees with that of the formed product to
+    1e-12 relative to the largest coefficient."""
+    scale = max(abs(slow.coeff(eta)) for eta in group(slow.k))
+    assert max_coeff_diff(fast, slow) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("k,N", [(1, 1), (1, 5), (2, 1), (2, 3), (2, 6), (3, 2), (3, 4)])
+def test_paired_projection_matches_the_formed_product(k, N):
+    rng = np.random.default_rng(10 * k + N)
+    side = N**k
+    A, B = (rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+            for _ in range(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # N < k: coefficients are not unique
+        slow = cond_expect_N(A @ B, k)
+        assert_same_projection(cond_expect_N(A, k, right=B), slow)
+        assert_same_projection(cond_expect_N(FlatMatrix(N, k, A), right=B), slow)
+
+
+def test_paired_projection_rejects_a_mismatched_factor():
+    with pytest.raises(ValueError, match="right factor has shape"):
+        cond_expect_N(np.eye(4, dtype=complex), 2, right=np.eye(9, dtype=complex))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    N=st.integers(1, 5),
+    letters=st.lists(
+        st.tuples(st.integers(0, 719), st.sampled_from("1*"), st.integers(0, 5)),
+        min_size=1, max_size=4,
+    ),
+    model=st.sampled_from([CG, TensorModel.real_ginibre(), TensorModel.diluted(0.5)]),
+    seed=st.integers(0, 2**16),
+)
+def test_paired_projection_of_a_word_property(k, N, letters, model, seed):
+    perms, etas = group(2 * k), group(k)
+    word = [(perms[s % len(perms)], e, etas[h % len(etas)]) for s, e, h in letters]
+    t = sample_tensor(model, N, k, seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fast = cond_expect_N(word_eval(t, word[:-1]).data, k, right=word_eval(t, word[-1:]).data)
+        slow = cond_expect_N(word_eval(t, word).data, k)
+    assert len(caught) == (2 if N < k else 0)
+    assert_same_projection(fast, slow)
 
 
 def test_choi_check():
