@@ -30,10 +30,10 @@ def main():
     for sigma in group(2 * k):
         for sigma2 in group(2 * k):
             for eps2 in ("1", "*"):
-                word = [(sigma, "1"), (sigma2, eps2)]
-                limit = complex(word_phi(plain_word(k, word), model.c, model.c_prime))
-                g1 = abs(full_trace_expect(word, k, args.N, model) - limit)
-                g2 = abs(full_trace_expect(word, k, args.N2, model) - limit)
+                word = plain_word(k, [(sigma, "1"), (sigma2, eps2)])
+                limit = complex(word_phi(word, model.c, model.c_prime))
+                g1 = abs(full_trace_expect(word, args.N, model) - limit)
+                g2 = abs(full_trace_expect(word, args.N2, model) - limit)
                 rows.append((args.N * g1, g2, sigma, sigma2, eps2))
     rows.sort(reverse=True, key=lambda r: r[0])
     total = len(rows)

@@ -16,9 +16,8 @@ import numpy as np
 
 from tensorflat.cli import load_word
 from tensorflat.moments import word_phi
-from tensorflat.perms import Permutation
 from tensorflat.tensors import parse_model, phi_N, sample_tensor, word_eval
-from tensorflat.traffic import folded_letters, full_trace_expect
+from tensorflat.traffic import full_trace_expect
 
 
 def main():
@@ -38,18 +37,15 @@ def main():
     if args.trials:
         header += f" {'monte carlo':>22} {'3 SE':>10}"
     print(header)
-    spec = [(le.sigma, le.eps, eta) for le, eta in zip(w.letters, w.etas)]
-    # the unit coefficient of the conditional expectation is the trace
-    word = folded_letters(w, Permutation.identity(w.k))
     for N in (int(s) for s in args.sizes.split(",")):
-        exact = full_trace_expect(word, w.k, N, model)
+        exact = full_trace_expect(w, N, model)
         line = (
             f"{N:5d} {exact.real:+.8f}{exact.imag:+.8f}j {abs(exact - limit):12.3e}"
         )
         if args.trials:
             samples = np.array(
                 [
-                    phi_N(word_eval(sample_tensor(model, N, w.k, args.seed, t), spec).data)
+                    phi_N(word_eval(sample_tensor(model, N, w.k, args.seed, t), w).data)
                     for t in range(args.trials)
                 ]
             )

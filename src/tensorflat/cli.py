@@ -43,12 +43,7 @@ from .tensors import (
     save_matrix,
     word_eval,
 )
-from .traffic import (
-    folded_letters,
-    full_trace_expect,
-    full_trace_expect_detailed,
-    word_cond_expect_exact,
-)
+from .traffic import full_trace_expect, full_trace_expect_detailed, word_cond_expect_exact
 
 
 def parse_perm(text):
@@ -138,7 +133,7 @@ def cmd_check(args):
         record(f"intertwine k={k}", worst <= 1e-12, f"max defect {worst:.2e}")
         # normalized trace of permutation operators
         ok = all(
-            phi_N(perm_matrix(eta, t.N))
+            phi_N(perm_matrix(eta, t.N).data)
             == t.N ** (eta.cycle_count() - k) + 0j
             for eta in group(k)
         )
@@ -204,10 +199,9 @@ def cmd_covariance(args):
     )
     limit = covariance(w.letters[0], eta, w.letters[1], model.c, model.c_prime)
     oracle = word_cond_expect_exact(w, N, model)
-    word = [(sigma, args.eps, eta), (sigma2, args.eps2, Permutation.identity(k))]
     # the last letter is paired with k! permuted traces of the rest, so the
     # full N^k x N^k product is never formed
-    head, last = word[:-1], word[-1:]
+    head, last = w[:-1], w[-1:]
     acc = {h: [] for h in group(k)}
     sample_s = estimate_s = 0.0
     for trial in range(trials):
@@ -220,7 +214,7 @@ def cmd_covariance(args):
         sample_s += sampled - start
         estimate_s += time.perf_counter() - sampled
     if args.dump:
-        save_matrix(args.dump, word_eval(t, word))
+        save_matrix(args.dump, word_eval(t, w))
     rows = []
     for h in group(k):
         vals = np.array(acc[h])
@@ -271,10 +265,9 @@ def cmd_moments(args):
     enum = word_expectation_enumerated(w, c, cp)
     agreement = max_coeff_diff(limit, enum)
     phi_lim = complex(word_phi(w, c, cp))
-    letters = folded_letters(w, Permutation.identity(w.k))
     trend = []
     for N in n_list:
-        phi = full_trace_expect(letters, w.k, N, model)
+        phi = full_trace_expect(w, N, model)
         trend.append({"N": N, "oracle_phi": [phi.real, phi.imag], "gap": abs(phi - phi_lim)})
     passed = agreement <= args.tol
     lines = [
@@ -309,8 +302,7 @@ def cmd_oracle(args):
     w = load_word(args.word)
     model = parse_model(args.model)
     N = args.N
-    letters = folded_letters(w, Permutation.identity(w.k))
-    value, count, pruned = full_trace_expect_detailed(letters, w.k, N, model)
+    value, count, pruned = full_trace_expect_detailed(w, N, model)
     payload = {
         "exact": [value.real, value.imag],
         "per_partition_count": count,

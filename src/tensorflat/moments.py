@@ -53,6 +53,18 @@ class Word:
     def __len__(self):
         return len(self.letters)
 
+    def __getitem__(self, part):
+        """The sub-word of a slice of the letters, each with the
+        permutation that follows it."""
+        return Word(self.k, self.letters[part], self.etas[part])
+
+    def twisted(self, eta):
+        """The word with its last permutation followed by u_eta^-1.  Since
+        tr(W U_eta^*) = tr(W U_eta^-1), its normalized trace is the
+        coefficient of u_eta in the conditional expectation of this word."""
+        last = tuple(mu * eta.inverse() for mu in self.etas[-1:])
+        return Word(self.k, self.letters, self.etas[:-1] + last)
+
     def to_json(self):
         return {
             "k": self.k,

@@ -163,29 +163,21 @@ def group(n):
     return _group_cached(n)
 
 
-@lru_cache(maxsize=None)
-def _young_subgroup(k):
-    """All eta join eta2 with both factors in the symmetric group on [k]."""
-    return tuple(
-        embed_join(a, b) for a in _group_cached(k) for b in _group_cached(k)
-    )
-
-
 def coset_key(sigma, group_name):
-    """Canonical representative of the right coset containing sigma.
+    """Canonical label of the right coset containing sigma.
 
     group_name "Skk" uses the half-preserving Young subgroup, "SkkTau" its
-    extension by the half-swap.  The key is the lexicographically smallest
-    element of the orbit {g sigma : g in subgroup}, so two permutations get
-    equal keys exactly when they lie in the same coset.
+    extension by the half-swap.  Every g sigma with g half-preserving sends
+    the same positions sigma^-1([k]) into [k], and these sorted positions fix
+    the coset; the half-swap exchanges them with their complement, so the
+    "SkkTau" key is the smaller of the two.
     """
     if sigma.n % 2 != 0:
         raise ValueError("degree must be even")
     k = sigma.n // 2
-    orbit = [compose(g, sigma) for g in _young_subgroup(k)]
+    key = tuple(i for i, v in enumerate(sigma.image, start=1) if v <= k)
     if group_name == "SkkTau":
-        t = tau(k)
-        orbit += [compose(g, compose(t, sigma)) for g in _young_subgroup(k)]
-    elif group_name != "Skk":
+        return min(key, tuple(i for i, v in enumerate(sigma.image, start=1) if v > k))
+    if group_name != "Skk":
         raise ValueError(f"unknown coset group {group_name!r}")
-    return min(orbit)
+    return key

@@ -101,12 +101,11 @@ def compress(A, which):
 def _spectral_operand(A, hermitian):
     """A, checked to be Hermitian when declared so, or else A A*: the matrix
     whose traces and eigenvalues the moments and the spectrum describe."""
-    data = A.data if isinstance(A, FlatMatrix) else A
     if not hermitian:
-        return data @ data.conj().T
-    if np.abs(data - data.conj().T).max(initial=0.0) > 1e-10:
+        return A @ A.conj().T
+    if np.abs(A - A.conj().T).max(initial=0.0) > 1e-10:
         raise ValueError("matrix declared hermitian is not")
-    return data
+    return A
 
 
 def trace_power_moments(A, hermitian, n_max):
@@ -150,11 +149,10 @@ def compressed_spectrum(A, which):
 
 
 def empirical_spectrum(A, hermitian):
-    """Sorted real eigenvalues of A (Hermitian) or of A A*."""
-    data = A.data if isinstance(A, FlatMatrix) else A
-    if data.shape[0] > 4096:
+    """Sorted real eigenvalues of the array A (Hermitian) or of A A*."""
+    if A.shape[0] > 4096:
         raise ValueError("matrix side exceeds eigensolver guard 4096")
-    return np.sort(np.linalg.eigvalsh(_spectral_operand(data, hermitian)))
+    return np.sort(np.linalg.eigvalsh(_spectral_operand(A, hermitian)))
 
 
 def histogram(values, side):

@@ -308,16 +308,15 @@ def apply_perm_right(A, eta):
 
 def phi_N(A):
     """Normalized trace of a single sample (no expectation)."""
-    data = A.data if isinstance(A, FlatMatrix) else A
-    if data.shape[0] != data.shape[1]:
+    if A.shape[0] != A.shape[1]:
         raise ValueError("matrix is not square")
-    return complex(np.trace(data)) / data.shape[0]
+    return complex(np.trace(A)) / A.shape[0]
 
 
-def cond_expect_N(A, k=None, right=None):
-    """Project onto the span of permutation operators: the coefficient of
-    u_eta is the normalized trace of A U_eta^* = sum_i A[i, m_eta(i)] / side,
-    with m the tuple map.
+def cond_expect_N(A, k, right=None):
+    """Project the array A onto the span of permutation operators: the
+    coefficient of u_eta is the normalized trace of A U_eta^*
+    = sum_i A[i, m_eta(i)] / side, with m the tuple map.
 
     With right=B (an array), project the product A @ B without forming it:
       tr(A B U_eta^*) = sum_ij A[i, j] B[j, m_eta(i)]
@@ -325,54 +324,46 @@ def cond_expect_N(A, k=None, right=None):
     a row gather of A paired with B^T, O(side^2) per eta in place of one
     O(side^3) product.
     """
-    if isinstance(A, FlatMatrix):
-        data, k = A.data, A.k
-    else:
-        data = A
-        if k is None:
-            raise ValueError("k required for raw arrays")
-    if data.shape[0] != data.shape[1]:
+    if A.shape[0] != A.shape[1]:
         raise ValueError("matrix is not square")
     if right is not None:
-        if right.shape != data.shape:
-            raise ValueError(f"right factor has shape {right.shape}, expected {data.shape}")
+        if right.shape != A.shape:
+            raise ValueError(f"right factor has shape {right.shape}, expected {A.shape}")
         right_t = np.ascontiguousarray(right.T).ravel()
-    N = _N_of(data, k)
+    N = _N_of(A, k)
     if N < k:
         warnings.warn(
             f"N={N} < k={k}: permutation operators are linearly dependent; "
             "coefficients are not a unique decomposition",
             stacklevel=2,
         )
-    side = data.shape[0]
+    side = A.shape[0]
     rows = np.arange(side)
     coeffs = {}
     from .perms import group
 
     for eta in group(k):
         if right is None:
-            total = data[rows, tuple_index_map(eta, N)].sum()
+            total = A[rows, tuple_index_map(eta, N)].sum()
         else:
-            total = data[tuple_index_map(eta.inverse(), N)].ravel() @ right_t
+            total = A[tuple_index_map(eta.inverse(), N)].ravel() @ right_t
         coeffs[eta] = complex(total) / side
     return AlgebraElement(k, coeffs)
 
 
-def word_eval(t, word):
-    """Product of flattening letters: each step multiplies by the flattening
-    (or its adjoint) and then by the permutation operator of the step.
+def word_eval(t, w):
+    """The product of a Word (from the moments module) on the tensor t: each
+    letter multiplies by its flattening (or the adjoint) and then by the
+    permutation operator that follows it.
 
-    word is a list of (sigma, eps, eta) with eps in {"1", "*"} (1 accepted).
     The empty word gives the identity; a word of L letters makes L - 1
     products, and the result never shares memory with t.entries.
     """
     out = None
-    for sigma, eps, eta in word:
-        m = flatten(t, sigma).data
-        if eps in ("*", "star"):
+    for letter, eta in zip(w.letters, w.etas):
+        m = flatten(t, letter.sigma).data
+        if letter.eps == "*":
             m = m.conj().T
-        elif eps not in ("1", 1):
-            raise ValueError(f"bad eps {eps!r}")
         out = m if out is None else out @ m
         if not eta.is_identity():
             out = apply_perm_right(out, eta)

@@ -1,9 +1,11 @@
 """Exact expected traces of words at finite N.
 
-A word of L flattening letters becomes a cyclic strip hypergraph on k rows
-and L columns: hyperedge l has inputs in column l+1 (cyclically) and outputs
-in column l, and reads the tensor entry at the vertex tuple e_l (routed
-through its flattening permutation).  The expected normalized trace is
+Every evaluator here takes a Word of the moments module.  Its interleaved
+permutations are folded into the flattenings (folded_letters), and the L
+folded letters become a cyclic strip hypergraph on k rows and L columns:
+hyperedge l has inputs in column l+1 (cyclically) and outputs in column l,
+and reads the tensor entry at the vertex tuple e_l (routed through its
+flattening permutation).  The expected normalized trace is
 
     N^-k * sum over vertex maps i of E[prod_l X_{i(e_l)}^{eps_l}],
 
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group_algebra import AlgebraElement
+from .moments import Letter
 from .perms import Permutation, embed_join, group
 
 
@@ -54,27 +57,35 @@ class TestHypergraph:
     edges: tuple  # of Hyperedge
 
 
-def build_test_hypergraph(word, k):
-    """word is a list of (sigma, eps) with eps in {"1", "*"}."""
-    L = len(word)
+def build_test_hypergraph(w):
+    """The strip hypergraph of a Word, its permutations folded in."""
+    L, k = len(w), w.k
     if L < 1:
         raise ValueError("word must have at least one letter")
     edges = []
-    for l, (sigma, eps) in enumerate(word, start=1):
-        if eps in (1, "1"):
-            eps = "1"
-        elif eps in ("*", "star"):
-            eps = "*"
-        else:
-            raise ValueError(f"bad eps {eps!r}")
-        if sigma.n != 2 * k:
-            raise ValueError("letter degree mismatch")
+    for l, letter in enumerate(folded_letters(w), start=1):
         col_out = l
         col_in = l % L + 1
         outputs = tuple((col_out - 1) * k + r for r in range(k))
         inputs = tuple((col_in - 1) * k + r for r in range(k))
-        edges.append(Hyperedge(inputs, outputs, sigma, eps))
+        edges.append(Hyperedge(inputs, outputs, letter.sigma, letter.eps))
     return TestHypergraph(k, L, k * L, tuple(edges))
+
+
+def folded_letters(w):
+    """The letters of a Word with its interleaved permutation operators
+    absorbed into the flattenings: a plain letter followed by u_mu is the
+    flattening by (id join mu^-1) sigma, an adjoint letter by
+    (mu^-1 join id) sigma.  The folded letters have the trace of the word."""
+    ident = Permutation.identity(w.k)
+    folded = []
+    for letter, mu in zip(w.letters, w.etas):
+        if letter.eps == "1":
+            sigma = embed_join(ident, mu.inverse()) * letter.sigma
+        else:
+            sigma = embed_join(mu.inverse(), ident) * letter.sigma
+        folded.append(Letter(sigma, letter.eps))
+    return folded
 
 
 def set_partitions(n):
@@ -161,23 +172,23 @@ def inj_trace_expect(T, labeling, N, model):
 MAX_LETTERS = 12  # the letter partitions grow like Bell(L)
 
 
-def full_trace_expect(word, k, N, model):
-    """Exact expected normalized trace of the word: the letter-partition
+def full_trace_expect(w, N, model):
+    """Exact expected normalized trace of the Word: the letter-partition
     cumulant sum of the module docstring."""
-    return full_trace_expect_detailed(word, k, N, model)[0]
+    return full_trace_expect_detailed(w, N, model)[0]
 
 
-def full_trace_expect_detailed(word, k, N, model):
+def full_trace_expect_detailed(w, N, model):
     """full_trace_expect, together with the number of letter partitions
     summed and the number of candidate blocks pruned for a zero cumulant.
 
     The partitions are built block by block: the block of the lowest letter
     left, then the letters after it.  Components are tracked by relabeling
     the vertices of one side of every merge."""
-    L = len(word)
+    L, k = len(w), w.k
     if L > MAX_LETTERS:
         raise ValueError(f"L = {L} letters exceeds the oracle guard of {MAX_LETTERS} letters")
-    T = build_test_hypergraph(word, k)
+    T = build_test_hypergraph(w)
     entries = [_edge_entry(edge, range(T.n_vertices), k) for edge in T.edges]
     plain = [int(edge.eps == "1") for edge in T.edges]
     kappa = model.entry_cumulants(L, N, k)
@@ -217,33 +228,11 @@ def full_trace_expect_detailed(word, k, N, model):
     return total * float(N) ** -k, count, pruned
 
 
-def folded_letters(w, eta):
-    """The (sigma, eps) letters of a Word (from the moments module) with its
-    interleaved permutation operators absorbed into the flattenings, the
-    last one followed by u_eta^{-1}: a plain letter followed by u_mu is the
-    flattening by (id join mu^{-1}) sigma, an adjoint letter by
-    (mu^{-1} join id) sigma.  The plain expected trace of the result is the
-    coefficient of u_eta in the expected conditional expectation."""
-    ident = Permutation.identity(w.k)
-    L = len(w)
-    folded = []
-    for idx, letter in enumerate(w.letters):
-        mu = w.etas[idx] if idx < L - 1 else w.etas[idx] * eta.inverse()
-        if letter.eps == "1":
-            sigma = embed_join(ident, mu.inverse()) * letter.sigma
-        else:
-            sigma = embed_join(mu.inverse(), ident) * letter.sigma
-        folded.append((sigma, letter.eps))
-    return folded
-
-
 def word_cond_expect_exact(w, N, model):
-    """Exact expectation of the finite-N conditional expectation of a word
-    (a Word from the moments module), as a group-algebra element: each
-    coefficient is the plain expected trace of the folded_letters."""
-    coeffs = {
-        eta: full_trace_expect(folded_letters(w, eta), w.k, N, model) for eta in group(w.k)
-    }
+    """Exact expectation of the finite-N conditional expectation of a Word,
+    as a group-algebra element: the coefficient of u_eta is the expected
+    trace of the word twisted by eta (Word.twisted)."""
+    coeffs = {eta: full_trace_expect(w.twisted(eta), N, model) for eta in group(w.k)}
     return AlgebraElement(w.k, coeffs)
 
 
@@ -313,19 +302,3 @@ def q_profile(T, labeling):
         ecount = len(_skeleton_edges(T, labeling, l))
         seq.append(-k - k * ecount + vcount)
     return seq, seq[-1]
-
-
-def to_dot(T, labeling=None):
-    """DOT-like adjacency text for a (quotient) word graph, for debugging."""
-    if labeling is None:
-        labeling = tuple(range(T.n_vertices))
-    lines = [f"hypergraph k={T.k} L={T.L} blocks={n_blocks(labeling)} {{"]
-    for idx, edge in enumerate(T.edges, start=1):
-        ins = ",".join(str(labeling[v]) for v in edge.inputs)
-        outs = ",".join(str(labeling[v]) for v in edge.outputs)
-        lines.append(
-            f"  e{idx} [sigma={list(edge.sigma.image)} eps={edge.eps}]: "
-            f"({ins}) -> ({outs})"
-        )
-    lines.append("}")
-    return "\n".join(lines)

@@ -15,7 +15,6 @@ import pytest
 from tensorflat.characters import character_convolution_check
 from tensorflat.group_algebra import AlgebraElement, max_coeff_diff
 from tensorflat.moments import (
-    Letter,
     Word,
     plain_word,
     predicted_moments,
@@ -136,26 +135,27 @@ def test_criterion_3_covariance_convergence(capsys):
     pairs = [
         (s, s2, e2) for s in group(4) for s2 in group(4) for e2 in ("1", "*")
     ]
-    for sigma, sigma2, eps2 in pairs:
-        word = [(sigma, "1"), (sigma2, eps2)]
-        limit = complex(word_phi(plain_word(k, word), CG.c, CG.c_prime))
-        gap4 = abs(full_trace_expect(word, k, 4, CG) - limit)
-        gap8 = abs(full_trace_expect(word, k, 8, CG) - limit)
+    words = [plain_word(k, [(sigma, "1"), (sigma2, eps2)]) for sigma, sigma2, eps2 in pairs]
+    for word in words:
+        limit = complex(word_phi(word, CG.c, CG.c_prime))
+        gap4 = abs(full_trace_expect(word, 4, CG) - limit)
+        gap8 = abs(full_trace_expect(word, 8, CG) - limit)
         C = 4 * gap4
         assert gap8 <= C / 8 + 1e-12
-    # Monte Carlo cross-check on a spread of pairs at a larger size
+    # Monte Carlo cross-check on a spread of pairs at a larger size; the
+    # trace of a two-letter product is phi_N(AB) = sum A * B^T / side, so the
+    # product is never formed
     rng = np.random.default_rng(303)
     N, trials = 16, 200
-    chosen = [pairs[rng.integers(len(pairs))] for _ in range(6)]
-    ident = Permutation.identity(k)
+    chosen = [words[rng.integers(len(words))] for _ in range(6)]
     samples = {i: [] for i in range(len(chosen))}
     for trial in range(trials):
         t = sample_tensor(CG, N, k, 31, trial)
-        for i, (sigma, sigma2, eps2) in enumerate(chosen):
-            prod = word_eval(t, [(sigma, "1", ident), (sigma2, eps2, ident)])
-            samples[i].append(phi_N(prod.data))
-    for i, (sigma, sigma2, eps2) in enumerate(chosen):
-        exact = full_trace_expect([(sigma, "1"), (sigma2, eps2)], k, N, CG)
+        for i, word in enumerate(chosen):
+            A, B = word_eval(t, word[:1]).data, word_eval(t, word[1:]).data
+            samples[i].append(complex((A * B.T).sum()) / N**k)
+    for i, word in enumerate(chosen):
+        exact = full_trace_expect(word, N, CG)
         gap, se = mc_gap_and_se(samples[i], exact)
         assert gap <= 3 * se + 1e-12
     report(
@@ -171,7 +171,7 @@ def _random_plain_words(rng, count):
     for _ in range(count):
         k, L = shapes[rng.integers(len(shapes))]
         words.append(
-            (
+            plain_word(
                 k,
                 [
                     (
@@ -193,28 +193,27 @@ def test_criterion_4_oracle_engine_simulation(capsys):
     samples = {i: [] for i in range(len(words))}
     for trial in range(trials):
         tensors = {k: sample_tensor(CG, N, k, 41 + k, trial) for k in (1, 2)}
-        for i, (k, word) in enumerate(words):
-            ident = Permutation.identity(k)
-            prod = word_eval(tensors[k], [(s, e, ident) for s, e in word])
-            samples[i].append(phi_N(prod.data))
-    for i, (k, word) in enumerate(words):
-        exact = full_trace_expect(word, k, N, CG)
+        for i, word in enumerate(words):
+            samples[i].append(phi_N(word_eval(tensors[word.k], word).data))
+    for i, word in enumerate(words):
+        exact = full_trace_expect(word, N, CG)
         gap, se = mc_gap_and_se(samples[i], exact)
         assert gap <= 3 * se + 1e-12
     # (b) the exact expectation approaches the limit at rate 1/N
-    for k, word in words:
-        limit = complex(word_phi(plain_word(k, word), CG.c, CG.c_prime))
-        gaps = {n: abs(full_trace_expect(word, k, n, CG) - limit) for n in (4, 6, 8)}
+    for word in words:
+        limit = complex(word_phi(word, CG.c, CG.c_prime))
+        gaps = {n: abs(full_trace_expect(word, n, CG) - limit) for n in (4, 6, 8)}
         C = 4 * gaps[4]
         assert gaps[6] <= C / 6 + 1e-12
         assert gaps[8] <= C / 8 + 1e-12
     # (c) the pairing recursion agrees with brute-force enumeration
     for _ in range(20):
-        k, word = _random_plain_words(rng, 1)[0]
+        word = _random_plain_words(rng, 1)[0]
+        k = word.k
         etas = tuple(
             group(k)[rng.integers(math.factorial(k))] for _ in range(len(word))
         )
-        w = Word(k, tuple(Letter(s, e) for s, e in word), etas)
+        w = Word(k, word.letters, etas)
         a = word_expectation(w, 1.0, 0.3 + 0.2j)
         b = word_expectation_enumerated(w, 1.0, 0.3 + 0.2j)
         assert max_coeff_diff(a, b) <= 1e-12
@@ -288,15 +287,15 @@ def test_criterion_6_graph_combinatorics(capsys):
     rng = np.random.default_rng(606)
     # partition decomposition of the trace is exact on fixed tensors
     for k, L, N in ((1, 8, 3), (2, 4, 2), (2, 2, 3), (1, 6, 2)):
-        word = [
+        word = plain_word(k, [
             (
                 group(2 * k)[rng.integers(math.factorial(2 * k))],
                 "1" if rng.integers(2) else "*",
             )
             for _ in range(L)
-        ]
+        ])
         t = sample_tensor(CG, N, k, 61 + k * L)
-        T = build_test_hypergraph(word, k)
+        T = build_test_hypergraph(word)
         direct = trace_of_graph(T, t)
         total = sum(
             inj_trace_of_graph(T, lab, t) for lab in set_partitions(T.n_vertices)
@@ -311,8 +310,7 @@ def test_criterion_6_graph_combinatorics(capsys):
     k = 3
     g = group(6)
     s_a, s_b = g[123], g[45]
-    word = [(s_a, "1"), (s_b, "1"), (s_b, "*"), (s_a, "*")]
-    T = build_test_hypergraph(word, k)
+    T = build_test_hypergraph(plain_word(k, [(s_a, "1"), (s_b, "1"), (s_b, "*"), (s_a, "*")]))
     lab = list(range(12))
     for r in range(3):
         lab[9 + r] = 3 + r
@@ -327,8 +325,8 @@ def test_criterion_6_graph_combinatorics(capsys):
     s3 = embed_join(eta1.inverse(), ident) * s4
     s2 = embed_join(eta2.inverse(), eta1.inverse()) * s5
     s1 = embed_join(ident, eta2.inverse()) * s6
-    word = [(s1, "1"), (s2, "1"), (s3, "1"), (s4, "*"), (s5, "*"), (s6, "*")]
-    T = build_test_hypergraph(word, k)
+    word = plain_word(k, [(s1, "1"), (s2, "1"), (s3, "1"), (s4, "*"), (s5, "*"), (s6, "*")])
+    T = build_test_hypergraph(word)
     lab = list(range(18))
     for i in (1, 2, 3):
         lab[12 + eta1(i) - 1] = 6 + i - 1

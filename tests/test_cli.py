@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tensorflat.cli import main
-from tensorflat.moments import Word
+from tensorflat.moments import Letter, Word
 from tensorflat.perms import Permutation, group
 from tensorflat.tensors import cond_expect_N, load_matrix, parse_model, sample_tensor, word_eval
 from tensorflat.traffic import word_cond_expect_exact
@@ -79,8 +79,8 @@ def test_covariance_command(capsys):
 
 def covariance_word(sigma, eps, eta, sigma2, eps2):
     k = len(eta)
-    return [(Permutation(sigma), eps, Permutation(eta)),
-            (Permutation(sigma2), eps2, Permutation.identity(k))]
+    letters = (Letter(Permutation(sigma), eps), Letter(Permutation(sigma2), eps2))
+    return Word(k, letters, (Permutation(eta), Permutation.identity(k)))
 
 
 @pytest.mark.parametrize(
@@ -388,6 +388,12 @@ def test_guard_errors_exit_2(capsys):
         }
     )
     assert "guard of 12 letters" in usage_error(capsys, "oracle", "--word", word, "--N", "4")
+
+
+@pytest.mark.parametrize("command", ["oracle", "moments"])
+def test_empty_word_exits_2(capsys, command):
+    message = usage_error(capsys, command, "--word", '{"k": 1, "letters": []}')
+    assert "at least one letter" in message
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorflat.group_algebra import AlgebraElement, approx_eq, max_coeff_diff
+from tensorflat.moments import Letter, Word, plain_word
 from tensorflat.perms import Permutation, compose, embed_join, group, tau
 from tensorflat.tensors import (
-    FlatMatrix,
     TensorModel,
     apply_perm_left,
     apply_perm_right,
@@ -71,7 +71,7 @@ def test_flatten_degree_check():
 def test_perm_matrix_representation(k, N):
     for eta in group(k):
         U = perm_matrix(eta, N).data
-        assert phi_N(perm_matrix(eta, N)) == N ** (eta.cycle_count() - k)
+        assert phi_N(U) == N ** (eta.cycle_count() - k)
         for eta2 in group(k):
             U2 = perm_matrix(eta2, N).data
             assert np.array_equal(U @ U2, perm_matrix(eta * eta2, N).data)
@@ -113,8 +113,8 @@ def test_index_maps_match_dense_products():
 
 
 def test_phi_N_basics():
-    assert phi_N(FlatMatrix(3, 1, np.eye(3, dtype=complex))) == 1
-    assert phi_N(FlatMatrix(3, 1, np.zeros((3, 3), dtype=complex))) == 0
+    assert phi_N(np.eye(3, dtype=complex)) == 1
+    assert phi_N(np.zeros((3, 3), dtype=complex)) == 0
 
 
 def test_phi_N_tracial():
@@ -195,17 +195,16 @@ def test_diluted_validation():
 def test_word_eval():
     k, N = 1, 3
     t = sample_tensor(CG, N, k, 9)
-    ident = Permutation.identity(k)
-    assert np.array_equal(word_eval(t, []).data, np.eye(N))
+    assert np.array_equal(word_eval(t, plain_word(k, [])).data, np.eye(N))
     sigma = Permutation([2, 1])
     assert np.array_equal(
-        word_eval(t, [(sigma, "1", ident)]).data, flatten(t, sigma).data
+        word_eval(t, plain_word(k, [(sigma, "1")])).data, flatten(t, sigma).data
     )
     m = flatten(t, sigma).data
-    prod = word_eval(t, [(sigma, "1", ident), (sigma, "*", ident)]).data
+    prod = word_eval(t, plain_word(k, [(sigma, "1"), (sigma, "*")])).data
     assert np.allclose(prod, m @ m.conj().T)
     # the identity flattening is a view of the tensor; the word is a copy
-    out = word_eval(t, [(Permutation.identity(2), "1", ident)]).data
+    out = word_eval(t, plain_word(k, [(Permutation.identity(2), "1")])).data
     assert np.array_equal(out, t.entries) and not np.shares_memory(out, t.entries)
 
 
@@ -234,7 +233,6 @@ def test_paired_projection_matches_the_formed_product(k, N):
         warnings.simplefilter("ignore")  # N < k: coefficients are not unique
         slow = cond_expect_N(A @ B, k)
         assert_same_projection(cond_expect_N(A, k, right=B), slow)
-        assert_same_projection(cond_expect_N(FlatMatrix(N, k, A), right=B), slow)
 
 
 def test_paired_projection_rejects_a_mismatched_factor():
@@ -255,7 +253,11 @@ def test_paired_projection_rejects_a_mismatched_factor():
 )
 def test_paired_projection_of_a_word_property(k, N, letters, model, seed):
     perms, etas = group(2 * k), group(k)
-    word = [(perms[s % len(perms)], e, etas[h % len(etas)]) for s, e, h in letters]
+    word = Word(
+        k,
+        tuple(Letter(perms[s % len(perms)], e) for s, e, _ in letters),
+        tuple(etas[h % len(etas)] for _, _, h in letters),
+    )
     t = sample_tensor(model, N, k, seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

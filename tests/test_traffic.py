@@ -1,19 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorflat.group_algebra import approx_eq, max_coeff_diff
+from tensorflat.group_algebra import max_coeff_diff
 from tensorflat.moments import Letter, Word, plain_word, word_expectation
 from tensorflat.perms import Permutation, compose, embed_join, group, tau
-from tensorflat.tensors import TensorModel, phi_N, sample_tensor, word_eval
+from tensorflat.tensors import TensorModel, cond_expect_N, phi_N, sample_tensor, word_eval
 from tensorflat.traffic import (
     MAX_LETTERS,
     build_test_hypergraph,
     dependence_classes,
-    folded_letters,
     full_trace_expect,
     full_trace_expect_detailed,
     inj_trace_expect,
@@ -21,7 +21,6 @@ from tensorflat.traffic import (
     n_blocks,
     q_profile,
     set_partitions,
-    to_dot,
     trace_of_graph,
     word_cond_expect_exact,
 )
@@ -58,10 +57,10 @@ def models(N):
     }
 
 
-def vertex_partition_reference(word, k, N, model):
+def vertex_partition_reference(w, N, model):
     """The expected trace as the sum of the injective traces of all
     Bell(kL) vertex-partition quotients."""
-    T = build_test_hypergraph(word, k)
+    T = build_test_hypergraph(w)
     return sum(inj_trace_expect(T, lab, N, model) for lab in set_partitions(T.n_vertices))
 
 
@@ -84,26 +83,26 @@ def canonical(labels):
     return tuple(uniq.setdefault(b, len(uniq)) for b in labels)
 
 
-def random_word_pairs(rng, k, L):
-    return [
+def random_plain_word(rng, k, L):
+    return plain_word(k, [
         (
             group(2 * k)[rng.integers(math.factorial(2 * k))],
             "1" if rng.integers(2) else "*",
         )
         for _ in range(L)
-    ]
+    ])
 
 
 def test_build_graph_shapes():
     k = 3
-    word = [(group(6)[0], "1")] * 4
-    T = build_test_hypergraph(word, k)
+    word = plain_word(k, [(group(6)[0], "1")] * 4)
+    T = build_test_hypergraph(word)
     assert T.n_vertices == 12 and len(T.edges) == 4
     # edge l reads inputs from column l+1 (cyclically) and outputs column l
     assert T.edges[0].outputs == (0, 1, 2)
     assert T.edges[0].inputs == (3, 4, 5)
     assert T.edges[3].inputs == (0, 1, 2)
-    T1 = build_test_hypergraph([(group(2)[0], "1")], 1)
+    T1 = build_test_hypergraph(plain_word(1, [(group(2)[0], "1")]))
     assert T1.n_vertices == 1
     assert T1.edges[0].inputs == T1.edges[0].outputs == (0,)
 
@@ -119,7 +118,7 @@ def test_singleton_partition_two_letter_value():
     # all vertices distinct: (1/N) * N(N-1) * E|entry|^2 = (N-1)/N
     k, N = 1, 4
     sigma = group(2)[0]
-    T = build_test_hypergraph([(sigma, "1"), (sigma, "*")], k)
+    T = build_test_hypergraph(plain_word(k, [(sigma, "1"), (sigma, "*")]))
     lab = tuple(range(T.n_vertices))
     assert inj_trace_expect(T, lab, N, CG) == pytest.approx(0.75)
     # the merged labeling carries the rest of the full trace
@@ -130,14 +129,14 @@ def test_full_trace_unit_word():
     for k in (1, 2):
         sigma = Permutation.identity(2 * k)
         for N in (2, 3, 5):
-            val = full_trace_expect([(sigma, "1"), (sigma, "*")], k, N, CG)
+            val = full_trace_expect(plain_word(k, [(sigma, "1"), (sigma, "*")]), N, CG)
             assert val == pytest.approx(1.0, abs=1e-13)
 
 
 def test_odd_words_vanish():
     k = 1
     sigma = group(2)[1]
-    assert full_trace_expect([(sigma, "1")] * 3, k, 4, CG) == 0
+    assert full_trace_expect(plain_word(k, [(sigma, "1")] * 3), 4, CG) == 0
 
 
 def test_worked_example_four_letter_quotient():
@@ -146,8 +145,8 @@ def test_worked_example_four_letter_quotient():
     k = 3
     g = group(6)
     s_a, s_b = g[123], g[45]
-    word = [(s_a, "1"), (s_b, "1"), (s_b, "*"), (s_a, "*")]
-    T = build_test_hypergraph(word, k)
+    word = plain_word(k, [(s_a, "1"), (s_b, "1"), (s_b, "*"), (s_a, "*")])
+    T = build_test_hypergraph(word)
     lab = list(range(12))
     for r in range(3):
         lab[9 + r] = 3 + r
@@ -158,8 +157,8 @@ def test_worked_example_four_letter_quotient():
     seq, final = q_profile(T, lab)
     assert final == 0
     # breaking the middle letter match leaves two unmatched singletons
-    word2 = [(s_a, "1"), (s_b, "1"), (g[44], "*"), (s_a, "*")]
-    T2 = build_test_hypergraph(word2, k)
+    word2 = plain_word(k, [(s_a, "1"), (s_b, "1"), (g[44], "*"), (s_a, "*")])
+    T2 = build_test_hypergraph(word2)
     cls2 = dependence_classes(T2, lab)
     assert sorted((c.m, c.n) for c in cls2) == [(0, 1), (1, 0), (1, 1)]
     assert inj_trace_expect(T2, lab, 10, CG) == 0
@@ -178,8 +177,8 @@ def test_worked_example_twisted_six_letter_quotient():
     s3 = embed_join(eta1.inverse(), ident) * s4
     s2 = embed_join(eta2.inverse(), eta1.inverse()) * s5
     s1 = embed_join(ident, eta2.inverse()) * s6
-    word = [(s1, "1"), (s2, "1"), (s3, "1"), (s4, "*"), (s5, "*"), (s6, "*")]
-    T = build_test_hypergraph(word, k)
+    word = plain_word(k, [(s1, "1"), (s2, "1"), (s3, "1"), (s4, "*"), (s5, "*"), (s6, "*")])
+    T = build_test_hypergraph(word)
     lab = list(range(18))
     for i in (1, 2, 3):
         lab[12 + eta1(i) - 1] = 6 + i - 1
@@ -189,37 +188,63 @@ def test_worked_example_twisted_six_letter_quotient():
     cls = dependence_classes(T, lab)
     assert sorted((c.m, c.n) for c in cls) == [(1, 1)] * 3
     # perturbing one letter destroys the three-class structure
-    word_bad = list(word)
-    word_bad[2] = (s4, "*")
+    bad = word.letters[:2] + (Letter(s4, "*"),) + word.letters[3:]
     if s3 != s4:
-        cls_bad = dependence_classes(build_test_hypergraph(word_bad, k), lab)
+        cls_bad = dependence_classes(build_test_hypergraph(Word(k, bad, word.etas)), lab)
         assert len(cls_bad) > 3
 
 
 @pytest.mark.parametrize("k,L,N", [(1, 4, 3), (1, 4, 2), (2, 2, 2), (1, 6, 2)])
 def test_trace_decomposition_fixed_tensor(k, L, N, seed=3):
     rng = np.random.default_rng(seed)
-    word = random_word_pairs(rng, k, L)
+    word = random_plain_word(rng, k, L)
     t = sample_tensor(CG, N, k, seed)
-    T = build_test_hypergraph(word, k)
+    T = build_test_hypergraph(word)
     direct = trace_of_graph(T, t)
     total = sum(inj_trace_of_graph(T, lab, t) for lab in set_partitions(T.n_vertices))
     assert abs(direct - total) <= 1e-10 * max(1.0, abs(direct))
-    ident = Permutation.identity(k)
-    via_product = phi_N(word_eval(t, [(s, e, ident) for s, e in word]).data)
+    via_product = phi_N(word_eval(t, word).data)
     assert abs(direct - via_product) <= 1e-10 * max(1.0, abs(direct))
+
+
+@pytest.mark.parametrize(
+    "k,N,L",
+    [(1, 2, 1), (1, 3, 4), (2, 1, 2), (2, 2, 1), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 1),
+     (3, 3, 2)],
+)
+def test_folding_matches_the_product_with_permutation_operators(k, N, L):
+    # on a fixed tensor, the hypergraph of a word with its permutations
+    # folded in has the trace of the formed product, and that of the word
+    # twisted by eta the coefficient of u_eta in the product's projection
+    rng = np.random.default_rng(100 * k + 10 * N + L)
+    perms = group(k)
+    moving = perms[1:] or perms  # S_1 has the identity only
+    for first in "1*":
+        letters = random_plain_word(rng, k, L).letters
+        letters = (Letter(letters[0].sigma, first),) + letters[1:]
+        w = Word(k, letters, tuple(moving[rng.integers(len(moving))] for _ in range(L)))
+        t = sample_tensor(CG, N, k, int(rng.integers(2**16)))
+        product = word_eval(t, w).data
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # N < k: coefficients are not unique
+            projection = cond_expect_N(product, k)
+        refs = {eta: trace_of_graph(build_test_hypergraph(w.twisted(eta)), t) for eta in perms}
+        scale = max(abs(ref) for ref in refs.values())
+        direct = trace_of_graph(build_test_hypergraph(w), t)
+        assert abs(phi_N(product) - direct) <= 1e-10 * scale
+        for eta, ref in refs.items():
+            assert abs(projection.coeff(eta) - ref) <= 1e-10 * scale
 
 
 def test_full_trace_matches_monte_carlo():
     k, N, trials = 1, 4, 400
     rng = np.random.default_rng(5)
-    word = random_word_pairs(rng, k, 4)
-    exact = full_trace_expect(word, k, N, CG)
-    ident = Permutation.identity(k)
+    word = random_plain_word(rng, k, 4)
+    exact = full_trace_expect(word, N, CG)
     samples = []
     for trial in range(trials):
         t = sample_tensor(CG, N, k, 17, trial)
-        samples.append(phi_N(word_eval(t, [(s, e, ident) for s, e in word]).data))
+        samples.append(phi_N(word_eval(t, word).data))
     samples = np.array(samples)
     se = math.hypot(
         samples.real.std(ddof=1), samples.imag.std(ddof=1)
@@ -230,12 +255,11 @@ def test_full_trace_matches_monte_carlo():
 def test_oracle_converges_to_limit_moments():
     k = 1
     sigma = group(2)[0]
-    word = [(sigma, "1"), (sigma, "*")] * 2
-    w = plain_word(k, [(s, e) for s, e in word])
+    w = plain_word(k, [(sigma, "1"), (sigma, "*")] * 2)
     limit = word_expectation(w, 1.0, 0.0).phi()
     gaps = []
     for N in (4, 6, 8):
-        gaps.append(abs(full_trace_expect(word, k, N, CG) - limit))
+        gaps.append(abs(full_trace_expect(w, N, CG) - limit))
     C = gaps[0] * 4
     assert gaps[1] <= C / 6 + 1e-12
     assert gaps[2] <= C / 8 + 1e-12
@@ -259,16 +283,15 @@ def test_real_ginibre_transpose_pairing():
     # a letter against its transpose letter carries weight one exactly
     k = 2
     sigma = group(4)[5]
-    word = [(sigma, "1"), (compose(tau(k), sigma), "1")]
-    val = full_trace_expect(word, k, 6, TensorModel.real_ginibre())
+    word = plain_word(k, [(sigma, "1"), (compose(tau(k), sigma), "1")])
+    val = full_trace_expect(word, 6, TensorModel.real_ginibre())
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_q_profile_monotone_random():
     rng = np.random.default_rng(7)
     for k, L in ((1, 6), (2, 3)):
-        word = random_word_pairs(rng, k, L)
-        T = build_test_hypergraph(word, k)
+        T = build_test_hypergraph(random_plain_word(rng, k, L))
         for _ in range(200):
             lab = canonical(rng.integers(0, T.n_vertices, T.n_vertices))
             seq, final = q_profile(T, lab)
@@ -281,8 +304,7 @@ def test_final_q_bounds_contribution_order():
     # stay below the combinatorial bound, and the bound is attained at zero
     k = 1
     sigma = group(2)[1]
-    word = [(sigma, "1"), (sigma, "*")] * 3
-    T = build_test_hypergraph(word, k)
+    T = build_test_hypergraph(plain_word(k, [(sigma, "1"), (sigma, "*")] * 3))
     n1, n2 = 20, 40
     attained = 0
     for lab in set_partitions(T.n_vertices):
@@ -309,7 +331,7 @@ def test_detailed_counts():
     k = 1
     sigma = group(2)[0]
     val, count, pruned = full_trace_expect_detailed(
-        [(sigma, "1"), (sigma, "*")], k, 4, CG
+        plain_word(k, [(sigma, "1"), (sigma, "*")]), 4, CG
     )
     assert (count, pruned) == (1, 1)
     assert val == pytest.approx(1.0)
@@ -325,14 +347,14 @@ def test_detailed_counts():
     ],
 )
 def test_letter_partitions_summed_per_model(name, count):
-    word = [(group(2)[0], e) for e in "1*1*1*"]
-    assert full_trace_expect_detailed(word, 1, 3, models(3)[name])[1] == count
+    word = plain_word(1, [(group(2)[0], e) for e in "1*1*1*"])
+    assert full_trace_expect_detailed(word, 3, models(3)[name])[1] == count
 
 
 def test_guard():
-    word = [(group(4)[0], "1")] * (MAX_LETTERS + 1)
+    word = plain_word(2, [(group(4)[0], "1")] * (MAX_LETTERS + 1))
     with pytest.raises(ValueError, match=f"guard of {MAX_LETTERS} letters"):
-        full_trace_expect(word, 2, 3, CG)
+        full_trace_expect(word, 3, CG)
 
 
 @pytest.mark.parametrize("name", ["complex", "real", "diluted-shifted"])
@@ -343,24 +365,26 @@ def test_word_past_the_vertex_partition_reach(name):
     # can sum
     model = models(3)[name]
     eps = "1**11*1*"
-    value = full_trace_expect([(Permutation.identity(4), e) for e in eps], 2, 2, model)
-    ref = vertex_partition_reference([(Permutation.identity(2), e) for e in eps], 1, 4, model)
+    word = plain_word(2, [(Permutation.identity(4), e) for e in eps])
+    value = full_trace_expect(word, 2, model)
+    k1_word = plain_word(1, [(Permutation.identity(2), e) for e in eps])
+    ref = vertex_partition_reference(k1_word, 4, model)
     assert value != 0
     assert_pinned(value, ref)
 
 
 def balanced_word(rng, k, L, twisted):
     """L random letters, half of them adjoint; when twisted, random
-    interleaved permutations folded in, the last one against a random
-    coefficient eta."""
+    interleaved permutations, the last one twisted by a random coefficient
+    eta."""
     eps = ["1", "*"] * (L // 2) + ["1"] * (L % 2)
     rng.shuffle(eps)
     letters = tuple(Letter(group(2 * k)[rng.integers(math.factorial(2 * k))], e) for e in eps)
     if not twisted:
-        return [(l.sigma, l.eps) for l in letters]
+        return plain_word(k, [(l.sigma, l.eps) for l in letters])
     perms = group(k)
     etas = tuple(perms[rng.integers(len(perms))] for _ in range(L))
-    return folded_letters(Word(k, letters, etas), perms[rng.integers(len(perms))])
+    return Word(k, letters, etas).twisted(perms[rng.integers(len(perms))])
 
 
 # an odd word vanishes for every law but the shifted diluted one, whose
@@ -381,8 +405,8 @@ def test_letter_partitions_match_vertex_partitions(k, L, N, twisted):
     rng = np.random.default_rng(100 * k + 10 * L + N + twisted)
     word = balanced_word(rng, k, L, twisted)
     for model in models(N).values():
-        value = full_trace_expect(word, k, N, model)
-        assert_pinned(value, vertex_partition_reference(word, k, N, model))
+        value = full_trace_expect(word, N, model)
+        assert_pinned(value, vertex_partition_reference(word, N, model))
 
 
 @settings(max_examples=40, deadline=None)
@@ -396,11 +420,9 @@ def test_letter_partitions_match_vertex_partitions(k, L, N, twisted):
 )
 def test_letter_partitions_match_vertex_partitions_property(k, letters, N, name):
     perms = group(2 * k)
-    word = [(perms[i % len(perms)], e) for i, e in letters]
+    word = plain_word(k, [(perms[i % len(perms)], e) for i, e in letters])
     model = models(N)[name]
-    assert_pinned(
-        full_trace_expect(word, k, N, model), vertex_partition_reference(word, k, N, model)
-    )
+    assert_pinned(full_trace_expect(word, N, model), vertex_partition_reference(word, N, model))
 
 
 def test_gaussian_cumulants_closed_form():
@@ -439,9 +461,3 @@ def test_cumulants_reproduce_entry_moments(name):
                 total += math.prod(kappa[(sum(b), len(b) - sum(b))] for b in blocks)
             moment = model.entry_moment(m, n, N, k)
             assert abs(total - moment) <= 1e-12 * max(abs(moment), N ** (-k * (m + n) / 2))
-
-
-def test_to_dot_mentions_edges():
-    T = build_test_hypergraph([(group(2)[0], "1"), (group(2)[1], "*")], 1)
-    text = to_dot(T)
-    assert "e1" in text and "e2" in text and "eps=*" in text
