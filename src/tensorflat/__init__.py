@@ -4,7 +4,7 @@ oracle tying them together."""
 
 __version__ = "0.1.0"
 
-from .group_algebra import AlgebraElement, approx_eq
+from .group_algebra import AlgebraElement
 from .moments import Letter, Mixture, Word, covariance, word_expectation, word_phi
 from .perms import Permutation, compose, embed_join, tau
 from .tensors import (
@@ -29,7 +29,6 @@ __all__ = [
     "RandomTensor",
     "TensorModel",
     "Word",
-    "approx_eq",
     "build_test_hypergraph",
     "compose",
     "cond_expect_N",

@@ -21,9 +21,10 @@ from .group_algebra import AlgebraElement, max_coeff_diff
 from .moments import (
     Letter,
     Word,
-    character_coefficients,
+    character_mixture,
     covariance,
     freeness_conditions,
+    letters_from_json,
     scalar_freeness_report,
     word_expectation,
     word_expectation_enumerated,
@@ -44,10 +45,6 @@ from .tensors import (
     word_eval,
 )
 from .traffic import full_trace_expect, full_trace_expect_detailed, word_cond_expect_exact
-
-
-def parse_perm(text):
-    return Permutation(json.loads(text))
 
 
 def load_word(spec):
@@ -187,17 +184,13 @@ def cmd_check(args):
 
 def cmd_covariance(args):
     k, N, trials, seed = args.k, args.N, args.trials, args.seed
-    sigma = parse_perm(args.sigma)
-    sigma2 = parse_perm(args.sigma2)
-    eta = parse_perm(args.eta) if args.eta else Permutation.identity(k)
+    first = Letter(Permutation.from_json(args.sigma), args.eps)
+    second = Letter(Permutation.from_json(args.sigma2), args.eps2)
+    eta = Permutation.identity(k) if args.eta is None else Permutation.from_json(args.eta)
     model = parse_model(args.model)
 
-    w = Word(
-        k,
-        (Letter(sigma, args.eps), Letter(sigma2, args.eps2)),
-        (eta, Permutation.identity(k)),
-    )
-    limit = covariance(w.letters[0], eta, w.letters[1], model.c, model.c_prime)
+    w = Word(k, (first.followed_by(eta), second))
+    limit = covariance(first, eta, second, model.c, model.c_prime)
     oracle = word_cond_expect_exact(w, N, model)
     # the last letter is paired with k! permuted traces of the rest, so the
     # full N^k x N^k product is never formed
@@ -358,7 +351,7 @@ def cmd_freeness(args):
         rho = check_partition(json.loads(f"[{args.rho}]"))
         rho2 = check_partition(json.loads(f"[{args.rho if args.rho2 is None else args.rho2}]"))
         cross, a_scal, a2_scal = freeness_conditions(
-            character_coefficients(k, rho), character_coefficients(k, rho2), k
+            character_mixture(k, rho), character_mixture(k, rho2)
         )
         payload.update(
             {"cross_free": cross, "a_scalar": a_scal, "a2_scalar": a2_scal}
@@ -368,8 +361,7 @@ def cmd_freeness(args):
             f"cross_free={cross} a_scalar={a_scal} a2_scalar={a2_scal}"
         )
     if args.letters:
-        data = json.loads(args.letters)
-        letters = [Letter(Permutation(item["sigma"]), item.get("eps", "1")) for item in data]
+        letters = letters_from_json(json.loads(args.letters))
         scalar = scalar_freeness_report(letters, model.c, model.c_prime)
         payload["scalar_circular"] = scalar
         lines.append(f"scalar circular family: {scalar}")

@@ -131,13 +131,6 @@ def multiply(x, y):
     return AlgebraElement(x.k, out)
 
 
-def approx_eq(x, y, tol):
-    if x.k != y.k:
-        raise ValueError(f"mixing algebras of degree {x.k} and {y.k}")
-    keys = set(x.coeffs) | set(y.coeffs)
-    return all(abs(x.coeff(eta) - y.coeff(eta)) <= tol for eta in keys)
-
-
 def max_coeff_diff(x, y):
     keys = set(x.coeffs) | set(y.coeffs)
     if not keys:

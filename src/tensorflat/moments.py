@@ -5,6 +5,12 @@ order other than two vanish, so every word expectation is a sum over
 non-crossing pair partitions of nested two-letter covariances.  The
 covariance of a pair of letters is supported on at most one basis element
 and is given by a coset membership test on the two flattening permutations.
+
+A word holds letters only.  The bimodule identity
+U_eta M_sigma U_eta2^* = M_{(eta join eta2) sigma} holds exactly at every N,
+and so in the limit, so a permutation operator between two letters is
+folded into the flattening before it (Letter.followed_by) when the word is
+read or built, and every evaluator iterates over the same folded letters.
 """
 
 from __future__ import annotations
@@ -33,37 +39,57 @@ class Letter:
     def k(self):
         return self.sigma.n // 2
 
+    def followed_by(self, mu):
+        """The letter times the permutation operator U_mu, as one flattening.
+        Since U_eta M_sigma U_eta2^* = M_{(eta join eta2) sigma}, a plain
+        letter becomes the flattening by (id join mu^-1) sigma and an
+        adjoint letter the adjoint of the one by (mu^-1 join id) sigma."""
+        ident = Permutation.identity(self.k)
+        if self.eps == "1":
+            outer = embed_join(ident, mu.inverse())
+        else:
+            outer = embed_join(mu.inverse(), ident)
+        return Letter(outer * self.sigma, self.eps)
+
+
+def letters_from_json(items):
+    """The letters of a JSON list of {"sigma": image array, "eps": "1" or
+    "*"} objects; JSON of another shape raises a one-line ValueError."""
+    if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
+        raise ValueError("letters must be a list of {sigma, eps} objects")
+    try:
+        return tuple(Letter(Permutation.from_json(i["sigma"]), i["eps"]) for i in items)
+    except KeyError as exc:
+        raise ValueError(f"a letter lacks the key {exc.args[0]!r}") from None
+
 
 @dataclass(frozen=True)
 class Word:
+    """A product of flattening letters.  A permutation operator between two
+    letters is folded into the letter before it (Letter.followed_by), so a
+    word is its letters alone."""
+
     k: int
     letters: tuple
-    etas: tuple
 
     def __post_init__(self):
-        if len(self.letters) != len(self.etas):
-            raise ValueError("letters and etas must have equal length")
         for l in self.letters:
             if l.k != self.k:
                 raise ValueError("letter degree mismatch")
-        for eta in self.etas:
-            if eta.n != self.k:
-                raise ValueError("eta degree mismatch")
 
     def __len__(self):
         return len(self.letters)
 
     def __getitem__(self, part):
-        """The sub-word of a slice of the letters, each with the
-        permutation that follows it."""
-        return Word(self.k, self.letters[part], self.etas[part])
+        """The sub-word of a slice of the letters."""
+        return Word(self.k, self.letters[part])
 
     def twisted(self, eta):
-        """The word with its last permutation followed by u_eta^-1.  Since
+        """The word with its last letter followed by u_eta^-1.  Since
         tr(W U_eta^*) = tr(W U_eta^-1), its normalized trace is the
         coefficient of u_eta in the conditional expectation of this word."""
-        last = tuple(mu * eta.inverse() for mu in self.etas[-1:])
-        return Word(self.k, self.letters, self.etas[:-1] + last)
+        last = tuple(l.followed_by(eta.inverse()) for l in self.letters[-1:])
+        return Word(self.k, self.letters[:-1] + last)
 
     def to_json(self):
         return {
@@ -71,39 +97,36 @@ class Word:
             "letters": [
                 {"sigma": list(l.sigma.image), "eps": l.eps} for l in self.letters
             ],
-            "etas": [list(eta.image) for eta in self.etas],
         }
 
     @classmethod
     def from_json(cls, data):
-        """The word of a JSON object (or its text) {"k", "letters", "etas"};
-        JSON of another shape raises a one-line ValueError naming the fault."""
+        """The word of a JSON object (or its text) {"k", "letters"}, with an
+        optional "etas": the permutation operator after each letter, folded
+        into that letter here.  JSON of another shape raises a one-line
+        ValueError naming the fault."""
         if isinstance(data, str):
             data = json.loads(data)
         if not isinstance(data, dict):
             raise ValueError(f"word JSON must be an object, got {type(data).__name__}")
         try:
             k, items = data["k"], data["letters"]
-            if type(k) is not int:  # not isinstance: a bool is an int too
-                raise ValueError(f"word JSON: k must be an integer, got {k!r}")
-            if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
-                raise ValueError("word JSON: letters must be a list of {sigma, eps} objects")
-            letters = tuple(Letter(Permutation(item["sigma"]), item["eps"]) for item in items)
-            etas = tuple(Permutation(img) for img in data.get("etas") or [])
         except KeyError as exc:
             raise ValueError(f"word JSON lacks the key {exc.args[0]!r}") from None
-        except TypeError as exc:
-            raise ValueError(f"word JSON: a sigma or eta is not a list of integers ({exc})") from None
-        if not etas:
-            etas = tuple(Permutation.identity(k) for _ in letters)
-        return cls(k, letters, etas)
+        if type(k) is not int:  # not isinstance: a bool is an int too
+            raise ValueError(f"word JSON: k must be an integer, got {k!r}")
+        letters = letters_from_json(items)
+        etas = data.get("etas")
+        if etas is not None:  # absent or null: every operator is the identity
+            if not isinstance(etas, list) or len(etas) != len(letters):
+                raise ValueError("word JSON: etas must be a list of one permutation per letter")
+            letters = tuple(l.followed_by(Permutation.from_json(e)) for l, e in zip(letters, etas))
+        return cls(k, letters)
 
 
 def plain_word(k, pairs):
-    """Word from (sigma, eps) pairs with trivial interleaved permutations."""
-    letters = tuple(Letter(s, e) for s, e in pairs)
-    ident = Permutation.identity(k)
-    return Word(k, letters, tuple(ident for _ in letters))
+    """Word from (sigma, eps) pairs."""
+    return Word(k, tuple(Letter(s, e) for s, e in pairs))
 
 
 def covariance(l, eta, l2, c, cp):
@@ -168,31 +191,29 @@ def word_expectation(w, c, cp):
     pair covariance (module linearity), then the outer segment multiplies on
     the right.
     """
-    return _wick(w.k, w.letters, w.etas, c, cp, {})
+    return _wick(w.k, w.letters, c, cp, {})
 
 
-def _wick(k, letters, etas, c, cp, cache):
+def _wick(k, letters, c, cp, cache):
     L = len(letters)
     if L == 0:
         return AlgebraElement.unit(k)
     if L % 2:
         return AlgebraElement.zero(k)
-    key = (letters, etas)
-    hit = cache.get(key)
+    hit = cache.get(letters)
     if hit is not None:
         return hit
     total = AlgebraElement.zero(k)
     for j in range(1, L, 2):
-        inner = _wick(k, letters[1:j], etas[1:j], c, cp, cache)
-        middle = AlgebraElement.basis(etas[0]) * inner
+        inner = _wick(k, letters[1:j], c, cp, cache)
         paircov = AlgebraElement.zero(k)
-        for mu, coeff in middle.coeffs.items():
+        for mu, coeff in inner.coeffs.items():
             paircov = paircov + coeff * covariance(letters[0], mu, letters[j], c, cp)
         if paircov.is_zero():
             continue
-        outer = _wick(k, letters[j + 1 :], etas[j + 1 :], c, cp, cache)
-        total = total + paircov * AlgebraElement.basis(etas[j]) * outer
-    cache[key] = total
+        outer = _wick(k, letters[j + 1 :], c, cp, cache)
+        total = total + paircov * outer
+    cache[letters] = total
     return total
 
 
@@ -210,9 +231,7 @@ def word_expectation_enumerated(w, c, cp):
     unit = AlgebraElement.unit(k)
     total = AlgebraElement.zero(k)
     for pairing in enumerate_nc_pairings(L):
-        elements = [
-            (unit, w.letters[i], AlgebraElement.basis(w.etas[i])) for i in range(L)
-        ]
+        elements = [(unit, letter, unit) for letter in w.letters]
         total = total + _eval_pairing(list(pairing), elements, c, cp)
     return total
 
@@ -266,14 +285,16 @@ class Mixture:
     """A linear combination of flattening letters, sum of coeff * m_sigma^eps."""
 
     k: int
-    terms: tuple  # tuple of ((sigma, eps), coeff)
+    terms: tuple  # tuple of (Letter, coeff)
 
     @classmethod
     def from_map(cls, k, mapping):
+        """The mixture of a map Letter -> coefficient, zero coefficients
+        left out."""
         terms = tuple(
-            ((sigma, eps), complex(coeff))
-            for (sigma, eps), coeff in sorted(
-                mapping.items(), key=lambda t: (t[0][0].image, t[0][1])
+            (letter, complex(coeff))
+            for letter, coeff in sorted(
+                mapping.items(), key=lambda t: (t[0].sigma.image, t[0].eps)
             )
             if coeff != 0
         )
@@ -281,11 +302,13 @@ class Mixture:
 
     def adjoint_letters(self):
         """Terms of the adjoint mixture (eps flipped, coefficients conjugated)."""
-        flipped = {}
-        for (sigma, eps), coeff in self.terms:
-            key = (sigma, "*" if eps == "1" else "1")
-            flipped[key] = flipped.get(key, 0) + coeff.conjugate()
-        return Mixture.from_map(self.k, flipped)
+        return Mixture.from_map(
+            self.k,
+            {
+                Letter(l.sigma, "*" if l.eps == "1" else "1"): coeff.conjugate()
+                for l, coeff in self.terms
+            },
+        )
 
 
 def mixture_covariance(s, eta, s2, c, cp, conj_second=False):
@@ -294,9 +317,9 @@ def mixture_covariance(s, eta, s2, c, cp, conj_second=False):
         raise ValueError("mixture/eta degree mismatch")
     second = s2.adjoint_letters() if conj_second else s2
     out = AlgebraElement.zero(eta.n)
-    for (sig1, e1), c1 in s.terms:
-        for (sig2, e2), c2 in second.terms:
-            cov = covariance(Letter(sig1, e1), eta, Letter(sig2, e2), c, cp)
+    for l1, c1 in s.terms:
+        for l2, c2 in second.terms:
+            cov = covariance(l1, eta, l2, c, cp)
             if not cov.is_zero():
                 out = out + (c1 * c2) * cov
     return out
@@ -322,7 +345,7 @@ def all_sigma_mixture(k, c, signed=False):
     terms = {}
     for sigma in group(2 * k):
         w = sigma.signature() if signed else 1
-        terms[(sigma, "1")] = w * norm
+        terms[Letter(sigma, "1")] = w * norm
     return Mixture.from_map(k, terms)
 
 
@@ -332,35 +355,25 @@ def hermitized_mixture(k, c, cp):
     norm = 1.0 / target_scale("S3", k, c, cp)
     terms = {}
     for sigma in group(2 * k):
-        terms[(sigma, "1")] = norm
-        terms[(sigma, "*")] = norm
+        terms[Letter(sigma, "1")] = norm
+        terms[Letter(sigma, "*")] = norm
     return Mixture.from_map(k, terms)
 
 
-def character_coefficients(k, rho, left_delta=True):
-    """The coefficient map (eta1, eta2) -> delta(eta1 = id) chi^rho(eta2) on
-    the doubled group, the pairs with eta1 != id left out; with
-    left_delta=False the character runs over both factors,
-    chi^rho(eta1) chi^rho(eta2)."""
+def character_mixture(k, rho, left_delta=True):
+    """The mixture with coefficient delta(eta1 = id) chi^rho(eta2) on the
+    flattening by eta1 join eta2; with left_delta=False the character runs
+    over both factors, chi^rho(eta1) chi^rho(eta2)."""
     from .characters import character_value
 
     chi = {eta: character_value(rho, eta) for eta in group(k)}
-    return {
-        (eta1, eta2): (1 if left_delta else chi[eta1]) * chi[eta2]
-        for eta1 in group(k)
-        if not left_delta or eta1.is_identity()
-        for eta2 in group(k)
-    }
-
-
-def character_mixture(k, rho, left_delta=True):
-    """Mixture with the character_coefficients a(eta1, eta2) placed on the
-    flattening by eta1 join eta2."""
+    left = {Permutation.identity(k): 1} if left_delta else chi
     return Mixture.from_map(
         k,
         {
-            (embed_join(eta1, eta2), "1"): coeff
-            for (eta1, eta2), coeff in character_coefficients(k, rho, left_delta).items()
+            Letter(embed_join(eta1, eta2), "1"): a * chi[eta2]
+            for eta1, a in left.items()
+            for eta2 in group(k)
         },
     )
 
@@ -374,56 +387,40 @@ def parastat_mixture(k, lam):
     norm = dimension(lam) / math.factorial(2 * k)
     terms = {}
     for sigma in group(2 * k):
-        terms[(sigma, "1")] = norm * character_value(lam, sigma)
+        terms[Letter(sigma, "1")] = norm * character_value(lam, sigma)
     return Mixture.from_map(k, terms)
 
 
 # --- freeness criteria ----------------------------------------------------
 
 
-def freeness_conditions(a, a2, k):
-    """Decide asymptotic freeness of two linear combinations given their
-    coefficient maps (eta1, eta2) -> complex on the doubled group.
+def freeness_conditions(s, s2):
+    """Decide asymptotic freeness of two mixtures from the covariance of
+    S u_eta S2^* at c = 1, c' = 0 (mixture_covariance).  For mixtures of
+    plain letters sum a(eta1, eta2) m_{eta1 join eta2}, the coefficient of
+    u_eta1 in that covariance at eta = eta2 is the shifted cross-correlation
+    sum_mu a(eta1 mu1, eta2 mu2) conj(a2(mu1, mu2)).
 
-    Returns (cross_free, a_scalar, a2_scalar):
-      * cross_free: all shifted cross-correlations of a against a2 vanish;
-      * x_scalar: the self-correlation of x vanishes for every nontrivial
-        left shift (the combination then behaves as an ordinary circular
-        element with scalar covariance).
+    Returns (cross_free, s_scalar, s2_scalar):
+      * cross_free: every coefficient of the covariance of S u_eta S2^*
+        vanishes, for every eta;
+      * x_scalar: the covariance of X X^* is supported on the unit, so the
+        self-correlation of x vanishes for every nontrivial left shift (the
+        combination then behaves as an ordinary circular element with
+        scalar covariance).
+    A coefficient vanishes when its modulus is at most 1e-10.
     """
-    elements = group(k)
 
-    def get(m, e1, e2):
-        return complex(m.get((e1, e2), 0))
+    def scalar(x):
+        cov = mixture_covariance(x, Permutation.identity(x.k), x, 1, 0, conj_second=True)
+        return all(abs(c) <= 1e-10 for eta, c in cov.coeffs.items() if not eta.is_identity())
 
-    cross_free = True
-    for eta1 in elements:
-        for eta2 in elements:
-            total = sum(
-                get(a, eta1 * mu1, eta2 * mu2) * get(a2, mu1, mu2).conjugate()
-                for mu1 in elements
-                for mu2 in elements
-            )
-            if abs(total) > 1e-10:
-                cross_free = False
-                break
-        if not cross_free:
-            break
-
-    def self_scalar(m):
-        for eta in elements:
-            if eta.is_identity():
-                continue
-            total = sum(
-                get(m, eta * mu1, mu2) * get(m, mu1, mu2).conjugate()
-                for mu1 in elements
-                for mu2 in elements
-            )
-            if abs(total) > 1e-10:
-                return False
-        return True
-
-    return cross_free, self_scalar(a), self_scalar(a2)
+    cross_free = all(
+        abs(c) <= 1e-10
+        for eta in group(s.k)
+        for c in mixture_covariance(s, eta, s2, 1, 0, conj_second=True).coeffs.values()
+    )
+    return cross_free, scalar(s), scalar(s2)
 
 
 def scalar_freeness_report(letters, c, cp):

@@ -109,8 +109,13 @@ class Permutation:
 
     @classmethod
     def from_json(cls, data):
+        """The permutation of a JSON image array (or its text).  Only a list
+        of integers is read (a bool, a float or null is not one); other JSON
+        raises a one-line ValueError."""
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, list) or not all(type(v) is int for v in data):
+            raise ValueError(f"a permutation is not a list of integers: {data!r}")
         return cls(data)
 
 
@@ -146,21 +151,13 @@ def tau(k):
     return Permutation(tuple(range(k + 1, 2 * k + 1)) + tuple(range(1, k + 1)))
 
 
-def enumerate_group(n):
-    """All n! permutations of [n] in lexicographic one-line order."""
+@lru_cache(maxsize=None)
+def group(n):
+    """All n! permutations of [n] in lexicographic one-line order, built
+    once per degree."""
     if n > MAX_ENUM_DEGREE:
         raise ValueError(f"degree {n} exceeds enumeration bound {MAX_ENUM_DEGREE}")
-    return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
-
-
-@lru_cache(maxsize=None)
-def _group_cached(n):
-    return tuple(enumerate_group(n))
-
-
-def group(n):
-    """Cached enumerate_group; callers must not mutate the result."""
-    return _group_cached(n)
+    return tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
 
 
 def coset_key(sigma, group_name):

@@ -8,7 +8,8 @@ Conventions shared by the whole package:
   * the permutation operator U_eta has entries U[i, j] = 1 iff j_s = i_{eta(s)}
     for all s, which makes eta -> U_eta a representation (U_eta U_eta2 =
     U_{eta eta2}) and yields U_eta M_sigma U_eta2^* = M_{(eta join eta2) sigma}
-    exactly.
+    exactly, which is what lets a word fold the operators between its
+    letters into the flattenings (moments.Letter.followed_by).
 """
 
 from __future__ import annotations
@@ -353,20 +354,19 @@ def cond_expect_N(A, k, right=None):
 
 def word_eval(t, w):
     """The product of a Word (from the moments module) on the tensor t: each
-    letter multiplies by its flattening (or the adjoint) and then by the
-    permutation operator that follows it.
+    letter multiplies by its flattening (or the adjoint).  The word's
+    permutation operators are folded into its letters, so no operator is
+    applied here.
 
     The empty word gives the identity; a word of L letters makes L - 1
     products, and the result never shares memory with t.entries.
     """
     out = None
-    for letter, eta in zip(w.letters, w.etas):
+    for letter in w.letters:
         m = flatten(t, letter.sigma).data
         if letter.eps == "*":
             m = m.conj().T
         out = m if out is None else out @ m
-        if not eta.is_identity():
-            out = apply_perm_right(out, eta)
     if out is None:
         out = np.eye(t.N**t.k, dtype=complex)
     elif np.may_share_memory(out, t.entries):

@@ -1,11 +1,11 @@
 """Exact expected traces of words at finite N.
 
-Every evaluator here takes a Word of the moments module.  Its interleaved
-permutations are folded into the flattenings (folded_letters), and the L
-folded letters become a cyclic strip hypergraph on k rows and L columns:
-hyperedge l has inputs in column l+1 (cyclically) and outputs in column l,
-and reads the tensor entry at the vertex tuple e_l (routed through its
-flattening permutation).  The expected normalized trace is
+Every evaluator here takes a Word of the moments module, whose interleaved
+permutations are folded into its letters (Letter.followed_by).  The L
+letters become a cyclic strip hypergraph on k rows and L columns: hyperedge
+l has inputs in column l+1 (cyclically) and outputs in column l, and reads
+the tensor entry at the vertex tuple e_l (routed through its flattening
+permutation).  The expected normalized trace is
 
     N^-k * sum over vertex maps i of E[prod_l X_{i(e_l)}^{eps_l}],
 
@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group_algebra import AlgebraElement
-from .moments import Letter
-from .perms import Permutation, embed_join, group
+from .perms import Permutation, group
 
 
 @dataclass(frozen=True)
@@ -58,34 +57,18 @@ class TestHypergraph:
 
 
 def build_test_hypergraph(w):
-    """The strip hypergraph of a Word, its permutations folded in."""
+    """The strip hypergraph of a Word."""
     L, k = len(w), w.k
     if L < 1:
         raise ValueError("word must have at least one letter")
     edges = []
-    for l, letter in enumerate(folded_letters(w), start=1):
+    for l, letter in enumerate(w.letters, start=1):
         col_out = l
         col_in = l % L + 1
         outputs = tuple((col_out - 1) * k + r for r in range(k))
         inputs = tuple((col_in - 1) * k + r for r in range(k))
         edges.append(Hyperedge(inputs, outputs, letter.sigma, letter.eps))
     return TestHypergraph(k, L, k * L, tuple(edges))
-
-
-def folded_letters(w):
-    """The letters of a Word with its interleaved permutation operators
-    absorbed into the flattenings: a plain letter followed by u_mu is the
-    flattening by (id join mu^-1) sigma, an adjoint letter by
-    (mu^-1 join id) sigma.  The folded letters have the trace of the word."""
-    ident = Permutation.identity(w.k)
-    folded = []
-    for letter, mu in zip(w.letters, w.etas):
-        if letter.eps == "1":
-            sigma = embed_join(ident, mu.inverse()) * letter.sigma
-        else:
-            sigma = embed_join(mu.inverse(), ident) * letter.sigma
-        folded.append(Letter(sigma, letter.eps))
-    return folded
 
 
 def set_partitions(n):

@@ -213,7 +213,7 @@ def test_criterion_4_oracle_engine_simulation(capsys):
         etas = tuple(
             group(k)[rng.integers(math.factorial(k))] for _ in range(len(word))
         )
-        w = Word(k, word.letters, etas)
+        w = Word(k, tuple(l.followed_by(eta) for l, eta in zip(word.letters, etas)))
         a = word_expectation(w, 1.0, 0.3 + 0.2j)
         b = word_expectation_enumerated(w, 1.0, 0.3 + 0.2j)
         assert max_coeff_diff(a, b) <= 1e-12

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from tensorflat.cli import main
-from tensorflat.moments import Letter, Word
+from tensorflat.moments import Word
 from tensorflat.perms import Permutation, group
-from tensorflat.tensors import cond_expect_N, load_matrix, parse_model, sample_tensor, word_eval
+from tensorflat.tensors import (
+    cond_expect_N,
+    flatten,
+    load_matrix,
+    parse_model,
+    perm_matrix,
+    sample_tensor,
+)
 from tensorflat.traffic import word_cond_expect_exact
 
 
@@ -77,10 +84,15 @@ def test_covariance_command(capsys):
     assert all(v >= 0 for v in payload["timings"].values())
 
 
-def covariance_word(sigma, eps, eta, sigma2, eps2):
-    k = len(eta)
-    letters = (Letter(Permutation(sigma), eps), Letter(Permutation(sigma2), eps2))
-    return Word(k, letters, (Permutation(eta), Permutation.identity(k)))
+def formed_product(t, sigma, eps, eta, sigma2, eps2):
+    """M_sigma^eps U_eta M_sigma2^eps2 on the tensor t, with the dense
+    permutation operator."""
+
+    def letter(image, e):
+        m = flatten(t, Permutation(image)).data
+        return m if e == "1" else m.conj().T
+
+    return letter(sigma, eps) @ perm_matrix(Permutation(eta), t.N).data @ letter(sigma2, eps2)
 
 
 @pytest.mark.parametrize(
@@ -96,7 +108,6 @@ def test_covariance_rows_equal_the_formed_product_reference(
     capsys, k, N, sigma, sigma2, eta, eps, eps2, model
 ):
     trials, seed = 6, 5
-    word = covariance_word(sigma, eps, eta, sigma2, eps2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # N < k: coefficients are not unique
         code, out = run(
@@ -109,7 +120,7 @@ def test_covariance_rows_equal_the_formed_product_reference(
         samples = []
         for trial in range(trials):
             t = sample_tensor(parse_model(model), N, k, seed, trial)
-            est = cond_expect_N(word_eval(t, word).data, k)
+            est = cond_expect_N(formed_product(t, sigma, eps, eta, sigma2, eps2), k)
             samples.append([est.coeff(h) for h in group(k)])
     assert code == 0
     rows = json.loads(out)["rows"]
@@ -130,7 +141,7 @@ def test_covariance_dump_is_the_last_formed_product(capsys, tmp_path):
     )
     assert code == 0
     last = sample_tensor(parse_model("complex_ginibre"), 3, 2, 4, trial=2)
-    want = word_eval(last, covariance_word(sigma, "*", eta, sigma2, "*")).data
+    want = formed_product(last, sigma, "*", eta, sigma2, "*")
     np.testing.assert_allclose(load_matrix(dump).data, want, rtol=0, atol=1e-12)
 
 
@@ -412,6 +423,13 @@ def test_word_missing_a_key_exits_2(capsys, command, word, key):
         ('{"k": 1, "letters": [1]}', "letters must be a list of {sigma, eps} objects"),
         ('{"k": "a", "letters": []}', "k must be an integer, got 'a'"),
         ('{"k": 1, "letters": [{"sigma": 5, "eps": "1"}]}', "not a list of integers"),
+        ('{"k": 1, "letters": [{"sigma": [2.0, 1], "eps": "1"}]}', "not a list of integers"),
+        ('{"k": 1, "letters": [{"sigma": [2, 1], "eps": "1"}], "etas": [[1], [1]]}',
+         "etas must be a list of one permutation per letter"),
+        ('{"k": 1, "letters": [{"sigma": [2, 1], "eps": "1"}], "etas": []}',
+         "etas must be a list of one permutation per letter"),
+        ('{"k": 1, "letters": [{"sigma": [2, 1], "eps": "1"}], "etas": [[true]]}',
+         "not a list of integers"),
     ],
 )
 @pytest.mark.parametrize("command", ["oracle", "moments"])
@@ -419,6 +437,26 @@ def test_word_of_the_wrong_shape_exits_2(capsys, tmp_path, command, text, messag
     path = tmp_path / "word.json"
     path.write_text(text)
     assert message in usage_error(capsys, command, "--word", str(path))
+
+
+COVARIANCE_K2 = ["covariance", "--k", "2", "--N", "2", "--trials", "2", "--sigma2", "[1,2,3,4]"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (COVARIANCE_K2 + ["--sigma", "5"], "not a list of integers: 5"),
+        (COVARIANCE_K2 + ["--sigma", "null"], "not a list of integers: None"),
+        (COVARIANCE_K2 + ["--sigma", "[1.5,2,3,4]"], "not a list of integers: [1.5, 2, 3, 4]"),
+        (COVARIANCE_K2 + ["--sigma", "[1,2,3,4]", "--eta", "7"], "not a list of integers: 7"),
+        (COVARIANCE_K2 + ["--sigma", "[1,2,3,4]", "--eta", ""], "Expecting value"),
+        (["freeness", "--letters", '[{"eps":"1"}]'], "a letter lacks the key 'sigma'"),
+        (["freeness", "--letters", '{"sigma":[1,2]}'], "letters must be a list of {sigma, eps}"),
+        (["freeness", "--letters", '[{"sigma":5}]'], "not a list of integers: 5"),
+    ],
+)
+def test_permutation_and_letter_json_of_the_wrong_shape_exits_2(capsys, argv, message):
+    assert message in usage_error(capsys, *argv)
 
 
 @pytest.mark.parametrize("sizes", ["0,-3", "4,0", "4,x"])

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorflat.group_algebra import AlgebraElement, approx_eq, max_coeff_diff
+from tensorflat.group_algebra import AlgebraElement, max_coeff_diff
 from tensorflat.moments import (
     Letter,
     Word,
+    Mixture,
     all_sigma_mixture,
     catalan,
-    character_coefficients,
     character_mixture,
     covariance,
     enumerate_nc_pairings,
@@ -27,6 +27,7 @@ from tensorflat.moments import (
     word_expectation_enumerated,
     word_phi,
 )
+from tensorflat.characters import character_value, enumerate_partitions
 from tensorflat.perms import Permutation, compose, coset_key, embed_join, group, tau
 
 id1 = Permutation.identity(1)
@@ -35,6 +36,7 @@ swap2 = Permutation([2, 1])
 
 
 def random_word(rng, k, L):
+    """L random letters, each followed by a random permutation operator."""
     letters = tuple(
         Letter(
             group(2 * k)[rng.integers(math.factorial(2 * k))],
@@ -43,7 +45,7 @@ def random_word(rng, k, L):
         for _ in range(L)
     )
     etas = tuple(group(k)[rng.integers(math.factorial(k))] for _ in range(L))
-    return Word(k, letters, etas)
+    return Word(k, tuple(l.followed_by(eta) for l, eta in zip(letters, etas)))
 
 
 def test_covariance_examples():
@@ -91,7 +93,7 @@ def test_covariance_adjoint_symmetry(i, j, e, h):
     rhs = covariance(
         Letter(sigma2, "1"), eta.inverse(), Letter(sigma, "1"), c, cp
     ).adjoint()
-    assert approx_eq(lhs, rhs, 1e-14)
+    assert max_coeff_diff(lhs, rhs) <= 1e-14
 
 
 def test_nc_pairings():
@@ -151,11 +153,11 @@ def test_word_expectation_bimodule():
     k = 2
     w = random_word(rng, k, 4)
     eta = Permutation([2, 1])
-    # appending u_eta multiplies the expectation on the right
-    shifted = Word(k, w.letters, w.etas[:-1] + (w.etas[-1] * eta,))
+    # following the last letter by u_eta multiplies the expectation on the right
+    shifted = Word(k, w.letters[:-1] + (w.letters[-1].followed_by(eta),))
     lhs = word_expectation(shifted, 1.0, 0.5)
     rhs = word_expectation(w, 1.0, 0.5) * AlgebraElement.basis(eta)
-    assert approx_eq(lhs, rhs, 1e-13)
+    assert max_coeff_diff(lhs, rhs) <= 1e-13
 
 
 def test_word_phi_cyclic_invariance():
@@ -165,7 +167,7 @@ def test_word_phi_cyclic_invariance():
         w = random_word(rng, k, 4)
         base = word_phi(w, 1.0, 0.5)
         for r in range(1, 4):
-            rotated = Word(k, w.letters[r:] + w.letters[:r], w.etas[r:] + w.etas[:r])
+            rotated = Word(k, w.letters[r:] + w.letters[:r])
             assert abs(word_phi(rotated, 1.0, 0.5) - base) <= 1e-12
 
 
@@ -181,7 +183,7 @@ def test_mixture_covariance_all_sigma():
     expected = AlgebraElement(k, {eta: 0.5 for eta in group(k)})
     for eta in group(k):
         cov = mixture_covariance(s, eta, s, 1.0, 0.0, conj_second=True)
-        assert approx_eq(cov, expected, 1e-12)
+        assert max_coeff_diff(cov, expected) <= 1e-12
 
 
 def test_mixture_covariance_signed():
@@ -189,11 +191,11 @@ def test_mixture_covariance_signed():
     s = all_sigma_mixture(k, 1.0, signed=True)
     cov = mixture_covariance(s, id2, s, 1.0, 0.0, conj_second=True)
     expected = AlgebraElement(k, {id2: 0.5, swap2: -0.5})
-    assert approx_eq(cov, expected, 1e-12)
+    assert max_coeff_diff(cov, expected) <= 1e-12
     # signature weight flips with the middle element's sign
     cov = mixture_covariance(s, swap2, s, 1.0, 0.0, conj_second=True)
     expected = AlgebraElement(k, {id2: -0.5, swap2: 0.5})
-    assert approx_eq(cov, expected, 1e-12)
+    assert max_coeff_diff(cov, expected) <= 1e-12
 
 
 def test_hermitized_mixture_covariance():
@@ -202,7 +204,7 @@ def test_hermitized_mixture_covariance():
     s = hermitized_mixture(k, c, cp)
     cov = mixture_covariance(s, id2, s, c, cp, conj_second=True)
     expected = AlgebraElement(k, {eta: 0.5 for eta in group(k)})
-    assert approx_eq(cov, expected, 1e-12)
+    assert max_coeff_diff(cov, expected) <= 1e-12
     with pytest.raises(ValueError, match="c \\+ Re c' must be positive"):
         hermitized_mixture(k, 1.0, -1.0)
 
@@ -221,23 +223,70 @@ def test_mixtures_in_distinct_extended_cosets_are_uncorrelated():
     for s in group(4):
         reps.setdefault(coset_key(s, "SkkTau"), s)
     reps = list(reps.values())
-    from tensorflat.moments import Mixture
-
-    s1 = Mixture.from_map(k, {(reps[0], "1"): 1.0})
-    s2 = Mixture.from_map(k, {(reps[1], "1"): 1.0})
+    s1 = Mixture.from_map(k, {Letter(reps[0], "1"): 1.0})
+    s2 = Mixture.from_map(k, {Letter(reps[1], "1"): 1.0})
     for conj_second in (False, True):
         cov = mixture_covariance(s1, id2, s2, 1.0, 0.7, conj_second=conj_second)
         assert cov.is_zero()
 
 
+def doubled_group_mixture(k, a):
+    """The mixture of a coefficient map (eta1, eta2) -> a on the plain
+    flattenings by eta1 join eta2."""
+    return Mixture.from_map(k, {Letter(embed_join(e1, e2), "1"): c for (e1, e2), c in a.items()})
+
+
 def test_freeness_conditions_characters():
     k = 2
-    a, a2 = character_coefficients(k, (2,)), character_coefficients(k, (1, 1))
-    cross, a_scal, a2_scal = freeness_conditions(a, a2, k)
+    cross, a_scal, a2_scal = freeness_conditions(
+        character_mixture(k, (2,)), character_mixture(k, (1, 1))
+    )
     assert cross and a_scal and a2_scal
-    ones = {(e1, e2): 1.0 for e1 in group(k) for e2 in group(k)}
-    cross, a_scal, _ = freeness_conditions(ones, ones, k)
+    ones = doubled_group_mixture(k, {(e1, e2): 1.0 for e1 in group(k) for e2 in group(k)})
+    cross, a_scal, _ = freeness_conditions(ones, ones)
     assert not cross and not a_scal
+
+
+def cross_correlation(a, a2, eta1, eta2, k):
+    """The shifted cross-correlation of two coefficient maps on the doubled
+    group, the sum over mu of a(eta1 mu1, eta2 mu2) conj(a2(mu1, mu2))."""
+    return sum(
+        a.get((eta1 * mu1, eta2 * mu2), 0) * complex(a2.get((mu1, mu2), 0)).conjugate()
+        for mu1 in group(k)
+        for mu2 in group(k)
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_freeness_conditions_match_the_direct_correlation_sums(k):
+    # two random maps on random supports, and the character maps, whose
+    # correlations vanish exactly between distinct irreducibles
+    rng = np.random.default_rng(30 + k)
+    pairs = [(e1, e2) for e1 in group(k) for e2 in group(k)]
+    maps = [
+        {p: complex(*rng.standard_normal(2)) for p in pairs if rng.random() < 0.4}
+        for _ in range(2)
+    ]
+    ident = Permutation.identity(k)
+    maps += [
+        {(ident, e2): character_value(rho, e2) for e2 in group(k)}
+        for rho in enumerate_partitions(k)
+    ]
+
+    def scalar(m):
+        return all(abs(cross_correlation(m, m, eta, ident, k)) <= 1e-10 for eta in group(k)[1:])
+
+    for a in maps:
+        for a2 in maps:
+            s, s2 = doubled_group_mixture(k, a), doubled_group_mixture(k, a2)
+            cross = {(e1, e2): cross_correlation(a, a2, e1, e2, k) for e1, e2 in pairs}
+            scale = max(1.0, max(abs(v) for v in cross.values()))
+            for eta2 in group(k):
+                cov = mixture_covariance(s, eta2, s2, 1, 0, conj_second=True)
+                for eta1 in group(k):
+                    assert abs(cov.coeff(eta1) - cross[(eta1, eta2)]) <= 1e-12 * scale
+            want = (all(abs(v) <= 1e-10 for v in cross.values()), scalar(a), scalar(a2))
+            assert freeness_conditions(s, s2) == want
 
 
 def test_scalar_freeness_reports():
@@ -265,7 +314,7 @@ def test_parastat_mixture_covariance_structure():
     k = 2
     lam = (3, 1)
     s = parastat_mixture(k, lam)
-    from tensorflat.characters import character_value, dimension
+    from tensorflat.characters import dimension
 
     for eta in group(k):
         cov = mixture_covariance(s, eta, s, 1.0, 0.0, conj_second=True)
@@ -281,15 +330,19 @@ def test_character_mixture_is_self_scalar():
     cov = mixture_covariance(s, id2, s, 1.0, 0.0, conj_second=True)
     assert not cov.is_zero()
     # supported somewhere, but the left-shifted self correlations vanish
-    a = character_coefficients(k, (1, 1))
-    _, a_scal, _ = freeness_conditions(a, a, k)
+    _, a_scal, _ = freeness_conditions(s, s)
     assert a_scal
-    # the mixture carries the coefficients on the flattenings eta1 join eta2
+    # the mixture carries delta(eta1 = id) chi(eta2), or chi(eta1) chi(eta2)
+    # without left_delta, on the flattenings eta1 join eta2
+    chi = {id2: 1, swap2: -1}
     for left_delta in (True, False):
         terms = dict(character_mixture(k, (1, 1), left_delta=left_delta).terms)
-        for (e1, e2), coeff in character_coefficients(k, (1, 1), left_delta).items():
-            assert terms.get((embed_join(e1, e2), "1"), 0) == coeff
-    assert character_coefficients(k, (1, 1), False)[(swap2, swap2)] == 1
+        for e1 in group(k):
+            for e2 in group(k):
+                want = ((e1 == id2) if left_delta else chi[e1]) * chi[e2]
+                assert terms.get(Letter(embed_join(e1, e2), "1"), 0) == want
+    both = dict(character_mixture(k, (1, 1), left_delta=False).terms)
+    assert both[Letter(embed_join(swap2, swap2), "1")] == 1
 
 
 def test_predicted_moments():

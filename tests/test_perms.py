@@ -9,7 +9,6 @@ from tensorflat.perms import (
     compose,
     coset_key,
     embed_join,
-    enumerate_group,
     group,
     split_join,
     tau,
@@ -97,11 +96,12 @@ def test_tau_commutation(a, b):
 
 
 def test_enumerate_group():
-    assert enumerate_group(1) == [Permutation.identity(1)]
-    assert len(enumerate_group(4)) == 24
-    assert len(set(enumerate_group(4))) == 24
-    with pytest.raises(ValueError):
-        enumerate_group(9)
+    assert group(1) == (Permutation.identity(1),)
+    assert len(group(4)) == 24
+    assert len(set(group(4))) == 24
+    assert group(4) is group(4)
+    with pytest.raises(ValueError, match="degree 9 exceeds enumeration bound 8"):
+        group(9)
 
 
 perm2 = st.permutations(range(1, 3)).map(Permutation)
@@ -137,3 +137,11 @@ def test_every_extended_coset_splits_into_two_plain_cosets():
 def test_json_roundtrip():
     p = cyc(4, (1, 3, 2))
     assert Permutation.from_json(p.to_json()) == p
+
+
+@pytest.mark.parametrize(
+    "text", ["5", "null", "[1.5, 2, 3, 4]", "[2.0, 1.0]", "[true]", '["1"]', '{"sigma": [1, 2]}']
+)
+def test_from_json_reads_a_list_of_integers_only(text):
+    with pytest.raises(ValueError, match="is not a list of integers"):
+        Permutation.from_json(text)

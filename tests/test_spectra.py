@@ -37,9 +37,9 @@ def dense_target(t, which, model):
     else:
         mixture = all_sigma_mixture(t.k, model.c, signed=which == "S2")
     total = np.zeros((t.N**t.k, t.N**t.k), dtype=complex)
-    for (sigma, eps), coeff in mixture.terms:
-        m = flatten(t, sigma).data
-        total += coeff * (m if eps == "1" else m.conj().T)
+    for letter, coeff in mixture.terms:
+        m = flatten(t, letter.sigma).data
+        total += coeff * (m if letter.eps == "1" else m.conj().T)
     return total
 
 

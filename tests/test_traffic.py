@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from tensorflat.group_algebra import max_coeff_diff
 from tensorflat.moments import Letter, Word, plain_word, word_expectation
 from tensorflat.perms import Permutation, compose, embed_join, group, tau
-from tensorflat.tensors import TensorModel, cond_expect_N, phi_N, sample_tensor, word_eval
+from tensorflat.tensors import (
+    TensorModel,
+    cond_expect_N,
+    flatten,
+    perm_matrix,
+    phi_N,
+    sample_tensor,
+    word_eval,
+)
 from tensorflat.traffic import (
     MAX_LETTERS,
     build_test_hypergraph,
@@ -190,7 +198,7 @@ def test_worked_example_twisted_six_letter_quotient():
     # perturbing one letter destroys the three-class structure
     bad = word.letters[:2] + (Letter(s4, "*"),) + word.letters[3:]
     if s3 != s4:
-        cls_bad = dependence_classes(build_test_hypergraph(Word(k, bad, word.etas)), lab)
+        cls_bad = dependence_classes(build_test_hypergraph(Word(k, bad)), lab)
         assert len(cls_bad) > 3
 
 
@@ -213,27 +221,35 @@ def test_trace_decomposition_fixed_tensor(k, L, N, seed=3):
      (3, 3, 2)],
 )
 def test_folding_matches_the_product_with_permutation_operators(k, N, L):
-    # on a fixed tensor, the hypergraph of a word with its permutations
-    # folded in has the trace of the formed product, and that of the word
-    # twisted by eta the coefficient of u_eta in the product's projection
+    # on a fixed tensor, the word whose letters (sigma, eps) are each
+    # followed by u_eta is the product of the flattenings (or their
+    # adjoints) with the dense permutation operators, formed here from the
+    # raw triples; its hypergraph has the trace of that product, and the
+    # hypergraph of the word twisted by h the coefficient of u_h
     rng = np.random.default_rng(100 * k + 10 * N + L)
     perms = group(k)
     moving = perms[1:] or perms  # S_1 has the identity only
     for first in "1*":
         letters = random_plain_word(rng, k, L).letters
-        letters = (Letter(letters[0].sigma, first),) + letters[1:]
-        w = Word(k, letters, tuple(moving[rng.integers(len(moving))] for _ in range(L)))
+        triples = [(l.sigma, l.eps, moving[rng.integers(len(moving))]) for l in letters]
+        triples[0] = (triples[0][0], first, triples[0][2])
+        w = Word(k, tuple(Letter(s, e).followed_by(eta) for s, e, eta in triples))
         t = sample_tensor(CG, N, k, int(rng.integers(2**16)))
-        product = word_eval(t, w).data
+        product = np.eye(N**k, dtype=complex)
+        for sigma, eps, eta in triples:
+            m = flatten(t, sigma).data
+            product = product @ (m if eps == "1" else m.conj().T) @ perm_matrix(eta, N).data
+        scale = np.abs(product).max()
+        assert np.abs(word_eval(t, w).data - product).max() <= 1e-12 * scale
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # N < k: coefficients are not unique
             projection = cond_expect_N(product, k)
-        refs = {eta: trace_of_graph(build_test_hypergraph(w.twisted(eta)), t) for eta in perms}
+        refs = {h: trace_of_graph(build_test_hypergraph(w.twisted(h)), t) for h in perms}
         scale = max(abs(ref) for ref in refs.values())
         direct = trace_of_graph(build_test_hypergraph(w), t)
         assert abs(phi_N(product) - direct) <= 1e-10 * scale
-        for eta, ref in refs.items():
-            assert abs(projection.coeff(eta) - ref) <= 1e-10 * scale
+        for h, ref in refs.items():
+            assert abs(projection.coeff(h) - ref) <= 1e-10 * scale
 
 
 def test_full_trace_matches_monte_carlo():
@@ -271,8 +287,7 @@ def test_word_cond_expect_exact_matches_limit_direction():
     letters = tuple(
         Letter(group(4)[rng.integers(24)], e) for e in ("1", "*")
     )
-    etas = (group(2)[1], Permutation.identity(2))
-    w = Word(k, letters, etas)
+    w = Word(k, (letters[0].followed_by(group(2)[1]), letters[1]))
     limit = word_expectation(w, 1.0, 0.0)
     gap_small = max_coeff_diff(word_cond_expect_exact(w, 4, CG), limit)
     gap_large = max_coeff_diff(word_cond_expect_exact(w, 8, CG), limit)
@@ -384,7 +399,8 @@ def balanced_word(rng, k, L, twisted):
         return plain_word(k, [(l.sigma, l.eps) for l in letters])
     perms = group(k)
     etas = tuple(perms[rng.integers(len(perms))] for _ in range(L))
-    return Word(k, letters, etas).twisted(perms[rng.integers(len(perms))])
+    w = Word(k, tuple(l.followed_by(eta) for l, eta in zip(letters, etas)))
+    return w.twisted(perms[rng.integers(len(perms))])
 
 
 # an odd word vanishes for every law but the shifted diluted one, whose
