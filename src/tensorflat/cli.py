@@ -361,8 +361,9 @@ def cmd_freeness(args):
             f"cross_free={cross} a_scalar={a_scal} a2_scalar={a2_scal}"
         )
     if args.letters:
-        letters = letters_from_json(json.loads(args.letters))
-        scalar = scalar_freeness_report(letters, model.c, model.c_prime)
+        # the criterion tries both eps of every letter, so eps may be left out
+        letters = letters_from_json(json.loads(args.letters), eps="1")
+        scalar = scalar_freeness_report([l.sigma for l in letters], model.c, model.c_prime)
         payload["scalar_circular"] = scalar
         lines.append(f"scalar circular family: {scalar}")
     if not payload:

@@ -15,13 +15,14 @@ read or built, and every evaluator iterates over the same folded letters.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .group_algebra import AlgebraElement
-from .perms import Permutation, embed_join, group, split_join, tau
+from .perms import Permutation, compose, embed_join, group, split_join, tau
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,8 @@ class Letter:
         Since U_eta M_sigma U_eta2^* = M_{(eta join eta2) sigma}, a plain
         letter becomes the flattening by (id join mu^-1) sigma and an
         adjoint letter the adjoint of the one by (mu^-1 join id) sigma."""
+        if mu.is_identity():
+            return self
         ident = Permutation.identity(self.k)
         if self.eps == "1":
             outer = embed_join(ident, mu.inverse())
@@ -52,13 +55,17 @@ class Letter:
         return Letter(outer * self.sigma, self.eps)
 
 
-def letters_from_json(items):
+def letters_from_json(items, eps=None):
     """The letters of a JSON list of {"sigma": image array, "eps": "1" or
-    "*"} objects; JSON of another shape raises a one-line ValueError."""
+    "*"} objects, where a letter without "eps" takes eps when one is given;
+    JSON of another shape raises a one-line ValueError."""
     if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
         raise ValueError("letters must be a list of {sigma, eps} objects")
     try:
-        return tuple(Letter(Permutation.from_json(i["sigma"]), i["eps"]) for i in items)
+        return tuple(
+            Letter(Permutation.from_json(i["sigma"]), i.get("eps", eps) if eps else i["eps"])
+            for i in items
+        )
     except KeyError as exc:
         raise ValueError(f"a letter lacks the key {exc.args[0]!r}") from None
 
@@ -311,18 +318,57 @@ class Mixture:
         )
 
 
+@lru_cache(maxsize=None)
+def _partners(eta):
+    """The cosets where covariance(l1, eta, l2) can be nonzero: for each
+    pair (eps of l1, eps of l2), the pairs (g, b) such that l1 pairs with
+    l2 only if sigma1 = g sigma2, and then their covariance is a multiple
+    of u_b:
+      (1, *): sigma1 = (b join eta) sigma2        -> c u_b
+      (*, 1): sigma1 = (eta join b) sigma2        -> c u_b
+      (1, 1): sigma1 = tau (eta join b) sigma2    -> c' u_b
+      (*, *): sigma1 = (eta join b) tau sigma2    -> conj(c') u_b,
+    the last one the adjoint of the (1, 1) case."""
+    t = tau(eta.n)
+    joins = [(b, embed_join(b, eta), embed_join(eta, b)) for b in group(eta.n)]
+    return {
+        ("1", "*"): [(b_eta, b) for b, b_eta, _ in joins],
+        ("*", "1"): [(eta_b, b) for b, _, eta_b in joins],
+        ("1", "1"): [(t * eta_b, b) for b, _, eta_b in joins],
+        ("*", "*"): [(eta_b * t, b) for b, _, eta_b in joins],
+    }
+
+
+def _by_eps(m):
+    """The terms of a mixture as {eps: {sigma: coefficient}}."""
+    out = {"1": {}, "*": {}}
+    for l, coeff in m.terms:
+        out[l.eps][l.sigma] = out[l.eps].get(l.sigma, 0) + coeff
+    return out
+
+
 def mixture_covariance(s, eta, s2, c, cp, conj_second=False):
-    """Bilinear expansion of the expectation of S u_eta S2 (or S u_eta S2*)."""
+    """Bilinear expansion of the expectation of S u_eta S2 (or S u_eta S2*).
+
+    A pair of letters has a nonzero covariance only when sigma1 lies in one
+    of k! cosets fixed by (sigma2, eta) and the two eps (_partners), so each
+    term of S2 looks up its partners among the terms of S: 2 k! lookups per
+    term in place of one covariance per pair of terms."""
     if s.k != s2.k or eta.n != s.k:
         raise ValueError("mixture/eta degree mismatch")
-    second = s2.adjoint_letters() if conj_second else s2
-    out = AlgebraElement.zero(eta.n)
-    for l1, c1 in s.terms:
-        for l2, c2 in second.terms:
-            cov = covariance(l1, eta, l2, c, cp)
-            if not cov.is_zero():
-                out = out + (c1 * c2) * cov
-    return out
+    first, second = _by_eps(s), _by_eps(s2.adjoint_letters() if conj_second else s2)
+    weights = {("1", "*"): c, ("*", "1"): c, ("1", "1"): cp, ("*", "*"): cp.conjugate()}
+    out = {}
+    for (eps1, eps2), pairs in _partners(eta).items():
+        terms1, w = first[eps1], weights[eps1, eps2]
+        if not terms1 or w == 0:
+            continue
+        for sigma2, c2 in second[eps2].items():
+            for g, b in pairs:
+                c1 = terms1.get(compose(g, sigma2))
+                if c1 is not None:
+                    out[b] = out.get(b, 0) + c1 * c2 * w
+    return AlgebraElement(eta.n, out)
 
 
 def target_scale(which, k, c, cp=0.0):
@@ -423,26 +469,21 @@ def freeness_conditions(s, s2):
     return cross_free, scalar(s), scalar(s2)
 
 
-def scalar_freeness_report(letters, c, cp):
+def scalar_freeness_report(sigmas, c, cp):
     """True iff every pairwise covariance at the identity middle element is
-    supported on the identity, for all adjoint combinations of the given
-    letters: the criterion for the family to be circular in the scalar sense.
+    supported on the identity, for all adjoint combinations of the
+    flattenings by the given permutations: the criterion for the family to
+    be circular in the scalar sense.
     """
-    if not letters:
+    if not sigmas:
         return True
-    k = letters[0].k
-    ident = Permutation.identity(k)
-    for l in letters:
-        for l2 in letters:
-            for e1 in ("1", "*"):
-                for e2 in ("1", "*"):
-                    cov = covariance(
-                        Letter(l.sigma, e1), ident, Letter(l2.sigma, e2), c, cp
-                    )
-                    for eta in cov.support():
-                        if not eta.is_identity():
-                            return False
-    return True
+    ident = Permutation.identity(sigmas[0].n // 2)
+    return all(
+        eta.is_identity()
+        for s, s2 in itertools.product(sigmas, repeat=2)
+        for e1, e2 in itertools.product("1*", repeat=2)
+        for eta in covariance(Letter(s, e1), ident, Letter(s2, e2), c, cp).support()
+    )
 
 
 @lru_cache(maxsize=None)

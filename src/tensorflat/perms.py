@@ -27,6 +27,14 @@ class Permutation:
             raise ValueError(f"not a bijection of [{n}]: {image}")
         object.__setattr__(self, "image", image)
 
+    @classmethod
+    def _trusted(cls, image):
+        """The permutation of a tuple of ints already known to be a
+        bijection: the products below build their results here, unchecked."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "image", image)
+        return perm
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
@@ -73,7 +81,7 @@ class Permutation:
         inv = [0] * self.n
         for i, v in enumerate(self.image, start=1):
             inv[v - 1] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self):
         return all(v == i for i, v in enumerate(self.image, start=1))
@@ -121,9 +129,10 @@ class Permutation:
 
 def compose(sigma, pi):
     """(sigma pi)(i) = sigma(pi(i))."""
-    if sigma.n != pi.n:
-        raise ValueError(f"degree mismatch: {sigma.n} vs {pi.n}")
-    return Permutation(tuple(sigma.image[v - 1] for v in pi.image))
+    image, inner = sigma.image, pi.image
+    if len(image) != len(inner):
+        raise ValueError(f"degree mismatch: {len(image)} vs {len(inner)}")
+    return Permutation._trusted(tuple([image[v - 1] for v in inner]))
 
 
 def embed_join(eta, eta2):
@@ -131,7 +140,7 @@ def embed_join(eta, eta2):
     if eta.n != eta2.n:
         raise ValueError(f"degree mismatch: {eta.n} vs {eta2.n}")
     k = eta.n
-    return Permutation(eta.image + tuple(v + k for v in eta2.image))
+    return Permutation._trusted(eta.image + tuple([v + k for v in eta2.image]))
 
 
 def split_join(sigma):
@@ -143,12 +152,13 @@ def split_join(sigma):
     first, second = sigma.image[:k], sigma.image[k:]
     if any(v > k for v in first):
         return None
-    return Permutation(first), Permutation(tuple(v - k for v in second))
+    return Permutation._trusted(first), Permutation._trusted(tuple([v - k for v in second]))
 
 
+@lru_cache(maxsize=None)
 def tau(k):
     """The half-swap of [2k]: i <-> i + k."""
-    return Permutation(tuple(range(k + 1, 2 * k + 1)) + tuple(range(1, k + 1)))
+    return Permutation._trusted(tuple(range(k + 1, 2 * k + 1)) + tuple(range(1, k + 1)))
 
 
 @lru_cache(maxsize=None)

@@ -288,11 +288,6 @@ def perm_matrix(eta, N):
     return FlatMatrix(N, eta.n, data.astype(complex))
 
 
-def apply_perm_left(eta, A):
-    """U_eta @ A via row gathering (no dense matmul)."""
-    return A[tuple_index_map(eta, _N_of(A, eta.n))]
-
-
 def _N_of(A, k):
     side = A.shape[0]
     N = round(side ** (1.0 / k))
@@ -300,11 +295,6 @@ def _N_of(A, k):
         if cand >= 1 and cand**k == side:
             return cand
     raise ValueError(f"side {side} is not a perfect k-th power for k={k}")
-
-
-def apply_perm_right(A, eta):
-    """A @ U_eta via column gathering."""
-    return A[:, tuple_index_map(eta.inverse(), _N_of(A, eta.n))]
 
 
 def phi_N(A):

@@ -22,10 +22,10 @@ identified coordinatewise.  full_trace_expect_detailed evaluates this sum,
 enumerating only blocks with a nonzero cumulant.
 
 The vertex-partition picture stays as well: summing the injective trace of
-every vertex-partition quotient (inj_trace_expect over set_partitions)
-gives the same value, and the q-profiles of those quotients carry the
-exponent bounds of the graph combinatorics.  Both are independent of the
-Monte Carlo sampler and of the limit recursion.
+every vertex-partition quotient (inj_trace_expect) gives the same value,
+and the q-profiles of those quotients carry the exponent bounds of the
+graph combinatorics.  Both are independent of the Monte Carlo sampler and
+of the limit recursion.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .group_algebra import AlgebraElement
 from .perms import Permutation, group
@@ -69,24 +67,6 @@ def build_test_hypergraph(w):
         inputs = tuple((col_in - 1) * k + r for r in range(k))
         edges.append(Hyperedge(inputs, outputs, letter.sigma, letter.eps))
     return TestHypergraph(k, L, k * L, tuple(edges))
-
-
-def set_partitions(n):
-    """All partitions of {0..n-1} as block-index arrays (restricted growth)."""
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
-
-    def rec(i, max_block):
-        if i == n:
-            yield tuple(rgs)
-            return
-        for b in range(max_block + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(max_block, b))
-
-    yield from rec(1, 0)
 
 
 def n_blocks(labeling):
@@ -217,43 +197,6 @@ def word_cond_expect_exact(w, N, model):
     trace of the word twisted by eta (Word.twisted)."""
     coeffs = {eta: full_trace_expect(w.twisted(eta), N, model) for eta in group(w.k)}
     return AlgebraElement(w.k, coeffs)
-
-
-def trace_of_graph(T, tensor):
-    """Direct evaluation of the normalized trace sum over all vertex maps
-    into [N], for a fixed sampled tensor.  Test reference, exponential cost.
-    """
-    N, k = tensor.N, tensor.k
-    total = 0.0 + 0.0j
-    for assignment in np.ndindex(*(N,) * T.n_vertices):
-        prod = 1.0 + 0.0j
-        for edge in T.edges:
-            val = tensor.entries[_edge_entry(edge, assignment, k)]
-            if edge.eps == "*":
-                val = val.conjugate()
-            prod *= val
-        total += prod
-    return total / N**k
-
-
-def inj_trace_of_graph(T, labeling, tensor):
-    """Normalized injective trace of a quotient for a fixed sampled tensor:
-    only labelings assigning distinct values to distinct blocks contribute."""
-    N, k = tensor.N, tensor.k
-    blocks = n_blocks(labeling)
-    if blocks > N:
-        return 0.0
-    total = 0.0 + 0.0j
-    for values in itertools.permutations(range(N), blocks):
-        assignment = tuple(values[b] for b in labeling)
-        prod = 1.0 + 0.0j
-        for edge in T.edges:
-            val = tensor.entries[_edge_entry(edge, assignment, k)]
-            if edge.eps == "*":
-                val = val.conjugate()
-            prod *= val
-        total += prod
-    return total / N**k
 
 
 def _skeleton_edges(T, labeling, upto):

@@ -12,6 +12,13 @@ import math
 import numpy as np
 import pytest
 
+from references import (
+    apply_perm_left,
+    apply_perm_right,
+    inj_trace_of_graph,
+    set_partitions,
+    trace_of_graph,
+)
 from tensorflat.characters import character_convolution_check
 from tensorflat.group_algebra import AlgebraElement, max_coeff_diff
 from tensorflat.moments import (
@@ -26,8 +33,6 @@ from tensorflat.perms import Permutation, compose, coset_key, embed_join, group,
 from tensorflat.spectra import build_target, compressed_moments
 from tensorflat.tensors import (
     TensorModel,
-    apply_perm_left,
-    apply_perm_right,
     choi_check,
     cond_expect_N,
     flatten,
@@ -40,11 +45,8 @@ from tensorflat.traffic import (
     dependence_classes,
     full_trace_expect,
     inj_trace_expect,
-    inj_trace_of_graph,
     n_blocks,
     q_profile,
-    set_partitions,
-    trace_of_graph,
 )
 
 CG = TensorModel.complex_ginibre()

@@ -273,6 +273,24 @@ def test_freeness_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "sigmas, scalar",
+    # the transpose pair at k = 1 is scalar, two members of one coset at k = 2 are not
+    [([[1, 2], [2, 1]], True), ([[1, 2, 3, 4], [2, 1, 3, 4]], False)],
+)
+def test_freeness_letters_do_not_read_eps(capsys, sigmas, scalar):
+    outputs = []
+    for eps in (None, "1", "*"):
+        letters = [{"sigma": s} if eps is None else {"sigma": s, "eps": eps} for s in sigmas]
+        code, out = run(capsys, "freeness", "--letters", json.dumps(letters), "--format", "json")
+        assert code == 0
+        outputs.append(json.loads(out)["scalar_circular"])
+    assert outputs == [scalar] * 3
+    # an eps that is given is still checked
+    bad = json.dumps([{"sigma": sigmas[0], "eps": "x"}])
+    assert "eps must be '1' or '*'" in usage_error(capsys, "freeness", "--letters", bad)
+
+
 def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k=1\nN=3\nseed=4\n")

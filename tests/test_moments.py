@@ -177,6 +177,18 @@ def test_word_json_roundtrip():
     assert Word.from_json(w.to_json()) == w
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_identity_etas_leave_the_letters_as_read(k):
+    rng = np.random.default_rng(40 + k)
+    letters = random_word(rng, k, 5).to_json()["letters"]
+    plain = Word.from_json({"k": k, "letters": letters})
+    ident = list(range(1, k + 1))
+    folded = Word.from_json({"k": k, "letters": letters, "etas": [ident] * len(letters)})
+    assert folded == plain
+    for l in plain.letters:
+        assert l.followed_by(Permutation.identity(k)) is l
+
+
 def test_mixture_covariance_all_sigma():
     k = 2
     s = all_sigma_mixture(k, 1.0)
@@ -228,6 +240,49 @@ def test_mixtures_in_distinct_extended_cosets_are_uncorrelated():
     for conj_second in (False, True):
         cov = mixture_covariance(s1, id2, s2, 1.0, 0.7, conj_second=conj_second)
         assert cov.is_zero()
+
+
+def pair_loop_covariance(s, eta, s2, c, cp, conj_second=False):
+    """The reference for mixture_covariance: the bilinear sum of the
+    two-letter covariance over every pair of terms."""
+    second = s2.adjoint_letters() if conj_second else s2
+    out = AlgebraElement.zero(eta.n)
+    for l1, c1 in s.terms:
+        for l2, c2 in second.terms:
+            out = out + (c1 * c2) * covariance(l1, eta, l2, c, cp)
+    return out
+
+
+@st.composite
+def mixtures_near(draw, base):
+    """A mixture with complex coefficients on a random support: letters of
+    either eps on the extended Young coset of base, where pairs meet, and on
+    any flattening."""
+    k = base.n // 2
+    ident = Permutation.identity(2 * k)
+    coset = [
+        t * embed_join(a, b) * base for t in (ident, tau(k)) for a in group(k) for b in group(k)
+    ]
+    sigma = st.one_of(st.sampled_from(coset), st.sampled_from(group(2 * k)))
+    letter = st.builds(Letter, sigma, st.sampled_from("1*"))
+    coeff = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+    return Mixture.from_map(k, draw(st.dictionaries(letter, coeff, max_size=16)))
+
+
+@given(
+    data=st.data(),
+    k=st.sampled_from([1, 2, 3]),
+    cp=st.sampled_from([0, 1, 0.3 + 0.2j]),
+    conj_second=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_mixture_covariance_matches_the_pair_loop(data, k, cp, conj_second):
+    base = data.draw(st.sampled_from(group(2 * k)))
+    s, s2 = data.draw(mixtures_near(base)), data.draw(mixtures_near(base))
+    for eta in group(k):
+        got = mixture_covariance(s, eta, s2, 0.7, cp, conj_second=conj_second)
+        want = pair_loop_covariance(s, eta, s2, 0.7, cp, conj_second=conj_second)
+        assert max_coeff_diff(got, want) <= 1e-12
 
 
 def doubled_group_mixture(k, a):
@@ -294,18 +349,13 @@ def test_scalar_freeness_reports():
     reps = {}
     for s in group(4):
         reps.setdefault(coset_key(s, "SkkTau"), s)
-    letters = [Letter(s, "1") for s in reps.values()]
-    assert scalar_freeness_report(letters, 1.0, 0.5)
+    assert scalar_freeness_report(list(reps.values()), 1.0, 0.5)
     # two members of one coset are correlated beyond the unit
     sigma = group(4)[3]
     twisted = compose(embed_join(swap2, id2), sigma)
-    assert not scalar_freeness_report(
-        [Letter(sigma, "1"), Letter(twisted, "1")], 1.0, 0.0
-    )
+    assert not scalar_freeness_report([sigma, twisted], 1.0, 0.0)
     # transpose pair at k=1 with c' = 0 is scalar-circular
-    assert scalar_freeness_report(
-        [Letter(Permutation([1, 2]), "1"), Letter(Permutation([2, 1]), "1")], 1.0, 0.0
-    )
+    assert scalar_freeness_report([Permutation([1, 2]), Permutation([2, 1])], 1.0, 0.0)
 
 
 def test_parastat_mixture_covariance_structure():

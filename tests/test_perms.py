@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -145,3 +146,38 @@ def test_json_roundtrip():
 def test_from_json_reads_a_list_of_integers_only(text):
     with pytest.raises(ValueError, match="is not a list of integers"):
         Permutation.from_json(text)
+
+
+def same_as_validated(got, image):
+    """got is what the validating constructor makes of image: a Permutation
+    holding the same tuple of ints."""
+    ints = type(got.image) is tuple and all(type(v) is int for v in got.image)
+    return type(got) is Permutation and ints and got == Permutation(image)
+
+
+def test_products_match_the_validating_constructor():
+    rng = random.Random(8)
+
+    def sample(n, count):
+        return [Permutation(rng.sample(range(1, n + 1), n)) for _ in range(count)]
+
+    pairs = [(a, b) for a in group(4) for b in group(4)]
+    pairs += [(a, b) for n in (6, 8) for a, b in zip(sample(n, 60), sample(n, 60))]
+    for a, b in pairs:
+        n = a.n
+        assert same_as_validated(compose(a, b), [a(b(i)) for i in range(1, n + 1)])
+        assert same_as_validated(a.inverse(), [a.image.index(i) + 1 for i in range(1, n + 1)])
+        joined = embed_join(a, b)
+        assert same_as_validated(joined, list(a.image) + [v + n for v in b.image])
+        # a itself splits only when it preserves the halves, joined always
+        for p in (a, joined):
+            k = p.n // 2
+            if p.n % 2 or any(v > k for v in p.image[:k]):
+                assert p.n % 2 or split_join(p) is None
+                continue
+            first, second = split_join(p)
+            assert same_as_validated(first, p.image[:k])
+            assert same_as_validated(second, [v - k for v in p.image[k:]])
+    for k in range(1, 5):
+        assert same_as_validated(tau(k), [i + k if i <= k else i - k for i in range(1, 2 * k + 1)])
+        assert tau(k) is tau(k)

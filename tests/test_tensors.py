@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import apply_perm_left, apply_perm_right
 from tensorflat.group_algebra import AlgebraElement, max_coeff_diff
 from tensorflat.moments import Letter, Word, plain_word
 from tensorflat.perms import Permutation, compose, embed_join, group, tau
 from tensorflat.tensors import (
     TensorModel,
-    apply_perm_left,
-    apply_perm_right,
     choi_check,
     cond_expect_N,
     flatten,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import inj_trace_of_graph, set_partitions, trace_of_graph
 from tensorflat.group_algebra import max_coeff_diff
 from tensorflat.moments import Letter, Word, plain_word, word_expectation
 from tensorflat.perms import Permutation, compose, embed_join, group, tau
@@ -25,11 +26,8 @@ from tensorflat.traffic import (
     full_trace_expect,
     full_trace_expect_detailed,
     inj_trace_expect,
-    inj_trace_of_graph,
     n_blocks,
     q_profile,
-    set_partitions,
-    trace_of_graph,
     word_cond_expect_exact,
 )
 
