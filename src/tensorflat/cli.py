@@ -21,6 +21,7 @@ from .group_algebra import AlgebraElement, max_coeff_diff
 from .moments import (
     Letter,
     Word,
+    catalan,
     character_mixture,
     covariance,
     freeness_conditions,
@@ -28,7 +29,6 @@ from .moments import (
     scalar_freeness_report,
     word_expectation,
     word_expectation_enumerated,
-    word_phi,
 )
 from .perms import Permutation, compose, coset_key, embed_join, group, tau
 from .spectra import histogram_svg, run_experiment
@@ -254,14 +254,23 @@ def cmd_moments(args):
     w = load_word(args.word)
     model = parse_model(args.model)
     c, cp = model.c, model.c_prime
+    start = time.perf_counter()
     limit = word_expectation(w, c, cp)
+    recursed = time.perf_counter()
     enum = word_expectation_enumerated(w, c, cp)
+    enumerated = time.perf_counter()
     agreement = max_coeff_diff(limit, enum)
-    phi_lim = complex(word_phi(w, c, cp))
+    phi_lim = complex(limit.phi())
     trend = []
     for N in n_list:
         phi = full_trace_expect(w, N, model)
         trend.append({"N": N, "oracle_phi": [phi.real, phi.imag], "gap": abs(phi - phi_lim)})
+    counters = {"letters": len(w), "nc_pairings": 0 if len(w) % 2 else catalan(len(w) // 2)}
+    timings = {
+        "recursion_s": recursed - start,
+        "enumeration_s": enumerated - recursed,
+        "oracle_s": time.perf_counter() - enumerated,
+    }
     passed = agreement <= args.tol
     lines = [
         f"limit phi = {phi_lim.real:+.6f}{phi_lim.imag:+.6f}j",
@@ -282,6 +291,8 @@ def cmd_moments(args):
             "enum_agreement": agreement,
             "trend": trend,
             "passed": passed,
+            "counters": counters,
+            "timings": timings,
         },
         lines,
     )

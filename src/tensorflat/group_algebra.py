@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .perms import Permutation
+from .perms import Permutation, compose
 
 
 class AlgebraElement:
@@ -29,21 +29,33 @@ class AlgebraElement:
         self.coeffs = clean
 
     @classmethod
+    def _trusted(cls, k, coeffs):
+        """The element of a dict whose keys are known to have degree k:
+        zeros are dropped (is_zero relies on it), degrees are not checked.
+        Every result built inside the algebra comes from here."""
+        out = object.__new__(cls)
+        out.k = k
+        out.coeffs = {eta: c for eta, c in coeffs.items() if c != 0}
+        return out
+
+    @classmethod
     def zero(cls, k):
-        return cls(k, {})
+        return cls._trusted(k, {})
 
     @classmethod
     def unit(cls, k):
-        return cls(k, {Permutation.identity(k): 1})
+        return cls._trusted(k, {Permutation.identity(k): 1})
 
     @classmethod
     def basis(cls, eta):
-        return cls(eta.n, {eta: 1})
+        return cls._trusted(eta.n, {eta: 1})
 
     def coeff(self, eta):
         return self.coeffs.get(eta, 0)
 
     def support(self):
+        """The permutations with a nonzero coefficient, as a set: its
+        iteration order varies from run to run (perms module docstring)."""
         return set(self.coeffs)
 
     def is_zero(self):
@@ -54,17 +66,17 @@ class AlgebraElement:
         out = dict(self.coeffs)
         for eta, c in other.coeffs.items():
             out[eta] = out.get(eta, 0) + c
-        return AlgebraElement(self.k, out)
+        return AlgebraElement._trusted(self.k, out)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        return AlgebraElement(self.k, {eta: scalar * c for eta, c in self.coeffs.items()})
+        return AlgebraElement._trusted(self.k, {eta: scalar * c for eta, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
-            return AlgebraElement(
+            return AlgebraElement._trusted(
                 self.k, {eta: c * other for eta, c in self.coeffs.items()}
             )
         return multiply(self, other)
@@ -92,7 +104,7 @@ class AlgebraElement:
         out = {}
         for eta, c in self.coeffs.items():
             out[eta.inverse()] = _conj(c)
-        return AlgebraElement(self.k, out)
+        return AlgebraElement._trusted(self.k, out)
 
     def phi(self):
         """Coefficient of the unit."""
@@ -126,12 +138,13 @@ def multiply(x, y):
     out = {}
     for eta, a in x.coeffs.items():
         for eta2, b in y.coeffs.items():
-            key = eta * eta2
+            key = compose(eta, eta2)
             out[key] = out.get(key, 0) + a * b
-    return AlgebraElement(x.k, out)
+    return AlgebraElement._trusted(x.k, out)
 
 
 def max_coeff_diff(x, y):
+    # a max over a set of permutations: the order of the set does not matter
     keys = set(x.coeffs) | set(y.coeffs)
     if not keys:
         return 0.0

@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .group_algebra import AlgebraElement
 from .perms import Permutation, compose, embed_join, group, split_join, tau
@@ -168,12 +168,18 @@ def covariance(l, eta, l2, c, cp):
 
 
 def enumerate_nc_pairings(n):
-    """All non-crossing pair partitions of [n] (0-based pairs internally)."""
+    """All non-crossing pair partitions of [n] (0-based pairs internally),
+    as a fresh list; the pairings are built once per n."""
+    return list(_nc_pairing_table(n))
+
+
+@lru_cache(maxsize=None)
+def _nc_pairing_table(n):
     if n % 2:
-        return []
+        return ()
     if n > 20:
         raise ValueError(f"n={n} exceeds pairing enumeration bound 20")
-    return [tuple(sorted(p)) for p in _nc_pairings(tuple(range(n)))]
+    return tuple(tuple(sorted(p)) for p in _nc_pairings(tuple(range(n))))
 
 
 def _nc_pairings(points):
@@ -227,7 +233,9 @@ def _wick(k, letters, c, cp, cache):
 def word_expectation_enumerated(w, c, cp):
     """Oracle evaluator: explicit sum over non-crossing pair partitions with
     nested interval-first evaluation.  Independent code path from the
-    recursion above; used to cross-check it.
+    recursion above; used to cross-check it.  A pairing stops at its first
+    vanishing pair covariance, since zero absorbs every later product and a
+    zero pairing adds nothing to the sum.
     """
     k = w.k
     L = len(w)
@@ -266,7 +274,7 @@ def _eval_pairing(pairs, elements, c, cp):
             raise AssertionError("non-crossing pairing has no interval block")
         val = _pair_cov(elements[ia], elements[ib], c, cp)
         del pairs[pidx]
-        if len(positions) == 2:
+        if len(positions) == 2 or val.is_zero():
             return val
         if ia > 0:
             left, letter, right = elements[ia - 1]
@@ -308,7 +316,12 @@ class Mixture:
         return cls(k, terms)
 
     def adjoint_letters(self):
-        """Terms of the adjoint mixture (eps flipped, coefficients conjugated)."""
+        """Terms of the adjoint mixture (eps flipped, coefficients conjugated),
+        built once per mixture."""
+        return self._adjoint
+
+    @cached_property
+    def _adjoint(self):
         return Mixture.from_map(
             self.k,
             {
@@ -316,6 +329,14 @@ class Mixture:
                 for l, coeff in self.terms
             },
         )
+
+    @cached_property
+    def by_eps(self):
+        """The terms as {eps: {sigma: coefficient}}, built once per mixture."""
+        out = {"1": {}, "*": {}}
+        for l, coeff in self.terms:
+            out[l.eps][l.sigma] = out[l.eps].get(l.sigma, 0) + coeff
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -339,24 +360,18 @@ def _partners(eta):
     }
 
 
-def _by_eps(m):
-    """The terms of a mixture as {eps: {sigma: coefficient}}."""
-    out = {"1": {}, "*": {}}
-    for l, coeff in m.terms:
-        out[l.eps][l.sigma] = out[l.eps].get(l.sigma, 0) + coeff
-    return out
-
-
 def mixture_covariance(s, eta, s2, c, cp, conj_second=False):
     """Bilinear expansion of the expectation of S u_eta S2 (or S u_eta S2*).
 
     A pair of letters has a nonzero covariance only when sigma1 lies in one
     of k! cosets fixed by (sigma2, eta) and the two eps (_partners), so each
     term of S2 looks up its partners among the terms of S: 2 k! lookups per
-    term in place of one covariance per pair of terms."""
+    term in place of one covariance per pair of terms.  Both mixtures are
+    indexed by eps once (Mixture.by_eps), so a table over every eta indexes
+    each of them once."""
     if s.k != s2.k or eta.n != s.k:
         raise ValueError("mixture/eta degree mismatch")
-    first, second = _by_eps(s), _by_eps(s2.adjoint_letters() if conj_second else s2)
+    first, second = s.by_eps, (s2.adjoint_letters() if conj_second else s2).by_eps
     weights = {("1", "*"): c, ("*", "1"): c, ("1", "1"): cp, ("*", "*"): cp.conjugate()}
     out = {}
     for (eps1, eps2), pairs in _partners(eta).items():
@@ -368,7 +383,7 @@ def mixture_covariance(s, eta, s2, c, cp, conj_second=False):
                 c1 = terms1.get(compose(g, sigma2))
                 if c1 is not None:
                     out[b] = out.get(b, 0) + c1 * c2 * w
-    return AlgebraElement(eta.n, out)
+    return AlgebraElement._trusted(eta.n, out)
 
 
 def target_scale(which, k, c, cp=0.0):

@@ -1,13 +1,16 @@
 """Test-only references: permutation operators applied by index gathering,
 the direct and injective traces of a strip hypergraph on a fixed tensor,
-and the set partitions that the vertex-partition sums run over.  The
-library's fast paths are checked against these (acceptance criteria 1 and
-6, tests/test_tensors.py and tests/test_traffic.py)."""
+the set partitions that the vertex-partition sums run over, and the
+pairing sum of a word expectation without its early exit.  The library's
+fast paths are checked against these (acceptance criteria 1 and 6,
+tests/test_tensors.py, tests/test_traffic.py and tests/test_moments.py)."""
 
 import itertools
 
 import numpy as np
 
+from tensorflat.group_algebra import AlgebraElement
+from tensorflat.moments import _nc_pairings, _pair_cov
 from tensorflat.tensors import _N_of, tuple_index_map
 from tensorflat.traffic import _edge_entry, n_blocks
 
@@ -75,3 +78,42 @@ def inj_trace_of_graph(T, labeling, tensor):
             prod *= val
         total += prod
     return total / N**k
+
+
+def word_expectation_every_pairing(w, c, cp):
+    """The sum over non-crossing pairings of moments.word_expectation_enumerated,
+    with every pairing collapsed to its last pair even when an earlier pair
+    covariance has vanished.  The pairings, their order and the arithmetic
+    on a surviving pairing are the same, so the two agree exactly."""
+    k, L = w.k, len(w)
+    if L == 0:
+        return AlgebraElement.unit(k)
+    if L % 2:
+        return AlgebraElement.zero(k)
+    unit = AlgebraElement.unit(k)
+    total = AlgebraElement.zero(k)
+    for pairing in _nc_pairings(tuple(range(L))):
+        pairs = sorted(pairing)
+        elements = [(unit, letter, unit) for letter in w.letters]
+        positions = list(range(L))
+        while True:
+            # collapse the first pair that occupies adjacent positions
+            pidx, ia, ib = next(
+                (i, positions.index(a), positions.index(b))
+                for i, (a, b) in enumerate(pairs)
+                if positions.index(b) == positions.index(a) + 1
+            )
+            val = _pair_cov(elements[ia], elements[ib], c, cp)
+            del pairs[pidx]
+            if len(positions) == 2:
+                break
+            if ia > 0:
+                left, letter, right = elements[ia - 1]
+                elements[ia - 1] = (left, letter, right * val)
+            else:
+                left, letter, right = elements[ib + 1]
+                elements[ib + 1] = (val * left, letter, right)
+            del elements[ia : ib + 1]
+            del positions[ia : ib + 1]
+        total = total + val
+    return total

@@ -165,6 +165,18 @@ def test_moments_command(capsys, tmp_path):
     assert payload["enum_agreement"] <= 1e-12
 
 
+@pytest.mark.parametrize("L, pairings", [(3, 0), (6, 5)])
+def test_moments_reports_counters_and_timings(capsys, L, pairings):
+    letters = [{"sigma": [1, 2], "eps": "1*"[i % 2]} for i in range(L)]
+    word = json.dumps({"k": 1, "letters": letters})
+    code, out = run(capsys, "moments", "--word", word, "--N-list", "2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["counters"] == {"letters": L, "nc_pairings": pairings}
+    assert set(payload["timings"]) == {"recursion_s", "enumeration_s", "oracle_s"}
+    assert all(t >= 0 for t in payload["timings"].values())
+
+
 def test_oracle_command(capsys):
     word = json.dumps(
         {

@@ -29,6 +29,19 @@ def test_k_mismatch():
         multiply(AlgebraElement.unit(2), AlgebraElement.unit(3))
 
 
+def test_public_constructor_checks_the_degree_of_its_keys():
+    with pytest.raises(ValueError, match="degree 3 key in algebra over degree 2"):
+        AlgebraElement(2, {Permutation([2, 1]): 1, Permutation([2, 1, 3]): 1})
+
+
+def test_results_drop_zero_coefficients():
+    eta = Permutation([2, 1])
+    x = AlgebraElement.unit(2) + AlgebraElement.basis(eta)
+    assert (x - x).is_zero()
+    assert (0 * x).is_zero() and (x * 0).is_zero()
+    assert (x * (AlgebraElement.unit(2) - AlgebraElement.basis(eta))).is_zero()
+
+
 def test_square_of_id_plus_swap():
     eta = Permutation([2, 1])
     x = AlgebraElement.unit(2) + AlgebraElement.basis(eta)

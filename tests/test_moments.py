@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from references import word_expectation_every_pairing
 from tensorflat.group_algebra import AlgebraElement, max_coeff_diff
 from tensorflat.moments import (
     Letter,
@@ -146,6 +147,37 @@ def test_recursion_matches_enumeration(k, L):
         a = word_expectation(w, 1.0, 0.3 + 0.2j)
         b = word_expectation_enumerated(w, 1.0, 0.3 + 0.2j)
         assert max_coeff_diff(a, b) <= 1e-12
+
+
+@st.composite
+def coset_words(draw):
+    """A word of even length L <= 10 whose letters are one to three
+    flattenings of one Young coset (S_k x S_k) sigma, with random eps: its
+    pairings both vanish and survive."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    base = draw(st.sampled_from(group(2 * k)))
+    young = st.builds(embed_join, st.sampled_from(group(k)), st.sampled_from(group(k)))
+    flats = [g * base for g in draw(st.lists(young, min_size=1, max_size=3))]
+    letter = st.builds(Letter, st.sampled_from(flats), st.sampled_from("1*"))
+    L = draw(st.sampled_from([0, 2, 4, 6, 8, 10]))
+    return Word(k, tuple(draw(st.lists(letter, min_size=L, max_size=L))))
+
+
+@given(
+    w=coset_words(),
+    c=st.one_of(st.integers(1, 3), st.complex_numbers(min_magnitude=0.5, max_magnitude=2)),
+    cp=st.one_of(st.integers(0, 3), st.complex_numbers(max_magnitude=2)),
+)
+@settings(max_examples=120, deadline=None)
+def test_enumeration_stops_each_pairing_without_changing_the_sum(w, c, cp):
+    # exact equality: a pairing that vanishes adds nothing, in int mode (c
+    # and c' integers) and in complex mode alike
+    got = word_expectation_enumerated(w, c, cp)
+    want = word_expectation_every_pairing(w, c, cp)
+    event("zero" if want.is_zero() else "nonzero")
+    assert got == want
+    if isinstance(c, int) and isinstance(cp, int):
+        assert all(type(v) is int for v in got.coeffs.values())
 
 
 def test_word_expectation_bimodule():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -26,6 +28,26 @@ def cyc(n, *cycles):
 def test_rejects_non_bijection():
     with pytest.raises(ValueError):
         Permutation([1, 1, 3])
+    with pytest.raises(ValueError):
+        Permutation([1, 2, 4])
+
+
+def test_one_object_per_image():
+    p = Permutation((2, 3, 1))
+    assert Permutation([2, 3, 1]) is p
+    assert Permutation(list(p.image)) is p
+    assert Permutation._trusted((2, 3, 1)) is p
+    assert compose(p, Permutation.identity(3)) is p
+    assert p.inverse().inverse() is p
+    assert Permutation.identity(4) is Permutation([1, 2, 3, 4])
+
+
+def test_copies_and_pickles_are_the_interned_object():
+    p = Permutation([3, 1, 4, 2])
+    assert copy.copy(p) is p
+    assert copy.deepcopy(p) is p
+    assert copy.deepcopy({p: [p]}) == {p: [p]}
+    assert pickle.loads(pickle.dumps(p)) is p
 
 
 def test_compose_examples():
@@ -152,7 +174,7 @@ def same_as_validated(got, image):
     """got is what the validating constructor makes of image: a Permutation
     holding the same tuple of ints."""
     ints = type(got.image) is tuple and all(type(v) is int for v in got.image)
-    return type(got) is Permutation and ints and got == Permutation(image)
+    return type(got) is Permutation and ints and got is Permutation(image)
 
 
 def test_products_match_the_validating_constructor():
