@@ -45,6 +45,8 @@ class Letter:
         Since U_eta M_sigma U_eta2^* = M_{(eta join eta2) sigma}, a plain
         letter becomes the flattening by (id join mu^-1) sigma and an
         adjoint letter the adjoint of the one by (mu^-1 join id) sigma."""
+        if mu.n != self.k:
+            raise ValueError(f"degree mismatch: eta has degree {mu.n}, the letter k = {self.k}")
         if mu.is_identity():
             return self
         ident = Permutation.identity(self.k)

@@ -30,6 +30,7 @@ import io
 import itertools
 import json
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -189,6 +190,7 @@ class SpectralReport:
     rows: list = field(default_factory=list)  # (n, empirical, stderr, predicted)
     hist: dict = None
     counters: dict = None  # side, compressed_side and matmuls per trial
+    timings: dict = None  # seconds summed over trials: sample, build, moments, hist
 
     def to_json(self):
         return json.dumps(
@@ -211,6 +213,7 @@ class SpectralReport:
                 ],
                 "histogram": self.hist,
                 "counters": self.counters,
+                "timings": self.timings,
             },
             indent=2,
             sort_keys=True,
@@ -231,12 +234,21 @@ def run_experiment(model, which, k, N, trials, n_max, seed, with_hist=False):
     hermitian = which == "S3"
     samples = np.zeros((trials, n_max))
     pooled = [] if with_hist else None
+    timings = dict.fromkeys(("sample_s", "build_s", "moments_s", "hist_s"), 0.0)
     for trial in range(trials):
+        start = time.perf_counter()
         t = sample_tensor(model, N, k, seed, trial)
+        sampled = time.perf_counter()
         A = build_target(t, which, model)
+        built = time.perf_counter()
         samples[trial] = [m.real for m in compressed_moments(A, which, n_max)]
+        done = time.perf_counter()
         if with_hist:
             pooled.append(compressed_spectrum(A, which))
+            timings["hist_s"] += time.perf_counter() - done
+        timings["sample_s"] += sampled - start
+        timings["build_s"] += built - sampled
+        timings["moments_s"] += done - built
     means = samples.mean(axis=0)
     stderr = (
         samples.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(n_max)
@@ -259,9 +271,12 @@ def run_experiment(model, which, k, N, trials, n_max, seed, with_hist=False):
             for n in range(n_max)
         ],
         counters={"side": N**k, "compressed_side": d, "matmuls": int(matmuls)},
+        timings=timings,
     )
     if with_hist:
+        start = time.perf_counter()
         report.hist = histogram(np.concatenate(pooled), N**k)
+        timings["hist_s"] += time.perf_counter() - start  # the report holds this dict
     return report
 
 

@@ -9,7 +9,12 @@ Conventions shared by the whole package:
     for all s, which makes eta -> U_eta a representation (U_eta U_eta2 =
     U_{eta eta2}) and yields U_eta M_sigma U_eta2^* = M_{(eta join eta2) sigma}
     exactly, which is what lets a word fold the operators between its
-    letters into the flattenings (moments.Letter.followed_by).
+    letters into the flattenings (moments.Letter.followed_by);
+  * every entry of a letter's matrix M_a reads one tensor entry, so the
+    projection of a two-letter product is a sum over tensor entries:
+      tr(M_a M_b U_eta^*) = sum_q f_a(x)[Q_eta[q]] f_b(x)[q],
+    with x the raveled entries, f = conj on an adjoint letter and Q_eta a
+    flat index map fixed by the word and N (PairProjection).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .group_algebra import AlgebraElement
+from .perms import group
 
 MAGIC = b"TFLAT1\x00"
 
@@ -304,42 +310,77 @@ def phi_N(A):
     return complex(np.trace(A)) / A.shape[0]
 
 
-def cond_expect_N(A, k, right=None):
-    """Project the array A onto the span of permutation operators: the
-    coefficient of u_eta is the normalized trace of A U_eta^*
-    = sum_i A[i, m_eta(i)] / side, with m the tuple map.
-
-    With right=B (an array), project the product A @ B without forming it:
-      tr(A B U_eta^*) = sum_ij A[i, j] B[j, m_eta(i)]
-                      = sum_ij A[m_eta^-1(i), j] B^T[i, j],
-    a row gather of A paired with B^T, O(side^2) per eta in place of one
-    O(side^3) product.
-    """
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix is not square")
-    if right is not None:
-        if right.shape != A.shape:
-            raise ValueError(f"right factor has shape {right.shape}, expected {A.shape}")
-        right_t = np.ascontiguousarray(right.T).ravel()
-    N = _N_of(A, k)
+def _warn_if_dependent(N, k):
     if N < k:
         warnings.warn(
             f"N={N} < k={k}: permutation operators are linearly dependent; "
             "coefficients are not a unique decomposition",
-            stacklevel=2,
+            stacklevel=3,
         )
+
+
+def cond_expect_N(A, k):
+    """Project the array A onto the span of permutation operators: the
+    coefficient of u_eta is the normalized trace of A U_eta^*
+    = sum_i A[i, m_eta(i)] / side, with m the tuple map."""
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("matrix is not square")
+    N = _N_of(A, k)
+    _warn_if_dependent(N, k)
     side = A.shape[0]
     rows = np.arange(side)
     coeffs = {}
-    from .perms import group
-
     for eta in group(k):
-        if right is None:
-            total = A[rows, tuple_index_map(eta, N)].sum()
-        else:
-            total = A[tuple_index_map(eta.inverse(), N)].ravel() @ right_t
+        total = A[rows, tuple_index_map(eta, N)].sum()
         coeffs[eta] = complex(total) / side
     return AlgebraElement(k, coeffs)
+
+
+class PairProjection:
+    """cond_expect_N(word_eval(t, w).data, k) for a two-letter word w = (a, b)
+    at size N, without forming a matrix.  With m the tuple map,
+      tr(M_a M_b U_eta^*) = sum_ij M_a[m_eta^-1(i), j] M_b[j, i].
+    Evaluating each letter on the tensor of flat indices arange(N^2k) gives
+    the entry that each matrix position reads (an adjoint reads the
+    transposed position), so the pair (j, i) is one tensor entry q of M_b
+    and Q_eta[q] the entry of M_a it meets.  A projection then costs one
+    gather and one dot product per eta.  The maps take k! N^2k indices and
+    belong to one word: build them once per word, not per tensor."""
+
+    def __init__(self, w, N):
+        if len(w) != 2:
+            raise ValueError(f"a pair projection needs a word of 2 letters, got {len(w)}")
+        k = w.k
+        _warn_if_dependent(N, k)
+        size = N ** (2 * k)
+        index = RandomTensor(N, k, np.arange(size).reshape((N,) * (2 * k)))
+        first, second = word_eval(index, w[:1]).data, word_eval(index, w[1:]).data
+        self.N, self.k = N, k
+        self.eps = tuple(l.eps for l in w.letters)
+        self.maps = {}
+        for eta in group(k):
+            q = np.empty(size, dtype=np.intp)
+            q[second] = first[tuple_index_map(eta.inverse(), N)].T
+            self.maps[eta] = q
+
+    def __call__(self, t):
+        if (t.N, t.k) != (self.N, self.k):
+            raise ValueError(f"tensor of N={t.N}, k={t.k}; the maps are for N={self.N}, k={self.k}")
+        x = t.entries.reshape(-1)
+        side = self.N**self.k
+        coeffs = {}
+        for eta, q in self.maps.items():
+            met = x.take(q)
+            if self.eps == ("*", "1"):
+                total = np.vdot(met, x)
+            elif self.eps == ("1", "*"):
+                total = np.vdot(x, met)
+            else:
+                total = met @ x
+                if self.eps[0] == "*":
+                    total = total.conjugate()
+            coeffs[eta] = complex(total) / side
+        return AlgebraElement(self.k, coeffs)
 
 
 def word_eval(t, w):
@@ -372,8 +413,6 @@ def choi_check(N, k):
     """
     if N ** (2 * k) > 4096:
         raise ValueError(f"Choi matrix side N^(2k) = {N ** (2 * k)} exceeds guard 4096")
-    from .perms import group
-
     side = N ** (2 * k)
     C = np.zeros((side, side), dtype=complex)
     for eta in group(k):

@@ -79,8 +79,10 @@ def test_covariance_command(capsys):
     payload = json.loads(out)
     limit = {tuple(r["eta"]): r["limit"] for r in payload["rows"]}
     assert limit[(1,)] == [1.0, 0.0]
-    assert payload["counters"] == {"side": 6, "trials": 40, "pairings": 1, "matmuls": 0}
-    assert set(payload["timings"]) == {"sample_s", "estimate_s"}
+    assert payload["counters"] == {
+        "side": 6, "trials": 40, "pairings": 1, "matmuls": 0, "map_entries": 36
+    }
+    assert set(payload["timings"]) == {"maps_s", "sample_s", "estimate_s"}
     assert all(v >= 0 for v in payload["timings"].values())
 
 
@@ -272,9 +274,11 @@ def test_spectrum_tol_zero_is_a_value(capsys):
 def test_spectrum_json_counters(capsys):
     code, out = run(capsys, *spectrum_argv(k="2", format="json"))
     assert code in (0, 1)
-    counters = json.loads(out)["report"]["counters"]
+    report = json.loads(out)["report"]
     # side N^k = 256, Sym^2 of C^16 has dimension 136, n_max 2 needs B B* only
-    assert counters == {"side": 256, "compressed_side": 136, "matmuls": 1}
+    assert report["counters"] == {"side": 256, "compressed_side": 136, "matmuls": 1}
+    assert set(report["timings"]) == {"sample_s", "build_s", "moments_s", "hist_s"}
+    assert all(v >= 0 for v in report["timings"].values())
 
 
 def test_freeness_command(capsys):
@@ -487,6 +491,23 @@ COVARIANCE_K2 = ["covariance", "--k", "2", "--N", "2", "--trials", "2", "--sigma
 )
 def test_permutation_and_letter_json_of_the_wrong_shape_exits_2(capsys, argv, message):
     assert message in usage_error(capsys, *argv)
+
+
+WRONG_DEGREE_WORD = {
+    "k": 2, "letters": [{"sigma": [1, 2, 3, 4], "eps": "1"}] * 2, "etas": [[1, 2, 3], [1]]
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        COVARIANCE_K2 + ["--sigma", "[1,2,3,4]", "--eta", "[1,2,3]"],
+        ["oracle", "--word", json.dumps(WRONG_DEGREE_WORD), "--N", "2"],
+    ],
+    ids=["covariance", "oracle"],
+)
+def test_an_identity_eta_of_the_wrong_degree_exits_2(capsys, argv):
+    assert "eta has degree 3, the letter k = 2" in usage_error(capsys, *argv)
 
 
 @pytest.mark.parametrize("sizes", ["0,-3", "4,0", "4,x"])

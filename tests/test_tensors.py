@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from tensorflat.group_algebra import AlgebraElement, max_coeff_diff
 from tensorflat.moments import Letter, Word, plain_word
 from tensorflat.perms import Permutation, compose, embed_join, group, tau
 from tensorflat.tensors import (
+    PairProjection,
     TensorModel,
     choi_check,
     cond_expect_N,
@@ -225,18 +227,29 @@ def assert_same_projection(fast, slow):
 @pytest.mark.parametrize("k,N", [(1, 1), (1, 5), (2, 1), (2, 3), (2, 6), (3, 2), (3, 4)])
 def test_paired_projection_matches_the_formed_product(k, N):
     rng = np.random.default_rng(10 * k + N)
-    side = N**k
-    A, B = (rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-            for _ in range(2))
+    perms, etas = group(2 * k), group(k)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # N < k: coefficients are not unique
-        slow = cond_expect_N(A @ B, k)
-        assert_same_projection(cond_expect_N(A, k, right=B), slow)
+        for a, b in itertools.product("1*", repeat=2):
+            first = Letter(perms[rng.integers(len(perms))], a)
+            second = Letter(perms[rng.integers(len(perms))], b)
+            w = Word(k, (first.followed_by(etas[rng.integers(len(etas))]), second))
+            t = sample_tensor(CG, N, k, int(rng.integers(2**16)))
+            slow = cond_expect_N(word_eval(t, w).data, k)
+            assert_same_projection(PairProjection(w, N)(t), slow)
+
+
+@pytest.mark.parametrize("L", [0, 1, 3])
+def test_paired_projection_needs_two_letters(L):
+    w = Word(1, (Letter(Permutation([2, 1]), "1"),) * L)
+    with pytest.raises(ValueError, match=f"a word of 2 letters, got {L}"):
+        PairProjection(w, 3)
 
 
 def test_paired_projection_rejects_a_mismatched_factor():
-    with pytest.raises(ValueError, match="right factor has shape"):
-        cond_expect_N(np.eye(4, dtype=complex), 2, right=np.eye(9, dtype=complex))
+    project = PairProjection(Word(2, (Letter(Permutation([1, 2, 3, 4]), "1"),) * 2), 3)
+    with pytest.raises(ValueError, match="the maps are for N=3, k=2"):
+        project(sample_tensor(CG, 2, 2, 0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,7 +258,7 @@ def test_paired_projection_rejects_a_mismatched_factor():
     N=st.integers(1, 5),
     letters=st.lists(
         st.tuples(st.integers(0, 719), st.sampled_from("1*"), st.integers(0, 5)),
-        min_size=1, max_size=4,
+        min_size=2, max_size=2,
     ),
     model=st.sampled_from([CG, TensorModel.real_ginibre(), TensorModel.diluted(0.5)]),
     seed=st.integers(0, 2**16),
@@ -258,7 +271,7 @@ def test_paired_projection_of_a_word_property(k, N, letters, model, seed):
     t = sample_tensor(model, N, k, seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fast = cond_expect_N(word_eval(t, word[:-1]).data, k, right=word_eval(t, word[-1:]).data)
+        fast = PairProjection(word, N)(t)
         slow = cond_expect_N(word_eval(t, word).data, k)
     assert len(caught) == (2 if N < k else 0)
     assert_same_projection(fast, slow)
