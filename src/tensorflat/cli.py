@@ -191,27 +191,16 @@ def cmd_covariance(args):
     model = parse_model(args.model)
 
     w = Word(k, (first.followed_by(eta), second))
-    limit = covariance(first, eta, second, model.c, model.c_prime)
-    oracle = word_cond_expect_exact(w, N, model)
     start = time.perf_counter()
     project = PairProjection(w, N)
     maps_s = time.perf_counter() - start
-    acc = {h: [] for h in group(k)}
-    sample_s = estimate_s = 0.0
-    for trial in range(trials):
-        start = time.perf_counter()
-        t = sample_tensor(model, N, k, seed, trial)
-        sampled = time.perf_counter()
-        est = project(t)
-        for h in acc:
-            acc[h].append(est.coeff(h))
-        sample_s += sampled - start
-        estimate_s += time.perf_counter() - sampled
+    limit = covariance(first, eta, second, model.c, model.c_prime)
+    oracle = word_cond_expect_exact(w, N, model)
+    estimates = project.samples(model, seed, trials)
     if args.dump:
-        save_matrix(args.dump, word_eval(t, w))
+        save_matrix(args.dump, word_eval(sample_tensor(model, N, k, seed, trials - 1), w))
     rows = []
-    for h in group(k):
-        vals = np.array(acc[h])
+    for h, vals in zip(group(k), estimates):
         mean = complex(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
         rows.append(
@@ -243,7 +232,7 @@ def cmd_covariance(args):
         "matmuls": 0,  # per trial: the letters meet in gathered dot products
         "map_entries": math.factorial(k) * N ** (2 * k),
     }
-    timings = {"maps_s": maps_s, "sample_s": sample_s, "estimate_s": estimate_s}
+    timings = {"maps_s": maps_s, **project.timings}
     emit(args, {"rows": rows, "passed": passed, "counters": counters, "timings": timings}, lines)
     return 0 if passed else 1
 
@@ -410,6 +399,14 @@ def bounded(low, high=None):
     return parse
 
 
+def tolerance(text):
+    """An argparse type: a finite float >= 0, so that a check can fail."""
+    value = float(text)
+    if not value >= 0 or math.isinf(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def sizes(text, flag):
     """A comma-separated list of sizes, each at least 1."""
     try:
@@ -448,15 +445,15 @@ def build_parser():
     p = command("check", cmd_check, "exact identity suite")
     p.add_argument("--k", type=bounded(1, 3), default=2)
     p.add_argument("--N", type=bounded(1, 4), default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=bounded(0), default=0)
 
     p = command("covariance", cmd_covariance, "two-letter covariance: MC vs oracle vs limit")
     p.add_argument("--k", type=bounded(1), default=2)
     p.add_argument("--N", type=bounded(1), default=8)
     model(p)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=bounded(0), default=7)
     p.add_argument("--trials", type=bounded(1), default=100)
-    p.add_argument("--tol", type=float, help="fail when |oracle - limit| exceeds this")
+    p.add_argument("--tol", type=tolerance, help="fail when |oracle - limit| exceeds this")
     p.add_argument("--sigma", required=True, help="JSON image array of length 2k")
     p.add_argument("--sigma2", required=True)
     p.add_argument("--eta", help="JSON image array of length k")
@@ -466,7 +463,7 @@ def build_parser():
 
     p = command("moments", cmd_moments, "limit moments of a word, with oracle trend")
     model(p)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=tolerance, default=1e-12)
     p.add_argument("--word", required=True, help="word JSON (inline or file path)")
     p.add_argument("--N-list", dest="N_list", default="4,6,8", help="comma-separated sizes")
 
@@ -479,9 +476,9 @@ def build_parser():
     p.add_argument("--k", type=bounded(1), default=2)
     p.add_argument("--N", type=bounded(1), default=32)
     model(p)
-    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--seed", type=bounded(0), default=11)
     p.add_argument("--trials", type=bounded(1), default=20)
-    p.add_argument("--tol", type=float, default=0.10)
+    p.add_argument("--tol", type=tolerance, default=0.10)
     p.add_argument("--target", default="S1", choices=["S1", "S2", "S3"])
     p.add_argument("--n-max", dest="n_max", type=bounded(1, 12), default=4)
     p.add_argument("--hist", help="write an SVG histogram to this path")

@@ -14,7 +14,10 @@ Conventions shared by the whole package:
     projection of a two-letter product is a sum over tensor entries:
       tr(M_a M_b U_eta^*) = sum_q f_a(x)[Q_eta[q]] f_b(x)[q],
     with x the raveled entries, f = conj on an adjoint letter and Q_eta a
-    flat index map fixed by the word and N (PairProjection).
+    flat index map fixed by the word and N (PairProjection).  The sum is
+    quadratic in x = c z, with z a trial's unscaled normal draws and c
+    real, so PairProjection.samples sums over z, drawn into one reused
+    buffer, and multiplies by c^2 once, after the last trial.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import functools
 import math
 import os
 import struct
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -336,6 +340,23 @@ def cond_expect_N(A, k):
     return AlgebraElement(k, coeffs)
 
 
+# Bound on the k! N^2k entries of a PairProjection's maps (8 bytes each),
+# checked before any of them is allocated.
+MAX_MAP_ENTRIES = 2**24
+
+
+def draw_halves(model, size, rng, out):
+    """One trial's unscaled draws into out: the 2 size standard normals of
+    sample_tensor's real and imaginary halves (size for the real law) in
+    the same stream, both halves masked by the same Bernoulli(p) draw for
+    the diluted law."""
+    rng.standard_normal(out=out)
+    if model.kind == "diluted":
+        halves = out.reshape(2, size)
+        halves *= rng.random(size) < model.p
+    return out
+
+
 class PairProjection:
     """cond_expect_N(word_eval(t, w).data, k) for a two-letter word w = (a, b)
     at size N, without forming a matrix.  With m the tuple map,
@@ -351,36 +372,64 @@ class PairProjection:
         if len(w) != 2:
             raise ValueError(f"a pair projection needs a word of 2 letters, got {len(w)}")
         k = w.k
-        _warn_if_dependent(N, k)
         size = N ** (2 * k)
+        if math.factorial(k) * size > MAX_MAP_ENTRIES:
+            raise ValueError(
+                f"pair maps of k! N^(2k) = {math.factorial(k) * size} entries "
+                f"exceed the guard of {MAX_MAP_ENTRIES}"
+            )
+        _warn_if_dependent(N, k)
         index = RandomTensor(N, k, np.arange(size).reshape((N,) * (2 * k)))
         first, second = word_eval(index, w[:1]).data, word_eval(index, w[1:]).data
         self.N, self.k = N, k
         self.eps = tuple(l.eps for l in w.letters)
-        self.maps = {}
+        self.maps = []
         for eta in group(k):
             q = np.empty(size, dtype=np.intp)
             q[second] = first[tuple_index_map(eta.inverse(), N)].T
-            self.maps[eta] = q
+            self.maps.append(q)
 
-    def __call__(self, t):
-        if (t.N, t.k) != (self.N, self.k):
-            raise ValueError(f"tensor of N={t.N}, k={t.k}; the maps are for N={self.N}, k={self.k}")
-        x = t.entries.reshape(-1)
-        side = self.N**self.k
-        coeffs = {}
-        for eta, q in self.maps.items():
-            met = x.take(q)
-            if self.eps == ("*", "1"):
-                total = np.vdot(met, x)
-            elif self.eps == ("1", "*"):
-                total = np.vdot(x, met)
-            else:
-                total = met @ x
-                if self.eps[0] == "*":
-                    total = total.conjugate()
-            coeffs[eta] = complex(total) / side
-        return AlgebraElement(self.k, coeffs)
+    def samples(self, model, seed, trials):
+        """The k! x trials complex array of the projection's coefficients on
+        sample_tensor(model, N, k, seed, trial), rows in group(k) order: sums
+        over the unscaled draws z, scaled once (module docstring).  The shift
+        of a diluted law with alpha p != 0 is not homogeneous, so there z is
+        scaled to the raw entries and shifted before the sums.  Sets
+        self.timings: sampling and estimating time, summed over the trials."""
+        size, side = self.N ** (2 * self.k), self.N**self.k
+        real = model.kind == "real_ginibre"
+        buf = np.empty(size if real else 2 * size)
+        z = buf if real else np.empty(size, dtype=complex)
+        met = np.empty_like(z)
+        gain = 1.0 if real else model.base_scale / math.sqrt(2)
+        shift = model.alpha * model.p if model.kind == "diluted" else 0
+        out = np.empty((len(self.maps), trials), dtype=complex)
+        sample_s = estimate_s = 0.0
+        for trial in range(trials):
+            start = time.perf_counter()
+            draw_halves(model, size, trial_rng(seed, trial), buf)
+            if not real:
+                z.real, z.imag = buf[:size], buf[size:]
+            if shift:
+                z *= gain
+                z -= shift
+            sampled = time.perf_counter()
+            for row, q in enumerate(self.maps):
+                z.take(q, out=met)
+                if self.eps == ("*", "1"):
+                    total = np.vdot(met, z)
+                elif self.eps == ("1", "*"):
+                    total = np.vdot(z, met)
+                else:
+                    total = met @ z
+                    if self.eps[0] == "*":
+                        total = total.conjugate()
+                out[row, trial] = total
+            sample_s += sampled - start
+            estimate_s += time.perf_counter() - sampled
+        out *= (1.0 if shift else gain**2) / (model.scale(self.N, self.k) ** 2 * side)
+        self.timings = {"sample_s": sample_s, "estimate_s": estimate_s}
+        return out
 
 
 def word_eval(t, w):

@@ -9,6 +9,7 @@ from tensorflat.cli import main
 from tensorflat.moments import Word
 from tensorflat.perms import Permutation, group
 from tensorflat.tensors import (
+    MAX_MAP_ENTRIES,
     cond_expect_N,
     flatten,
     load_matrix,
@@ -334,6 +335,38 @@ def usage_error(capsys, *argv):
 
 COVARIANCE_K1 = ["covariance", "--k", "1", "--sigma", "[1,2]", "--sigma2", "[1,2]", "--N", "3"]
 WORD_K1 = json.dumps({"k": 1, "letters": [{"sigma": [1, 2], "eps": "1"}] * 2})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        COVARIANCE_K1 + ["--tol", "nan"],
+        COVARIANCE_K1 + ["--tol", "-1"],
+        COVARIANCE_K1 + ["--tol", "inf"],
+        spectrum_argv(N="4", trials="1", tol="nan"),
+        ["moments", "--word", WORD_K1, "--tol", "nan"],
+    ],
+    ids=["covariance-nan", "covariance-negative", "covariance-inf", "spectrum-nan", "moments-nan"],
+)
+def test_a_tolerance_no_check_can_use_exits_2(capsys, argv):
+    line = usage_error(capsys, *argv)
+    assert f"argument --tol: must be a finite number >= 0, got {argv[-1]}" in line
+
+
+@pytest.mark.parametrize(
+    "argv", [["check"], COVARIANCE_K1, spectrum_argv()], ids=["check", "covariance", "spectrum"]
+)
+def test_a_negative_seed_names_the_flag(capsys, argv):
+    assert "argument --seed: must be >= 0, got -1" in usage_error(capsys, *argv, "--seed", "-1")
+
+
+def test_covariance_guards_the_size_of_its_maps(capsys):
+    # k! N^(2k) = 6e18 map entries: the guard fires before anything is allocated
+    identity = "[1,2,3,4,5,6]"
+    line = usage_error(
+        capsys, "covariance", "--k", "3", "--N", "1000", "--sigma", identity, "--sigma2", identity
+    )
+    assert f"= {6 * 1000**6} entries exceed the guard of {MAX_MAP_ENTRIES}" in line
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from tensorflat.tensors import (
     TensorModel,
     choi_check,
     cond_expect_N,
+    draw_halves,
     flatten,
     load_matrix,
     load_tensor,
@@ -24,6 +25,7 @@ from tensorflat.tensors import (
     sample_tensor,
     save_matrix,
     save_tensor,
+    trial_rng,
     tuple_index_map,
     word_eval,
 )
@@ -218,10 +220,38 @@ def test_tuple_index_map_is_shared_and_read_only():
 
 
 def assert_same_projection(fast, slow):
-    """The paired projection agrees with that of the formed product to
-    1e-12 relative to the largest coefficient."""
-    scale = max(abs(slow.coeff(eta)) for eta in group(slow.k))
-    assert max_coeff_diff(fast, slow) <= 1e-12 * scale
+    """The paired projection's coefficients (in group(k) order) agree with
+    those of the formed product to 1e-12 relative to the largest one."""
+    want = np.array([slow.coeff(eta) for eta in group(slow.k)])
+    assert np.abs(fast - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def assert_samples_match_the_formed_products(model, w, N, seed, trials):
+    """PairProjection.samples against cond_expect_N of the formed word on
+    each trial's sample_tensor, trial by trial."""
+    fast = PairProjection(w, N).samples(model, seed, trials)
+    assert fast.shape == (math.factorial(w.k), trials)
+    for trial in range(trials):
+        t = sample_tensor(model, N, w.k, seed, trial)
+        assert_same_projection(fast[:, trial], cond_expect_N(word_eval(t, w).data, w.k))
+
+
+LAWS = [CG, TensorModel.real_ginibre(), TensorModel.diluted(0.5)]
+
+
+@pytest.mark.parametrize("model", LAWS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("k,N", [(1, 1), (1, 4), (2, 2), (2, 3), (3, 2)])
+def test_draw_halves_is_the_stream_of_sample_tensor(model, k, N):
+    size = N ** (2 * k)
+    for trial in range(3):
+        # sample_tensor's arithmetic on the drawn halves
+        if model.kind == "real_ginibre":
+            raw = draw_halves(model, size, trial_rng(9, trial), np.empty(size)).astype(complex)
+        else:
+            x = draw_halves(model, size, trial_rng(9, trial), np.empty(2 * size))
+            raw = model.base_scale * (x[:size] + 1j * x[size:]) / math.sqrt(2)
+        want = sample_tensor(model, N, k, 9, trial).entries.reshape(-1)
+        assert np.array_equal(raw / model.scale(N, k), want)
 
 
 @pytest.mark.parametrize("k,N", [(1, 1), (1, 5), (2, 1), (2, 3), (2, 6), (3, 2), (3, 4)])
@@ -234,9 +264,7 @@ def test_paired_projection_matches_the_formed_product(k, N):
             first = Letter(perms[rng.integers(len(perms))], a)
             second = Letter(perms[rng.integers(len(perms))], b)
             w = Word(k, (first.followed_by(etas[rng.integers(len(etas))]), second))
-            t = sample_tensor(CG, N, k, int(rng.integers(2**16)))
-            slow = cond_expect_N(word_eval(t, w).data, k)
-            assert_same_projection(PairProjection(w, N)(t), slow)
+            assert_samples_match_the_formed_products(CG, w, N, int(rng.integers(2**16)), 3)
 
 
 @pytest.mark.parametrize("L", [0, 1, 3])
@@ -246,10 +274,16 @@ def test_paired_projection_needs_two_letters(L):
         PairProjection(w, 3)
 
 
-def test_paired_projection_rejects_a_mismatched_factor():
-    project = PairProjection(Word(2, (Letter(Permutation([1, 2, 3, 4]), "1"),) * 2), 3)
-    with pytest.raises(ValueError, match="the maps are for N=3, k=2"):
-        project(sample_tensor(CG, 2, 2, 0))
+def test_paired_projection_applies_a_diluted_shift():
+    # only the library builds alpha != 0: the entries are not c z but c z - alpha p / scale
+    model = TensorModel.diluted(
+        0.4, base_moments={(1, 0): 0.3 - 0.2j, (1, 1): 2.0, (2, 0): 0.5}, base_scale=1.7
+    )
+    assert model.alpha * model.p != 0 and model.base_scale != 1
+    sigma = Permutation([3, 1, 4, 2])
+    for eps in itertools.product("1*", repeat=2):
+        w = Word(2, (Letter(sigma, eps[0]).followed_by(Permutation([2, 1])), Letter(sigma, eps[1])))
+        assert_samples_match_the_formed_products(model, w, 3, 4, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,7 +294,7 @@ def test_paired_projection_rejects_a_mismatched_factor():
         st.tuples(st.integers(0, 719), st.sampled_from("1*"), st.integers(0, 5)),
         min_size=2, max_size=2,
     ),
-    model=st.sampled_from([CG, TensorModel.real_ginibre(), TensorModel.diluted(0.5)]),
+    model=st.sampled_from(LAWS),
     seed=st.integers(0, 2**16),
 )
 def test_paired_projection_of_a_word_property(k, N, letters, model, seed):
@@ -268,13 +302,17 @@ def test_paired_projection_of_a_word_property(k, N, letters, model, seed):
     word = Word(k, tuple(
         Letter(perms[s % len(perms)], e).followed_by(etas[h % len(etas)]) for s, e, h in letters
     ))
-    t = sample_tensor(model, N, k, seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fast = PairProjection(word, N)(t)
-        slow = cond_expect_N(word_eval(t, word).data, k)
-    assert len(caught) == (2 if N < k else 0)
-    assert_same_projection(fast, slow)
+        project = PairProjection(word, N)
+        fast = project.samples(model, seed, 2)
+        slow = [cond_expect_N(word_eval(sample_tensor(model, N, k, seed, trial), word).data, k)
+                for trial in range(2)]
+    # the maps warn once, when they are built; the formed product once per trial
+    assert len(caught) == (3 if N < k else 0)
+    assert set(project.timings) == {"sample_s", "estimate_s"}
+    for trial in range(2):
+        assert_same_projection(fast[:, trial], slow[trial])
 
 
 def test_choi_check():
