@@ -7,8 +7,9 @@ computed at two sizes and compared against the limiting value; the table
 lists the pairs with the largest fitted 1/N constants.
 """
 
-import argparse
+import sys
 
+from tensorflat.cli import Parser, bounded
 from tensorflat.moments import plain_word, word_phi
 from tensorflat.perms import group
 from tensorflat.tensors import parse_model
@@ -16,12 +17,12 @@ from tensorflat.traffic import full_trace_expect
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--k", type=int, default=2)
-    ap.add_argument("--N", type=int, default=4)
-    ap.add_argument("--N2", type=int, default=8)
+    ap = Parser(description=__doc__.splitlines()[0])
+    ap.add_argument("--k", type=bounded(1), default=2)
+    ap.add_argument("--N", type=bounded(1), default=4)
+    ap.add_argument("--N2", type=bounded(1), default=8)
     ap.add_argument("--model", default="complex_ginibre")
-    ap.add_argument("--top", type=int, default=10)
+    ap.add_argument("--top", type=bounded(0), default=10)
     args = ap.parse_args()
 
     model = parse_model(args.model)
@@ -48,4 +49,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (ValueError, OSError) as exc:  # as tensorflat's CLI: one line, exit 2
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

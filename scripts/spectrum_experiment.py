@@ -6,29 +6,31 @@ Example:
         --sizes 8,16,32 --trials 10 --out-dir out/
 """
 
-import argparse
 import pathlib
+import sys
 
+from tensorflat.cli import Parser, bounded, sizes
 from tensorflat.spectra import histogram_svg, run_experiment
 from tensorflat.tensors import parse_model
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--k", type=int, default=2)
+    ap = Parser(description=__doc__.splitlines()[0])
+    ap.add_argument("--k", type=bounded(1), default=2)
     ap.add_argument("--target", choices=("S1", "S2", "S3"), default="S1")
     ap.add_argument("--model", default="complex_ginibre")
     ap.add_argument("--sizes", default="8,16,32")
-    ap.add_argument("--trials", type=int, default=10)
-    ap.add_argument("--n-max", type=int, default=4)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--trials", type=bounded(1), default=10)
+    ap.add_argument("--n-max", type=bounded(1, 12), default=4)
+    ap.add_argument("--seed", type=bounded(0), default=0)
     ap.add_argument("--out-dir", default="out")
     args = ap.parse_args()
 
+    n_list = sizes(args.sizes, "--sizes")
     model = parse_model(args.model)
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for N in (int(s) for s in args.sizes.split(",")):
+    for N in n_list:
         report = run_experiment(
             model, args.target, args.k, N, args.trials, args.n_max,
             seed=args.seed, with_hist=True,
@@ -46,4 +48,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (ValueError, OSError) as exc:  # as tensorflat's CLI: one line, exit 2
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -9,26 +9,27 @@ uses:
      "etas": [[1], [1]]}
 """
 
-import argparse
 import math
+import sys
 
 import numpy as np
 
-from tensorflat.cli import load_word
+from tensorflat.cli import Parser, bounded, load_word, sizes
 from tensorflat.moments import word_phi
 from tensorflat.tensors import parse_model, phi_N, sample_tensor, word_eval
 from tensorflat.traffic import full_trace_expect
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--word", required=True)
     ap.add_argument("--sizes", default="4,6,8,10")
     ap.add_argument("--model", default="complex_ginibre")
-    ap.add_argument("--trials", type=int, default=0, help="0 disables Monte Carlo")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--trials", type=bounded(0), default=0, help="0 disables Monte Carlo")
+    ap.add_argument("--seed", type=bounded(0), default=0)
     args = ap.parse_args()
 
+    n_list = sizes(args.sizes, "--sizes")
     w = load_word(args.word)
     model = parse_model(args.model)
     limit = complex(word_phi(w, model.c, model.c_prime))
@@ -37,7 +38,7 @@ def main():
     if args.trials:
         header += f" {'monte carlo':>22} {'3 SE':>10}"
     print(header)
-    for N in (int(s) for s in args.sizes.split(",")):
+    for N in n_list:
         exact = full_trace_expect(w, N, model)
         line = (
             f"{N:5d} {exact.real:+.8f}{exact.imag:+.8f}j {abs(exact - limit):12.3e}"
@@ -58,4 +59,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (ValueError, OSError) as exc:  # as tensorflat's CLI: one line, exit 2
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -4,7 +4,12 @@ The limiting family is circular over the group algebra: all cumulants of
 order other than two vanish, so every word expectation is a sum over
 non-crossing pair partitions of nested two-letter covariances.  The
 covariance of a pair of letters is supported on at most one basis element
-and is given by a coset membership test on the two flattening permutations.
+and is given by a coset membership test on the two flattening permutations,
+written once (_partner): covariance reads it off the two permutations,
+and mixture_covariance reads its table over S_k (_partners).
+word_expectation sums the pairings by recursion on the first letter's
+partner; word_expectation_enumerated, its cross-check, lists the pairings
+and walks each one's nesting.
 
 A word holds letters only.  The bimodule identity
 U_eta M_sigma U_eta2^* = M_{(eta join eta2) sigma} holds exactly at every N,
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .group_algebra import AlgebraElement
-from .perms import Permutation, compose, embed_join, group, split_join, tau
+from .perms import Permutation, compose, embed_join, group, tau
 
 
 @dataclass(frozen=True)
@@ -138,35 +143,74 @@ def plain_word(k, pairs):
     return Word(k, tuple(Letter(s, e) for s, e in pairs))
 
 
+def _twist(eps1, eps2, g):
+    """The half-swap factor of the pair rule: tau g for (1, 1), g tau for
+    (*, *), g itself for mixed eps.  It is its own inverse, as tau is."""
+    if eps1 != eps2:
+        return g
+    t = tau(g.n // 2)
+    return compose(t, g) if eps1 == "1" else compose(g, t)
+
+
+def _partner(eps1, eps2, eta, g):
+    """The pair rule: letters with sigma1 sigma2^-1 = g pair at the middle
+    element u_eta only in these cosets, and then their covariance is a
+    multiple of u_b (_weight):
+      (1, *): sigma1 = (b join eta) sigma2
+      (*, 1): sigma1 = (eta join b) sigma2
+      (1, 1): sigma1 = tau (eta join b) sigma2
+      (*, *): sigma1 = (eta join b) tau sigma2,
+    the last one the adjoint of the (1, 1) case.  Returns b, or None when
+    the letters do not pair; O(k), read off the halves of _twist(g)."""
+    k = eta.n
+    h = _twist(eps1, eps2, g).image
+    lower, upper = h[:k], tuple([v - k for v in h[k:]])
+    if (eps1, eps2) == ("1", "*"):
+        lower, upper = upper, lower
+    # a half equal to eta's image makes h preserve both halves
+    return Permutation._trusted(upper) if lower == eta.image else None
+
+
+@lru_cache(maxsize=None)
+def _partners(eta):
+    """The pair rule (_partner) as a table over S_k, for mixture_covariance:
+    per eps pair, a dict g -> b, g the _twist of b join eta for (1, *) and
+    of eta join b otherwise.  Distinct b give distinct g, so each dict has
+    k! entries."""
+    return {
+        (e1, e2): {
+            _twist(e1, e2, embed_join(b, eta) if (e1, e2) == ("1", "*") else embed_join(eta, b)): b
+            for b in group(eta.n)
+        }
+        for e1, e2 in (("1", "*"), ("*", "1"), ("1", "1"), ("*", "*"))
+    }
+
+
+def _weight(eps1, eps2, c, cp):
+    """The coefficient of a nonzero pair covariance (_partner)."""
+    if eps1 != eps2:
+        return c
+    return cp if eps1 == "1" else cp.conjugate()
+
+
 def covariance(l, eta, l2, c, cp):
     """The limiting two-letter covariance: the expectation of
-    letter * u_eta * letter2 in the group algebra.
+    letter * u_eta * letter2 in the group algebra.  It is w u_b when the
+    pair rule (_partner) gives b for sigma1 sigma2^-1, and zero
+    otherwise."""
+    b = _partner(l.eps, l2.eps, eta, compose(l.sigma, l2.sigma.inverse()))
+    if b is None:
+        return AlgebraElement.zero(eta.n)
+    return _weight(l.eps, l2.eps, c, cp) * AlgebraElement.basis(b)
 
-    Supported on at most one basis element; which one is decided by whether
-    the two flattening permutations differ by a half-preserving factor
-    (possibly twisted by the half-swap for same-eps pairs).
-    """
-    k = eta.n
-    if (l.eps, l2.eps) == ("*", "*"):
-        # adjoint reduction to the (1, 1) case
-        inner = covariance(Letter(l2.sigma, "1"), eta.inverse(), Letter(l.sigma, "1"), c, cp)
-        return inner.adjoint()
-    d = l.sigma * l2.sigma.inverse()
-    if (l.eps, l2.eps) == ("1", "*"):
-        split = split_join(d)
-        if split is not None and split[1] == eta:
-            return c * AlgebraElement.basis(split[0])
-        return AlgebraElement.zero(k)
-    if (l.eps, l2.eps) == ("*", "1"):
-        split = split_join(d)
-        if split is not None and split[0] == eta:
-            return c * AlgebraElement.basis(split[1])
-        return AlgebraElement.zero(k)
-    # (1, 1): sigma = tau (eta join eta') sigma'
-    split = split_join(tau(k) * d)
-    if split is not None and split[0] == eta:
-        return cp * AlgebraElement.basis(split[1])
-    return AlgebraElement.zero(k)
+
+def _covariance_through(l, x, l2, c, cp):
+    """The covariance of two letters with the group-algebra element x as
+    the middle argument: sum over mu of x_mu covariance(l, mu, l2)."""
+    out = AlgebraElement.zero(x.k)
+    for mu, coeff in x.coeffs.items():
+        out = out + coeff * covariance(l, mu, l2, c, cp)
+    return out
 
 
 def enumerate_nc_pairings(n):
@@ -221,9 +265,7 @@ def _wick(k, letters, c, cp, cache):
     total = AlgebraElement.zero(k)
     for j in range(1, L, 2):
         inner = _wick(k, letters[1:j], c, cp, cache)
-        paircov = AlgebraElement.zero(k)
-        for mu, coeff in inner.coeffs.items():
-            paircov = paircov + coeff * covariance(letters[0], mu, letters[j], c, cp)
+        paircov = _covariance_through(letters[0], inner, letters[j], c, cp)
         if paircov.is_zero():
             continue
         outer = _wick(k, letters[j + 1 :], c, cp, cache)
@@ -233,60 +275,34 @@ def _wick(k, letters, c, cp, cache):
 
 
 def word_expectation_enumerated(w, c, cp):
-    """Oracle evaluator: explicit sum over non-crossing pair partitions with
-    nested interval-first evaluation.  Independent code path from the
-    recursion above; used to cross-check it.  A pairing stops at its first
-    vanishing pair covariance, since zero absorbs every later product and a
-    zero pairing adds nothing to the sum.
+    """Oracle evaluator: explicit sum over non-crossing pair partitions,
+    each walked along its nesting.  Independent code path from the
+    recursion above; used to cross-check it.
+
+    The value of a segment under a pairing is the product, left to right,
+    of the covariances of its outer pairs, each taken through the value of
+    the segment the pair encloses; the empty segment is the unit.  A
+    pairing stops at its first vanishing covariance, since zero absorbs
+    every later product and a zero pairing adds nothing to the sum.
     """
-    k = w.k
-    L = len(w)
-    if L == 0:
-        return AlgebraElement.unit(k)
-    if L % 2:
-        return AlgebraElement.zero(k)
-    unit = AlgebraElement.unit(k)
-    total = AlgebraElement.zero(k)
-    for pairing in enumerate_nc_pairings(L):
-        elements = [(unit, letter, unit) for letter in w.letters]
-        total = total + _eval_pairing(list(pairing), elements, c, cp)
+    letters = w.letters
+
+    def walk(partner, start, end):
+        value = AlgebraElement.unit(w.k)
+        while start < end:
+            close = partner[start]
+            inner = walk(partner, start + 1, close)
+            cov = _covariance_through(letters[start], inner, letters[close], c, cp)
+            if cov.is_zero():
+                return cov
+            value = value * cov
+            start = close + 1
+        return value
+
+    total = AlgebraElement.zero(w.k)
+    for pairing in enumerate_nc_pairings(len(w)):
+        total = total + walk(dict(pairing), 0, len(w))
     return total
-
-
-def _pair_cov(e1, e2, c, cp):
-    left1, l1, right1 = e1
-    left2, l2, right2 = e2
-    middle = right1 * left2
-    out = AlgebraElement.zero(l1.k)
-    for mu, coeff in middle.coeffs.items():
-        out = out + coeff * covariance(l1, mu, l2, c, cp)
-    return left1 * out * right2
-
-
-def _eval_pairing(pairs, elements, c, cp):
-    # repeatedly collapse the innermost interval pair (adjacent positions)
-    positions = list(range(len(elements)))
-    while pairs:
-        # find a pair occupying adjacent current positions
-        for pidx, (a, b) in enumerate(pairs):
-            ia, ib = positions.index(a), positions.index(b)
-            if ib == ia + 1:
-                break
-        else:
-            raise AssertionError("non-crossing pairing has no interval block")
-        val = _pair_cov(elements[ia], elements[ib], c, cp)
-        del pairs[pidx]
-        if len(positions) == 2 or val.is_zero():
-            return val
-        if ia > 0:
-            left, letter, right = elements[ia - 1]
-            elements[ia - 1] = (left, letter, right * val)
-        else:
-            left, letter, right = elements[ib + 1]
-            elements[ib + 1] = (val * left, letter, right)
-        del elements[ia : ib + 1]
-        del positions[ia : ib + 1]
-    raise AssertionError("unreachable")
 
 
 def word_phi(w, c, cp):
@@ -317,13 +333,10 @@ class Mixture:
         )
         return cls(k, terms)
 
-    def adjoint_letters(self):
-        """Terms of the adjoint mixture (eps flipped, coefficients conjugated),
-        built once per mixture."""
-        return self._adjoint
-
     @cached_property
-    def _adjoint(self):
+    def adjoint(self):
+        """The adjoint mixture (eps flipped, coefficients conjugated), built
+        once per mixture."""
         return Mixture.from_map(
             self.k,
             {
@@ -341,27 +354,6 @@ class Mixture:
         return out
 
 
-@lru_cache(maxsize=None)
-def _partners(eta):
-    """The cosets where covariance(l1, eta, l2) can be nonzero: for each
-    pair (eps of l1, eps of l2), the pairs (g, b) such that l1 pairs with
-    l2 only if sigma1 = g sigma2, and then their covariance is a multiple
-    of u_b:
-      (1, *): sigma1 = (b join eta) sigma2        -> c u_b
-      (*, 1): sigma1 = (eta join b) sigma2        -> c u_b
-      (1, 1): sigma1 = tau (eta join b) sigma2    -> c' u_b
-      (*, *): sigma1 = (eta join b) tau sigma2    -> conj(c') u_b,
-    the last one the adjoint of the (1, 1) case."""
-    t = tau(eta.n)
-    joins = [(b, embed_join(b, eta), embed_join(eta, b)) for b in group(eta.n)]
-    return {
-        ("1", "*"): [(b_eta, b) for b, b_eta, _ in joins],
-        ("*", "1"): [(eta_b, b) for b, _, eta_b in joins],
-        ("1", "1"): [(t * eta_b, b) for b, _, eta_b in joins],
-        ("*", "*"): [(eta_b * t, b) for b, _, eta_b in joins],
-    }
-
-
 def mixture_covariance(s, eta, s2, c, cp, conj_second=False):
     """Bilinear expansion of the expectation of S u_eta S2 (or S u_eta S2*).
 
@@ -373,15 +365,14 @@ def mixture_covariance(s, eta, s2, c, cp, conj_second=False):
     each of them once."""
     if s.k != s2.k or eta.n != s.k:
         raise ValueError("mixture/eta degree mismatch")
-    first, second = s.by_eps, (s2.adjoint_letters() if conj_second else s2).by_eps
-    weights = {("1", "*"): c, ("*", "1"): c, ("1", "1"): cp, ("*", "*"): cp.conjugate()}
+    first, second = s.by_eps, (s2.adjoint if conj_second else s2).by_eps
     out = {}
     for (eps1, eps2), pairs in _partners(eta).items():
-        terms1, w = first[eps1], weights[eps1, eps2]
+        terms1, w = first[eps1], _weight(eps1, eps2, c, cp)
         if not terms1 or w == 0:
             continue
         for sigma2, c2 in second[eps2].items():
-            for g, b in pairs:
+            for g, b in pairs.items():
                 c1 = terms1.get(compose(g, sigma2))
                 if c1 is not None:
                     out[b] = out.get(b, 0) + c1 * c2 * w

@@ -181,18 +181,6 @@ def embed_join(eta, eta2):
     return Permutation._trusted(eta.image + tuple([v + k for v in eta2.image]))
 
 
-def split_join(sigma):
-    """Inverse of embed_join: (eta, eta2) if sigma preserves both halves, else None."""
-    n = sigma.n
-    if n % 2 != 0:
-        raise ValueError("degree must be even")
-    k = n // 2
-    first, second = sigma.image[:k], sigma.image[k:]
-    if any(v > k for v in first):
-        return None
-    return Permutation._trusted(first), Permutation._trusted(tuple([v - k for v in second]))
-
-
 @lru_cache(maxsize=None)
 def tau(k):
     """The half-swap of [2k]: i <-> i + k."""

@@ -1,16 +1,20 @@
 """Test-only references: permutation operators applied by index gathering,
 the direct and injective traces of a strip hypergraph on a fixed tensor,
-the set partitions that the vertex-partition sums run over, and the
-pairing sum of a word expectation without its early exit.  The library's
-fast paths are checked against these (acceptance criteria 1 and 6,
-tests/test_tensors.py, tests/test_traffic.py and tests/test_moments.py)."""
+the set partitions that the vertex-partition sums run over, the branch
+rule of the pair covariance (the reference for moments.covariance, which
+reads one half-swap-twisted product instead of four branches and an
+adjoint recursion), and the pairing sum of a word expectation
+without its early exit.  The library's fast paths are checked against
+these (acceptance criteria 1 and 6, tests/test_tensors.py,
+tests/test_traffic.py, tests/test_perms.py and tests/test_moments.py)."""
 
 import itertools
 
 import numpy as np
 
 from tensorflat.group_algebra import AlgebraElement
-from tensorflat.moments import _nc_pairings, _pair_cov
+from tensorflat.moments import Letter, _nc_pairings
+from tensorflat.perms import Permutation, tau
 from tensorflat.tensors import _N_of, tuple_index_map
 from tensorflat.traffic import _edge_entry, n_blocks
 
@@ -80,40 +84,72 @@ def inj_trace_of_graph(T, labeling, tensor):
     return total / N**k
 
 
+def split_join(sigma):
+    """Inverse of embed_join: (eta, eta2) if sigma preserves both halves, else None."""
+    n = sigma.n
+    if n % 2 != 0:
+        raise ValueError("degree must be even")
+    k = n // 2
+    first, second = sigma.image[:k], sigma.image[k:]
+    if any(v > k for v in first):
+        return None
+    return Permutation(first), Permutation([v - k for v in second])
+
+
+def covariance_by_branches(l, eta, l2, c, cp):
+    """The reference for moments.covariance: the limiting covariance of
+    letter * u_eta * letter2, decided by whether the two flattening
+    permutations differ by a half-preserving factor (twisted by the
+    half-swap for same-eps pairs), with the (*, *) case the adjoint of the
+    (1, 1) one."""
+    k = eta.n
+    if (l.eps, l2.eps) == ("*", "*"):
+        inner = covariance_by_branches(
+            Letter(l2.sigma, "1"), eta.inverse(), Letter(l.sigma, "1"), c, cp
+        )
+        return inner.adjoint()
+    d = l.sigma * l2.sigma.inverse()
+    if (l.eps, l2.eps) == ("1", "*"):
+        split = split_join(d)
+        if split is not None and split[1] == eta:
+            return c * AlgebraElement.basis(split[0])
+        return AlgebraElement.zero(k)
+    if (l.eps, l2.eps) == ("*", "1"):
+        split = split_join(d)
+        if split is not None and split[0] == eta:
+            return c * AlgebraElement.basis(split[1])
+        return AlgebraElement.zero(k)
+    # (1, 1): sigma = tau (eta join eta') sigma'
+    split = split_join(tau(k) * d)
+    if split is not None and split[0] == eta:
+        return cp * AlgebraElement.basis(split[1])
+    return AlgebraElement.zero(k)
+
+
 def word_expectation_every_pairing(w, c, cp):
     """The sum over non-crossing pairings of moments.word_expectation_enumerated,
-    with every pairing collapsed to its last pair even when an earlier pair
-    covariance has vanished.  The pairings, their order and the arithmetic
-    on a surviving pairing are the same, so the two agree exactly."""
-    k, L = w.k, len(w)
-    if L == 0:
-        return AlgebraElement.unit(k)
-    if L % 2:
-        return AlgebraElement.zero(k)
-    unit = AlgebraElement.unit(k)
-    total = AlgebraElement.zero(k)
-    for pairing in _nc_pairings(tuple(range(L))):
-        pairs = sorted(pairing)
-        elements = [(unit, letter, unit) for letter in w.letters]
-        positions = list(range(L))
-        while True:
-            # collapse the first pair that occupies adjacent positions
-            pidx, ia, ib = next(
-                (i, positions.index(a), positions.index(b))
-                for i, (a, b) in enumerate(pairs)
-                if positions.index(b) == positions.index(a) + 1
-            )
-            val = _pair_cov(elements[ia], elements[ib], c, cp)
-            del pairs[pidx]
-            if len(positions) == 2:
-                break
-            if ia > 0:
-                left, letter, right = elements[ia - 1]
-                elements[ia - 1] = (left, letter, right * val)
-            else:
-                left, letter, right = elements[ib + 1]
-                elements[ib + 1] = (val * left, letter, right)
-            del elements[ia : ib + 1]
-            del positions[ia : ib + 1]
-        total = total + val
+    with every pairing walked to its end even when a covariance has
+    vanished, and every covariance taken by the branch rule.  The pairings,
+    their order and the arithmetic on a surviving pairing are the same, so
+    the two agree exactly."""
+
+    def through(l, x, l2):
+        out = AlgebraElement.zero(w.k)
+        for mu, coeff in x.coeffs.items():
+            out = out + coeff * covariance_by_branches(l, mu, l2, c, cp)
+        return out
+
+    def walk(pairs):
+        # the pairs of one segment, sorted: the first one opens it
+        value = AlgebraElement.unit(w.k)
+        while pairs:
+            (a, b), rest = pairs[0], pairs[1:]
+            inner = [p for p in rest if p[0] < b]
+            pairs = [p for p in rest if p[0] > b]
+            value = value * through(w.letters[a], walk(inner), w.letters[b])
+        return value
+
+    total = AlgebraElement.zero(w.k)
+    for pairing in _nc_pairings(tuple(range(len(w)))):
+        total = total + walk(sorted(pairing))
     return total

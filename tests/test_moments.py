@@ -1,11 +1,13 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from references import word_expectation_every_pairing
+from references import covariance_by_branches, word_expectation_every_pairing
 from tensorflat.group_algebra import AlgebraElement, max_coeff_diff
 from tensorflat.moments import (
     Letter,
@@ -29,7 +31,15 @@ from tensorflat.moments import (
     word_phi,
 )
 from tensorflat.characters import character_value, enumerate_partitions
-from tensorflat.perms import Permutation, compose, coset_key, embed_join, group, tau
+from tensorflat.perms import (
+    MAX_ENUM_DEGREE,
+    Permutation,
+    compose,
+    coset_key,
+    embed_join,
+    group,
+    tau,
+)
 
 id1 = Permutation.identity(1)
 id2 = Permutation.identity(2)
@@ -97,6 +107,66 @@ def test_covariance_adjoint_symmetry(i, j, e, h):
     assert max_coeff_diff(lhs, rhs) <= 1e-14
 
 
+def all_covariance_cases(k):
+    """Every (sigma1, sigma2, eta, eps1, eps2) at degree k."""
+    return list(itertools.product(group(2 * k), group(2 * k), group(k), "1*", "1*"))
+
+
+def sampled_covariance_cases(k, count, seed):
+    """count seeded cases at degree k; in every second one sigma1 lies in
+    the extended Young coset of sigma2, where the letters can pair."""
+    rng = random.Random(seed)
+    swaps = (Permutation.identity(2 * k), tau(k))
+    cases = []
+    for i in range(count):
+        sigma2 = rng.choice(group(2 * k))
+        if i % 2:
+            young = embed_join(rng.choice(group(k)), rng.choice(group(k)))
+            sigma = rng.choice(swaps) * young * sigma2
+        else:
+            sigma = rng.choice(group(2 * k))
+        cases.append((sigma, sigma2, rng.choice(group(k))) + tuple(rng.choices("1*", k=2)))
+    return cases
+
+
+def coset_covariance_cases(k, count, seed):
+    """count seeded cases at a degree k past group's bound, each with
+    sigma1 = tau^s (a join a2) tau^t sigma2 for uniform permutations and
+    s, t in {0, 1}, and eta one of a, a2: a share of them pair."""
+    rng = random.Random(seed)
+
+    def draw(n):
+        return Permutation(rng.sample(range(1, n + 1), n))
+
+    swaps = (Permutation.identity(2 * k), tau(k))
+    cases = []
+    for _ in range(count):
+        a, a2, sigma2 = draw(k), draw(k), draw(2 * k)
+        sigma = rng.choice(swaps) * embed_join(a, a2) * rng.choice(swaps) * sigma2
+        cases.append((sigma, sigma2, rng.choice((a, a2))) + tuple(rng.choices("1*", k=2)))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        pytest.param(all_covariance_cases(1), id="k1-all"),
+        pytest.param(all_covariance_cases(2), id="k2-all"),
+        pytest.param(sampled_covariance_cases(3, 2000, seed=3), id="k3-sample"),
+        pytest.param(coset_covariance_cases(MAX_ENUM_DEGREE + 1, 500, seed=9), id="k9-sample"),
+    ],
+)
+def test_covariance_table_matches_the_branch_rule(cases):
+    c, cp = 0.7, 0.3 + 0.2j
+    nonzero = 0
+    for sigma, sigma2, eta, e1, e2 in cases:
+        l, l2 = Letter(sigma, e1), Letter(sigma2, e2)
+        got = covariance(l, eta, l2, c, cp)
+        assert got == covariance_by_branches(l, eta, l2, c, cp)
+        nonzero += not got.is_zero()
+    assert nonzero  # the rule is exercised on pairs that meet
+
+
 def test_nc_pairings():
     assert enumerate_nc_pairings(2) == [((0, 1),)]
     assert len(enumerate_nc_pairings(4)) == 2
@@ -115,9 +185,29 @@ def test_word_expectation_length_two():
 
 def test_odd_words_vanish():
     rng = np.random.default_rng(0)
-    for L in (1, 3, 5):
-        w = random_word(rng, 1, L)
-        assert word_expectation(w, 1.0, 0.5).is_zero()
+    for k in (1, 2, 3):
+        for evaluate in (word_expectation, word_expectation_enumerated):
+            for L in (1, 3, 5):
+                w = random_word(rng, k, L)
+                assert evaluate(w, 1.0, 0.5).is_zero()
+            # the empty word: the walk and the recursion both start from the unit
+            assert evaluate(Word(k, ()), 1.0, 0.5) == AlgebraElement.unit(k)
+
+
+def test_words_past_the_enumeration_bound():
+    """covariance reads the pair rule off the two permutations, with no
+    table over S_k, so words of degree past group's bound evaluate."""
+    k = MAX_ENUM_DEGREE + 1
+    ident = Permutation.identity(2 * k)
+    assert word_phi(plain_word(k, [(ident, "1"), (ident, "*")]), 1, 0) == 1
+    rng = random.Random(11)
+    sigma = Permutation(rng.sample(range(1, 2 * k + 1), 2 * k))
+    young = embed_join(Permutation(rng.sample(range(1, k + 1), k)), Permutation.identity(k))
+    w = plain_word(k, [(sigma, "1"), (young * sigma, "*"), (tau(k) * sigma, "1"), (sigma, "1")])
+    got = word_expectation(w, 0.7, 0.3 + 0.2j)
+    assert not got.is_zero()
+    assert got == word_expectation_enumerated(w, 0.7, 0.3 + 0.2j)
+    assert got == word_expectation_every_pairing(w, 0.7, 0.3 + 0.2j)
 
 
 def test_alternating_length_four():
@@ -276,12 +366,12 @@ def test_mixtures_in_distinct_extended_cosets_are_uncorrelated():
 
 def pair_loop_covariance(s, eta, s2, c, cp, conj_second=False):
     """The reference for mixture_covariance: the bilinear sum of the
-    two-letter covariance over every pair of terms."""
-    second = s2.adjoint_letters() if conj_second else s2
+    two-letter covariance, by the branch rule, over every pair of terms."""
+    second = s2.adjoint if conj_second else s2
     out = AlgebraElement.zero(eta.n)
     for l1, c1 in s.terms:
         for l2, c2 in second.terms:
-            out = out + (c1 * c2) * covariance(l1, eta, l2, c, cp)
+            out = out + (c1 * c2) * covariance_by_branches(l1, eta, l2, c, cp)
     return out
 
 

@@ -28,7 +28,8 @@ TWISTED = {
 }
 
 
-def run_script(name, *argv):
+def run_script(name, *argv, code=0):
+    """The script's stdout, or its stderr when it should fail."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -38,8 +39,8 @@ def run_script(name, *argv):
         env=env,
         timeout=120,
     )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+    assert done.returncode == code, done.stderr
+    return done.stderr if code else done.stdout
 
 
 @pytest.mark.parametrize(
@@ -53,6 +54,22 @@ def test_script_runs(tmp_path, name, argv):
     if name == "spectrum_experiment.py":
         argv = argv + ["--out-dir", str(tmp_path)]
     assert run_script(name, *argv)
+
+
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        ("spectrum_experiment.py", ["--seed", "-1", "--k", "1", "--trials", "1"], "--seed"),
+        ("word_trend.py", ["--word", json.dumps(TWISTED), "--trials", "2", "--seed", "-1"], "--seed"),
+        ("covariance_scan.py", ["--N", "0", "--k", "1"], "--N"),
+        ("word_trend.py", ["--word", '{"k": 1, "letters": []}'], "at least one letter"),
+    ],
+)
+def test_bad_input_exits_2_in_one_line(tmp_path, name, argv, message):
+    if name == "spectrum_experiment.py":
+        argv = argv + ["--out-dir", str(tmp_path)]
+    err = run_script(name, *argv, code=2)
+    assert err.count("\n") == 1 and err.startswith("error:") and message in err
 
 
 def test_word_trend_exact_column_is_the_oracle():
