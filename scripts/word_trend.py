@@ -28,6 +28,8 @@ def main():
     ap.add_argument("--trials", type=bounded(0), default=0, help="0 disables Monte Carlo")
     ap.add_argument("--seed", type=bounded(0), default=0)
     args = ap.parse_args()
+    if args.trials == 1:  # one trial gives no standard error
+        ap.error(f"argument --trials: must be 0 or at least 2, got {args.trials}")
 
     n_list = sizes(args.sizes, "--sizes")
     w = load_word(args.word)

@@ -231,6 +231,7 @@ def cmd_covariance(args):
         "pairings": math.factorial(k),
         "matmuls": 0,  # per trial: the letters meet in gathered dot products
         "map_entries": math.factorial(k) * N ** (2 * k),
+        "workers": project.workers,
     }
     timings = {"maps_s": maps_s, **project.timings}
     emit(args, {"rows": rows, "passed": passed, "counters": counters, "timings": timings}, lines)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tensorflat import tensors
 from tensorflat.cli import main
 from tensorflat.moments import Word
 from tensorflat.perms import Permutation, group
@@ -80,11 +81,23 @@ def test_covariance_command(capsys):
     payload = json.loads(out)
     limit = {tuple(r["eta"]): r["limit"] for r in payload["rows"]}
     assert limit[(1,)] == [1.0, 0.0]
+    # 2 N^2k = 72 normals a trial, below the threading cutoff: one worker
     assert payload["counters"] == {
-        "side": 6, "trials": 40, "pairings": 1, "matmuls": 0, "map_entries": 36
+        "side": 6, "trials": 40, "pairings": 1, "matmuls": 0, "map_entries": 36, "workers": 1
     }
     assert set(payload["timings"]) == {"maps_s", "sample_s", "estimate_s"}
     assert all(v >= 0 for v in payload["timings"].values())
+
+
+def test_covariance_counts_the_workers_it_used(capsys, monkeypatch):
+    # 2 N^2k = 4802 normals a trial at k = 2, N = 7: the trials are split
+    monkeypatch.setattr(tensors, "usable_cpus", lambda: 3)
+    argv = ["covariance", "--k", "2", "--N", "7", "--sigma", "[3,1,4,2]", "--sigma2", "[1,2,3,4]",
+            "--format", "json"]
+    for trials, workers in [(2, 2), (5, 3)]:
+        code, out = run(capsys, *argv, "--trials", str(trials))
+        assert code == 0
+        assert json.loads(out)["counters"]["workers"] == workers
 
 
 def formed_product(t, sigma, eps, eta, sigma2, eps2):

@@ -63,6 +63,8 @@ def test_script_runs(tmp_path, name, argv):
         ("word_trend.py", ["--word", json.dumps(TWISTED), "--trials", "2", "--seed", "-1"], "--seed"),
         ("covariance_scan.py", ["--N", "0", "--k", "1"], "--N"),
         ("word_trend.py", ["--word", '{"k": 1, "letters": []}'], "at least one letter"),
+        ("word_trend.py", ["--word", json.dumps(TWISTED), "--trials", "1"],
+         "--trials: must be 0 or at least 2"),
     ],
 )
 def test_bad_input_exits_2_in_one_line(tmp_path, name, argv, message):

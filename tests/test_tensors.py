@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from references import apply_perm_left, apply_perm_right
+from tensorflat import tensors
 from tensorflat.group_algebra import AlgebraElement, max_coeff_diff
 from tensorflat.moments import Letter, Word, plain_word
 from tensorflat.perms import Permutation, compose, embed_join, group, tau
@@ -274,16 +277,77 @@ def test_paired_projection_needs_two_letters(L):
         PairProjection(w, 3)
 
 
+# only the library builds alpha != 0: the entries are not c z but c z - alpha p / scale
+SHIFTED = TensorModel.diluted(
+    0.4, base_moments={(1, 0): 0.3 - 0.2j, (1, 1): 2.0, (2, 0): 0.5}, base_scale=1.7
+)
+
+
 def test_paired_projection_applies_a_diluted_shift():
-    # only the library builds alpha != 0: the entries are not c z but c z - alpha p / scale
-    model = TensorModel.diluted(
-        0.4, base_moments={(1, 0): 0.3 - 0.2j, (1, 1): 2.0, (2, 0): 0.5}, base_scale=1.7
-    )
-    assert model.alpha * model.p != 0 and model.base_scale != 1
+    assert SHIFTED.alpha * SHIFTED.p != 0 and SHIFTED.base_scale != 1
     sigma = Permutation([3, 1, 4, 2])
     for eps in itertools.product("1*", repeat=2):
         w = Word(2, (Letter(sigma, eps[0]).followed_by(Permutation([2, 1])), Letter(sigma, eps[1])))
-        assert_samples_match_the_formed_products(model, w, 3, 4, 3)
+        assert_samples_match_the_formed_products(SHIFTED, w, 3, 4, 3)
+
+
+def threaded_samples(monkeypatch, cpus, model, w, N, seed, trials):
+    """PairProjection.samples with cpus usable CPUs and threads at any size."""
+    monkeypatch.setattr(tensors, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(tensors, "MIN_THREADED_DRAWS", 1)
+    project = PairProjection(w, N)
+    return project, project.samples(model, seed, trials)
+
+
+@pytest.mark.parametrize("model", LAWS + [SHIFTED], ids=lambda m: f"{m.kind}-{m.p}")
+@pytest.mark.parametrize("trials", [1, 2, 5])
+def test_samples_are_bit_identical_for_any_worker_count(monkeypatch, model, trials):
+    sigma = Permutation([3, 1, 4, 2])
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can go
+    try:
+        for eps in itertools.product("1*", repeat=2):
+            w = Word(2, (Letter(sigma, eps[0]).followed_by(Permutation([2, 1])), Letter(sigma, eps[1])))
+            _, one = threaded_samples(monkeypatch, 1, model, w, 3, 6, trials)
+            for cpus in (2, 3):
+                project, many = threaded_samples(monkeypatch, cpus, model, w, 3, 6, trials)
+                assert project.workers == min(cpus, trials)
+                assert set(project.timings) == {"sample_s", "estimate_s"}
+                assert np.array_equal(many, one)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_samples_stay_on_one_thread_below_the_cutoff(monkeypatch):
+    # 2 N^2k = 2592 complex draws at k = 2, N = 6; 4096 real ones at N = 8
+    monkeypatch.setattr(tensors, "usable_cpus", lambda: 2)
+    w = Word(2, (Letter(Permutation([3, 1, 4, 2]), "1"), Letter(Permutation([1, 2, 3, 4]), "*")))
+    for model, N, workers in [(CG, 6, 1), (TensorModel.real_ginibre(), 7, 1),
+                              (TensorModel.real_ginibre(), 8, 2), (CG, 8, 2)]:
+        project = PairProjection(w, N)
+        project.samples(model, 1, 3)
+        assert project.workers == workers
+
+
+def test_a_failing_worker_fails_the_call(monkeypatch):
+    # 5 trials on 2 workers: chunks 0..1 and 2..4; trial 3 raises in the second
+    bad = trial_rng(6, 3).bit_generator.state
+    drawn = []
+
+    def draw(model, size, rng, out):
+        if rng.bit_generator.state == bad:
+            raise RuntimeError("draw failed")
+        drawn.append(rng.bit_generator.state)
+        return draw_halves(model, size, rng, out)
+
+    monkeypatch.setattr(tensors, "draw_halves", draw)
+    w = Word(1, (Letter(Permutation([2, 1]), "1"), Letter(Permutation([1, 2]), "*")))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        threaded_samples(monkeypatch, 2, CG, w, 3, 6, 5)
+    assert threading.active_count() == before
+    # trials 0 to 2: the first chunk ran to its end, the second to its failure
+    assert len(drawn) == 3
 
 
 @settings(max_examples=60, deadline=None)
