@@ -42,7 +42,6 @@ from .tensors import (
     perm_matrix,
     phi_N,
     sample_tensor,
-    save_matrix,
     word_eval,
 )
 from .traffic import full_trace_expect, full_trace_expect_detailed, word_cond_expect_exact
@@ -57,10 +56,19 @@ def load_word(spec):
     return Word.from_json(text)
 
 
-def config_flags(path):
-    """The flat key=value lines of a config file as flag tokens: key (or
-    key with dashes for underscores) names the flag, as in n_max=4 or
-    n-max=4 for --n-max 4."""
+def with_config_flags(argv):
+    """argv with the flat key=value lines of its --config file, if any, as
+    flag tokens right after the command token, so that a required flag can
+    come from the file and the flags on the command line come later and
+    win.  key (or key with dashes for underscores) names the flag, as in
+    n_max=4 or n-max=4 for --n-max 4."""
+    if not any(token.partition("=")[0] == "--config" for token in argv[1:]):
+        return argv  # spares the pre-parse below, about 0.1 ms a call
+    pre = Parser(prog="tensorflat", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if not path:
+        return argv
     tokens = []
     with open(path) as fh:
         for number, line in enumerate(fh, start=1):
@@ -71,7 +79,7 @@ def config_flags(path):
             if not sep:
                 raise ValueError(f"{path}:{number}: expected key=value, got {line!r}")
             tokens += ["--" + key.strip().replace("_", "-"), value.strip()]
-    return tokens
+    return argv[:1] + tokens + argv[1:]
 
 
 def resolved_config(args):
@@ -198,11 +206,13 @@ def cmd_covariance(args):
     oracle = word_cond_expect_exact(w, N, model)
     estimates = project.samples(model, seed, trials)
     if args.dump:
-        save_matrix(args.dump, word_eval(sample_tensor(model, N, k, seed, trials - 1), w))
+        # through a handle, so that np.save adds no .npy suffix to the path
+        with open(args.dump, "wb") as fh:
+            np.save(fh, word_eval(sample_tensor(model, N, k, seed, trials - 1), w).data)
     rows = []
     for h, vals in zip(group(k), estimates):
         mean = complex(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        se = float(vals.std(ddof=1) / math.sqrt(trials))
         rows.append(
             {
                 "eta": list(h.image),
@@ -453,14 +463,14 @@ def build_parser():
     p.add_argument("--N", type=bounded(1), default=8)
     model(p)
     p.add_argument("--seed", type=bounded(0), default=7)
-    p.add_argument("--trials", type=bounded(1), default=100)
+    p.add_argument("--trials", type=bounded(2), default=100)  # one trial has no standard error
     p.add_argument("--tol", type=tolerance, help="fail when |oracle - limit| exceeds this")
     p.add_argument("--sigma", required=True, help="JSON image array of length 2k")
     p.add_argument("--sigma2", required=True)
     p.add_argument("--eta", help="JSON image array of length k")
     p.add_argument("--eps", default="1", choices=["1", "*"])
     p.add_argument("--eps2", default="*", choices=["1", "*"])
-    p.add_argument("--dump", help="write a binary matrix dump of the last sample")
+    p.add_argument("--dump", help="write the last sample's word matrix to this .npy file")
 
     p = command("moments", cmd_moments, "limit moments of a word, with oracle trend")
     model(p)
@@ -496,14 +506,8 @@ def build_parser():
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            # the file's flags go right after the command token, so that
-            # the flags given on the command line come later and win
-            at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + config_flags(args.config) + argv[at:])
+        args = build_parser().parse_args(with_config_flags(argv))
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,10 +14,11 @@ Conventions shared by the whole package:
     projection of a two-letter product is a sum over tensor entries:
       tr(M_a M_b U_eta^*) = sum_q f_a(x)[Q_eta[q]] f_b(x)[q],
     with x the raveled entries, f = conj on an adjoint letter and Q_eta a
-    flat index map fixed by the word and N (PairProjection).  The sum is
-    quadratic in x = c z, with z a trial's unscaled normal draws and c
-    real, so PairProjection.samples sums over z, drawn into a reused
-    buffer, and multiplies by c^2 once, after the last trial.
+    flat index map fixed by the word and N (PairProjection).  Every law
+    the samplers draw is centred (TensorModel), so the sum is quadratic in
+    x = c z, with z a trial's unscaled normal draws and c real, and
+    PairProjection.samples sums over z, drawn into a reused buffer, and
+    multiplies by c^2 once, after the last trial.
 
 Each trial has its own random stream (trial_rng), and the draws and dot
 products release the interpreter lock, so PairProjection.samples splits the
@@ -39,32 +40,18 @@ from __future__ import annotations
 import functools
 import math
 import os
-import struct
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .group_algebra import AlgebraElement
 from .perms import group
 
-MAGIC = b"TFLAT1\x00"
-
-
 def double_factorial(n):
     return math.prod(range(n, 0, -2)) if n > 0 else 1
-
-
-def complex_gaussian_base_moments(max_order=16):
-    """Joint moments E[y^m conj(y)^n] of the standard complex Gaussian."""
-    return {
-        (m, n): float(math.factorial(m)) if m == n else 0.0
-        for m in range(max_order + 1)
-        for n in range(max_order + 1)
-        if m + n <= max_order
-    }
 
 
 @dataclass(frozen=True)
@@ -74,15 +61,15 @@ class TensorModel:
     kind is one of "complex_ginibre", "real_ginibre", "diluted".  The diluted
     model multiplies a base variable y by an independent Bernoulli(p) mask,
     recenters, and rescales so the squared-entry normalization is exact at
-    every N.
+    every N.  The base is base_scale * (standard complex Gaussian), which the
+    samplers draw, or else the law whose moments E[y^m conj(y)^n] the dict
+    base_moments holds by (m, n), which only the oracle and the limit read.
     """
 
     kind: str
     p: float = 1.0
-    alpha: complex = 0.0
-    beta2: float = 1.0
-    base_scale: float = 1.0  # the sampled base variable is base_scale * (std complex Gaussian)
-    base_moments: dict = field(default_factory=dict)
+    base_scale: float = 1.0
+    base_moments: dict | None = None
 
     def __post_init__(self):
         if self.kind not in ("complex_ginibre", "real_ginibre", "diluted"):
@@ -90,10 +77,10 @@ class TensorModel:
         if self.kind == "diluted":
             if not (0 < self.p <= 1):
                 raise ValueError(f"dilution probability {self.p} outside (0, 1]")
+            if self.base_moments is not None and self.base_scale != 1.0:
+                raise ValueError("give a diluted base by base_scale or by base_moments, not both")
             if self.beta2 <= abs(self.alpha) ** 2 * self.p:
                 raise ValueError("degenerate variance: beta2 <= |alpha|^2 p")
-            if (1, 1) not in self.base_moments:
-                raise ValueError("base_moments must include (1,1) = E|y|^2")
 
     @classmethod
     def complex_ginibre(cls):
@@ -104,18 +91,32 @@ class TensorModel:
         return cls("real_ginibre")
 
     @classmethod
-    def diluted(cls, p, base_moments=None, alpha=None, beta2=None, base_scale=1.0):
-        if base_moments is None:
-            base_moments = {
-                key: val * base_scale ** sum(key)
-                for key, val in complex_gaussian_base_moments().items()
-            }
-        if alpha is None:
-            alpha = complex(base_moments.get((1, 0), 0.0))
-        if beta2 is None:
-            beta2 = float(complex(base_moments[(1, 1)]).real)
-        return cls("diluted", p=p, alpha=alpha, beta2=beta2,
-                   base_scale=base_scale, base_moments=dict(base_moments))
+    def diluted(cls, p, base_moments=None, base_scale=1.0):
+        return cls("diluted", p=p, base_scale=base_scale,
+                   base_moments=None if base_moments is None else dict(base_moments))
+
+    def base_moment(self, m, n):
+        """E[y^m conj(y)^n] of the diluted law's base variable y."""
+        if self.base_moments is None:
+            return float(math.factorial(m)) * self.base_scale ** (2 * m) if m == n else 0.0
+        if (m, n) not in self.base_moments:
+            raise ValueError(f"base moment {(m, n)} not provided")
+        return self.base_moments[(m, n)]
+
+    @property
+    def alpha(self):
+        """E y of the diluted law's base."""
+        return complex(self.base_moment(1, 0))
+
+    @property
+    def beta2(self):
+        """E|y|^2 of the diluted law's base."""
+        return float(complex(self.base_moment(1, 1)).real)
+
+    def check_samplable(self):
+        """Raises unless the samplers can draw this law."""
+        if self.base_moments is not None:
+            raise ValueError("a base given only by its moments cannot be sampled; give it by base_scale")
 
     @property
     def c(self):
@@ -131,7 +132,8 @@ class TensorModel:
             return 0.0
         if self.kind == "real_ginibre":
             return 1.0
-        return complex(self.base_moments.get((2, 0), 0.0))
+        al, b2, p = self.alpha, self.beta2, self.p
+        return b2 * (complex(self.base_moment(2, 0)) - al**2 * p) / (b2 - abs(al) ** 2 * p)
 
     def scale(self, N, k):
         """Per-entry normalization factor (entries are raw / scale)."""
@@ -196,10 +198,7 @@ class TensorModel:
                 if a == 0 and b == 0:
                     raw = 1.0
                 else:
-                    key = (a, b)
-                    if key not in self.base_moments:
-                        raise ValueError(f"base moment {key} not provided")
-                    raw = p * complex(self.base_moments[key])
+                    raw = p * complex(self.base_moment(a, b))
                 total += (
                     math.comb(m, a)
                     * math.comb(n, b)
@@ -262,6 +261,7 @@ def trial_rng(seed, trial=0):
 
 
 def sample_tensor(model, N, k, seed, trial=0):
+    model.check_samplable()
     rng = trial_rng(seed, trial)
     shape = (N,) * (2 * k)
     if model.kind == "complex_ginibre":
@@ -274,8 +274,7 @@ def sample_tensor(model, N, k, seed, trial=0):
             * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
             / math.sqrt(2)
         )
-        mask = rng.random(shape) < model.p
-        raw = mask * base - model.alpha * model.p
+        raw = (rng.random(shape) < model.p) * base
     return RandomTensor(N, k, raw / model.scale(N, k))
 
 
@@ -421,9 +420,10 @@ class PairProjection:
     def samples(self, model, seed, trials):
         """The k! x trials complex array of the projection's coefficients on
         sample_tensor(model, N, k, seed, trial), rows in group(k) order: sums
-        over the unscaled draws z, scaled once (module docstring).  The shift
-        of a diluted law with alpha p != 0 is not homogeneous, so there z is
-        scaled to the raw entries and shifted before the sums.
+        over the unscaled draws z, scaled once (module docstring).  Each sum is
+        one dot product, chosen once by the letters' eps: vdot conjugates its
+        first argument, so the adjoint letter's entries go first, and a sum
+        of two adjoint letters is the conjugate of the plain one.
 
         The trials are cut into one contiguous chunk per worker (module
         docstring); the caller runs the first chunk and a thread each of the
@@ -431,11 +431,17 @@ class PairProjection:
         columns.  A worker's exception is raised here once every worker has
         been joined.  Sets self.workers, and self.timings: sampling and
         estimating time, summed over the trials of every worker."""
+        model.check_samplable()
         size, side = self.N ** (2 * self.k), self.N**self.k
         real = model.kind == "real_ginibre"
         draws = size if real else 2 * size
         gain = 1.0 if real else model.base_scale / math.sqrt(2)
-        shift = model.alpha * model.p if model.kind == "diluted" else 0
+        dot = {
+            ("1", "1"): np.dot,
+            ("*", "1"): np.vdot,
+            ("1", "*"): lambda met, z: np.vdot(z, met),
+            ("*", "*"): lambda met, z: np.dot(met, z).conjugate(),
+        }[self.eps]
         out = np.empty((len(self.maps), trials), dtype=complex)
 
         def run(chunk):
@@ -448,21 +454,10 @@ class PairProjection:
                 draw_halves(model, size, trial_rng(seed, trial), buf)
                 if not real:
                     z.real, z.imag = buf[:size], buf[size:]
-                if shift:
-                    z *= gain
-                    z -= shift
                 sampled = time.perf_counter()
                 for row, q in enumerate(self.maps):
                     z.take(q, out=met)
-                    if self.eps == ("*", "1"):
-                        total = np.vdot(met, z)
-                    elif self.eps == ("1", "*"):
-                        total = np.vdot(z, met)
-                    else:
-                        total = met @ z
-                        if self.eps[0] == "*":
-                            total = total.conjugate()
-                    out[row, trial] = total
+                    out[row, trial] = dot(met, z)
                 sample_s += sampled - start
                 estimate_s += time.perf_counter() - sampled
             return sample_s, estimate_s
@@ -486,7 +481,7 @@ class PairProjection:
         for exc in errors:
             if exc is not None:
                 raise exc
-        out *= (1.0 if shift else gain**2) / (model.scale(self.N, self.k) ** 2 * side)
+        out *= gain**2 / (model.scale(self.N, self.k) ** 2 * side)
         self.workers = workers
         self.timings = {"sample_s": sum(s for s, _ in spent), "estimate_s": sum(e for _, e in spent)}
         return out
@@ -530,77 +525,3 @@ def choi_check(N, k):
     min_eig = float(np.linalg.eigvalsh(C).min())
     defect = float(np.abs(C @ C - math.factorial(k) * C).max())
     return min_eig, defect
-
-
-# --- binary export -------------------------------------------------------
-
-_KIND_TENSOR = 0
-_KIND_MATRIX = 1
-
-
-def _write_header(fh, kind, N, k):
-    fh.write(MAGIC)
-    fh.write(struct.pack("<BIIB", kind, N, k, 0))  # dtype 0 = complex float64
-
-
-def _read_header(fh):
-    magic = fh.read(len(MAGIC))
-    if magic != MAGIC:
-        raise ValueError("bad magic; not a tensorflat binary file")
-    header = fh.read(10)
-    if len(header) != 10:
-        raise ValueError("truncated header; not a tensorflat binary file")
-    kind, N, k, dtype = struct.unpack("<BIIB", header)
-    if dtype != 0:
-        raise ValueError(f"unsupported dtype code {dtype}")
-    return kind, N, k
-
-
-def _write_payload(fh, arr):
-    flat = np.ascontiguousarray(arr, dtype=complex).reshape(-1)
-    inter = np.empty(2 * flat.size, dtype="<f8")
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
-    fh.write(inter.tobytes())
-
-
-def _read_payload(fh, count):
-    """The count complex entries after the header, once the file is known to
-    hold exactly 16 bytes for each."""
-    found = os.fstat(fh.fileno()).st_size - fh.tell()
-    if found != 16 * count:
-        raise ValueError(f"payload size mismatch: expected {16 * count} bytes, found {found}")
-    inter = np.frombuffer(fh.read(16 * count), dtype="<f8")
-    return inter[0::2] + 1j * inter[1::2]
-
-
-def save_tensor(path, t):
-    with open(path, "wb") as fh:
-        _write_header(fh, _KIND_TENSOR, t.N, t.k)
-        _write_payload(fh, t.entries)
-
-
-def load_tensor(path):
-    with open(path, "rb") as fh:
-        kind, N, k = _read_header(fh)
-        if kind != _KIND_TENSOR:
-            raise ValueError("file does not contain a tensor")
-        flat = _read_payload(fh, N ** (2 * k))
-    return RandomTensor(N, k, flat.reshape((N,) * (2 * k)))
-
-
-def save_matrix(path, m):
-    with open(path, "wb") as fh:
-        _write_header(fh, _KIND_MATRIX, m.N, m.k)
-        _write_payload(fh, m.data)
-
-
-def load_matrix(path):
-    with open(path, "rb") as fh:
-        kind, N, k = _read_header(fh)
-        if kind != _KIND_MATRIX:
-            raise ValueError("file does not contain a matrix")
-        flat = _read_payload(fh, N ** (2 * k))
-    side = N**k
-    return FlatMatrix(N, k, flat.reshape(side, side))
-

@@ -1,19 +1,22 @@
+import argparse
 import json
 import math
+import string
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorflat import tensors
-from tensorflat.cli import main
+from tensorflat.cli import build_parser, main, tolerance, with_config_flags
 from tensorflat.moments import Word
 from tensorflat.perms import Permutation, group
 from tensorflat.tensors import (
     MAX_MAP_ENTRIES,
     cond_expect_N,
     flatten,
-    load_matrix,
     parse_model,
     perm_matrix,
     sample_tensor,
@@ -148,7 +151,7 @@ def test_covariance_rows_equal_the_formed_product_reference(
 
 
 def test_covariance_dump_is_the_last_formed_product(capsys, tmp_path):
-    dump = tmp_path / "last.bin"
+    dump = tmp_path / "last.bin"  # written as named: no .npy suffix is added
     sigma, sigma2, eta = [3, 1, 4, 2], [1, 2, 3, 4], [2, 1]
     code, _ = run(
         capsys, "covariance", "--k", "2", "--N", "3", "--sigma", json.dumps(sigma),
@@ -158,7 +161,7 @@ def test_covariance_dump_is_the_last_formed_product(capsys, tmp_path):
     assert code == 0
     last = sample_tensor(parse_model("complex_ginibre"), 3, 2, 4, trial=2)
     want = formed_product(last, sigma, "*", eta, sigma2, "*")
-    np.testing.assert_allclose(load_matrix(dump).data, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.load(dump, allow_pickle=False), want, rtol=0, atol=1e-12)
 
 
 def test_moments_command(capsys, tmp_path):
@@ -336,6 +339,53 @@ def test_config_file(capsys, tmp_path):
     assert payload["config"]["k"] == 2
 
 
+def flag_value(action):
+    """Values for one flag, in range or not: a bad value must fail the same
+    way from a config file as from the command line."""
+    if action.choices:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is tolerance:
+        return st.floats().map(repr)
+    if action.type is not None:  # a bounded int
+        return st.integers(-2, 40).map(str)
+    # no surrounding whitespace, which a config file strips
+    return st.text(string.ascii_letters + string.digits + "[],.:=#-_*", max_size=12)
+
+
+def parsed(argv):
+    try:
+        args = vars(build_parser().parse_args(with_config_flags(argv)))
+    except ValueError as exc:
+        return str(exc)
+    del args["config"]
+    return args
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flags_survive_a_round_trip_through_config(tmp_path_factory, data):
+    # the parse of a command's flags equals the parse of a config file
+    # holding them, keyed by flag or by dest, required flags included; no
+    # command runs
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    command = data.draw(st.sampled_from(sorted(commands)))
+    actions = [a for a in commands[command]._actions if a.dest not in ("help", "config")]
+    optional = st.lists(st.sampled_from([a for a in actions if not a.required]), unique_by=id)
+    chosen = data.draw(optional.map(lambda some: [a for a in actions if a.required] + some))
+    argv, lines = [command], []
+    for action in chosen:
+        value = data.draw(flag_value(action))
+        flag = action.option_strings[0]
+        key = data.draw(st.sampled_from([flag[2:], action.dest]))
+        argv += [flag, value]
+        lines.append(f"{key}={value}\n")
+    cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    cfg.write_text("".join(lines))
+    assert parsed([command, "--config", str(cfg)]) == parsed(argv)
+
+
 def usage_error(capsys, *argv):
     """The one stderr line of a run that must exit 2 with no report."""
     code = main(list(argv))
@@ -423,21 +473,12 @@ def test_check_rejects_sizes_past_its_bounds(capsys, flag, value, bound):
 
 
 def test_covariance_rejects_no_trials_before_dumping(capsys, tmp_path):
-    dump = tmp_path / "last.bin"
-    line = usage_error(capsys, *COVARIANCE_K1, "--trials", "-1", "--dump", str(dump))
-    assert "--trials: must be >= 1" in line
-    assert not dump.exists()
-
-
-def test_truncated_dump_file_names_the_byte_counts(capsys, tmp_path):
-    dump = tmp_path / "last.bin"
-    code, _ = run(capsys, *COVARIANCE_K1, "--trials", "2", "--dump", str(dump))
-    assert code == 0
-    assert load_matrix(dump).data.shape == (3, 3)
-    dump.write_bytes(dump.read_bytes()[:-1])
-    # 3 x 3 complex entries of 16 bytes each
-    with pytest.raises(ValueError, match="expected 144 bytes, found 143"):
-        load_matrix(dump)
+    # one trial has no standard error, so it is refused like none
+    dump = tmp_path / "last.npy"
+    for trials in ("-1", "1"):
+        line = usage_error(capsys, *COVARIANCE_K1, "--trials", trials, "--dump", str(dump))
+        assert f"--trials: must be >= 2, got {trials}" in line
+        assert not dump.exists()
 
 
 @pytest.mark.parametrize(

@@ -21,13 +21,9 @@ from tensorflat.tensors import (
     cond_expect_N,
     draw_halves,
     flatten,
-    load_matrix,
-    load_tensor,
     perm_matrix,
     phi_N,
     sample_tensor,
-    save_matrix,
-    save_tensor,
     trial_rng,
     tuple_index_map,
     word_eval,
@@ -182,20 +178,50 @@ def test_sampling_deterministic():
     assert not np.array_equal(a.entries, c.entries)
 
 
+# a diluted law whose base is not centred and given only by its moments
+MOMENTS_ONLY = TensorModel.diluted(
+    0.4, base_moments={(1, 0): 0.3 - 0.2j, (0, 1): 0.3 + 0.2j, (1, 1): 2.0, (2, 0): 0.5, (0, 2): 0.5}
+)
+# a diluted law with a Gaussian base of scale 1.7: c = 1.7^2
+SCALED = TensorModel.diluted(0.4, base_scale=1.7)
+LAWS = [CG, TensorModel.real_ginibre(), TensorModel.diluted(0.5)]
+SAMPLABLE = LAWS + [SCALED]
+
+
 def test_diluted_model_normalization():
-    model = TensorModel.diluted(0.3)
-    N, k = 5, 1
-    assert abs(N**k * model.entry_moment(1, 1, N, k) - model.beta2) < 1e-12
-    t = sample_tensor(model, 32, 1, 8)
-    emp = (32 * np.abs(t.entries) ** 2).mean()
-    assert abs(emp - 1.0) < 0.4
+    # every law the samplers draw is the law the model states: mean 0, and
+    # N^k E|x|^2 = c, N^k E x^2 = c' to 5 standard errors of the mean
+    N, k = 16, 2
+    for model in SAMPLABLE:
+        x = sample_tensor(model, N, k, 8).entries.reshape(-1)
+        for values, want in ((x, 0), (N**k * np.abs(x) ** 2, model.c), (N**k * x**2, model.c_prime)):
+            se = math.hypot(values.real.std(), values.imag.std()) / math.sqrt(x.size)
+            assert abs(values.mean() - want) <= 5 * se, (model, want)
 
 
 def test_diluted_validation():
     with pytest.raises(ValueError):
         TensorModel.diluted(0.0)
-    with pytest.raises(ValueError):
-        TensorModel("diluted", p=0.5, alpha=2.0, beta2=1.0, base_moments={(1, 1): 1.0})
+    with pytest.raises(ValueError, match="degenerate variance"):
+        TensorModel.diluted(0.5, base_moments={(1, 0): 2.0, (1, 1): 1.0})
+    with pytest.raises(ValueError, match=r"base moment \(1, 1\) not provided"):
+        TensorModel.diluted(0.5, base_moments={(1, 0): 0.0})
+    with pytest.raises(ValueError, match="not both"):
+        TensorModel.diluted(0.5, base_moments={(1, 0): 0.0, (1, 1): 1.0}, base_scale=2.0)
+    # alpha and beta2 are read off the base, never set
+    with pytest.raises(TypeError):
+        TensorModel.diluted(0.5, alpha=0.5)
+    assert (MOMENTS_ONLY.alpha, MOMENTS_ONLY.beta2) == (0.3 - 0.2j, 2.0)
+    assert (SCALED.alpha, SCALED.beta2) == (0, 1.7**2)
+
+
+def test_samplers_refuse_a_base_given_only_by_its_moments():
+    w = Word(1, (Letter(Permutation([2, 1]), "1"), Letter(Permutation([1, 2]), "*")))
+    for draw in (lambda: sample_tensor(MOMENTS_ONLY, 3, 1, 0),
+                 lambda: PairProjection(w, 3).samples(MOMENTS_ONLY, 0, 2)):
+        with pytest.raises(ValueError, match="given only by its moments cannot be sampled") as caught:
+            draw()
+        assert "\n" not in str(caught.value)
 
 
 def test_word_eval():
@@ -239,9 +265,6 @@ def assert_samples_match_the_formed_products(model, w, N, seed, trials):
         assert_same_projection(fast[:, trial], cond_expect_N(word_eval(t, w).data, w.k))
 
 
-LAWS = [CG, TensorModel.real_ginibre(), TensorModel.diluted(0.5)]
-
-
 @pytest.mark.parametrize("model", LAWS, ids=lambda m: m.kind)
 @pytest.mark.parametrize("k,N", [(1, 1), (1, 4), (2, 2), (2, 3), (3, 2)])
 def test_draw_halves_is_the_stream_of_sample_tensor(model, k, N):
@@ -277,18 +300,11 @@ def test_paired_projection_needs_two_letters(L):
         PairProjection(w, 3)
 
 
-# only the library builds alpha != 0: the entries are not c z but c z - alpha p / scale
-SHIFTED = TensorModel.diluted(
-    0.4, base_moments={(1, 0): 0.3 - 0.2j, (1, 1): 2.0, (2, 0): 0.5}, base_scale=1.7
-)
-
-
-def test_paired_projection_applies_a_diluted_shift():
-    assert SHIFTED.alpha * SHIFTED.p != 0 and SHIFTED.base_scale != 1
+def test_paired_projection_applies_the_base_scale():
     sigma = Permutation([3, 1, 4, 2])
     for eps in itertools.product("1*", repeat=2):
         w = Word(2, (Letter(sigma, eps[0]).followed_by(Permutation([2, 1])), Letter(sigma, eps[1])))
-        assert_samples_match_the_formed_products(SHIFTED, w, 3, 4, 3)
+        assert_samples_match_the_formed_products(SCALED, w, 3, 4, 3)
 
 
 def threaded_samples(monkeypatch, cpus, model, w, N, seed, trials):
@@ -299,7 +315,7 @@ def threaded_samples(monkeypatch, cpus, model, w, N, seed, trials):
     return project, project.samples(model, seed, trials)
 
 
-@pytest.mark.parametrize("model", LAWS + [SHIFTED], ids=lambda m: f"{m.kind}-{m.p}")
+@pytest.mark.parametrize("model", SAMPLABLE, ids=lambda m: f"{m.kind}-{m.p}")
 @pytest.mark.parametrize("trials", [1, 2, 5])
 def test_samples_are_bit_identical_for_any_worker_count(monkeypatch, model, trials):
     sigma = Permutation([3, 1, 4, 2])
@@ -388,26 +404,3 @@ def test_choi_check():
         assert defect <= 1e-10
     with pytest.raises(ValueError):
         choi_check(9, 2)
-
-
-def test_binary_roundtrip(tmp_path):
-    t = sample_tensor(CG, 3, 2, 10)
-    p = tmp_path / "tensor.bin"
-    save_tensor(p, t)
-    t2 = load_tensor(p)
-    assert t2.N == 3 and t2.k == 2
-    assert np.array_equal(t.entries, t2.entries)
-    m = flatten(t, group(4)[5])
-    mp = tmp_path / "matrix.bin"
-    save_matrix(mp, m)
-    m2 = load_matrix(mp)
-    assert np.array_equal(m.data, m2.data)
-    with pytest.raises(ValueError):
-        load_tensor(mp)
-    # 3^4 entries of 16 bytes after the 17-byte header, one entry cut off
-    p.write_bytes(p.read_bytes()[:-16])
-    with pytest.raises(ValueError, match="expected 1296 bytes, found 1280"):
-        load_tensor(p)
-    p.write_bytes(p.read_bytes()[:12])
-    with pytest.raises(ValueError, match="truncated header"):
-        load_tensor(p)

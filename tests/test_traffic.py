@@ -475,3 +475,13 @@ def test_cumulants_reproduce_entry_moments(name):
                 total += math.prod(kappa[(sum(b), len(b) - sum(b))] for b in blocks)
             moment = model.entry_moment(m, n, N, k)
             assert abs(total - moment) <= 1e-12 * max(abs(moment), N ** (-k * (m + n) / 2))
+
+
+@pytest.mark.parametrize("name", ["complex", "real", "diluted", "diluted-shifted"])
+def test_c_and_c_prime_are_the_exact_second_moments(name):
+    # the limit reads c = N^k E|x|^2 and c' = N^k E x^2, which for these
+    # laws hold exactly at every N
+    for N, k in ((3, 1), (4, 2)):
+        model = models(N)[name]
+        assert abs(N**k * model.entry_moment(1, 1, N, k) - model.c) <= 1e-12
+        assert abs(N**k * model.entry_moment(2, 0, N, k) - model.c_prime) <= 1e-12
