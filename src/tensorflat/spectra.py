@@ -1,25 +1,40 @@
 """Spectral experiments: normalized sums of all flattenings and their
 trace-power moments against the predicted diluted limit laws.
 
-The pipeline never forms a single flattening.  It rests on three identities.
+The pipeline forms no flattening and no N^k x N^k matrix.  It rests on three
+identities.
 
-* Coset union.  S_n is the disjoint union of the cosets (i n) S_{n-1} for
-  i = 1..n, with (n n) the identity.  Summing a tensor over all permutations
-  of its n axes therefore takes n(n-1)/2 swapped-axis adds: with the first
-  m-1 axes summed, add the m-1 copies that swap axis m with an earlier one
-  (subtract them for the signed sum).  The sum of all (2k)! flattenings is
-  this sum reshaped, and S3 = S + S* comes from the same single sum.
+* Orbit sums.  Summing a tensor x over all (2k)! flattenings puts at
+  position I = (i_1..i_2k) the sum of x over every rearrangement of I.  So an
+  entry of S1 depends only on the multiset M of its 2k indices: it is
+  |Stab(M)| bin[M], where bin[M] sums x over the distinct arrangements of M.
+  The signed sum S2 vanishes where I repeats an index and is sgn(I) bin[M]
+  elsewhere, with sgn(I) the sign of the permutation sorting I and bin[M]
+  the sign-weighted sum of x over the (2k)! arrangements of the set M.
+  S3 = S + S* comes from the bins of S1.
 * Orbit-weighted compression.  An entry of S1 or S3 depends only on the
   multiset of its row indices and on that of its column indices; an entry
   of S2 changes sign with their order.  Over the sorted multi-indices r
   (strictly increasing for S2) with orbit sizes o_r, the vectors
   e_r = o_r^(-1/2) sum_{I in orbit(r)} (+-)e_I are orthonormal and span the
-  rows and columns, so A = V B V^T with B[r, s] = sqrt(o_r o_s) A[r, s].
-  Hence A A* (or A itself when Hermitian) has the spectrum of B B* (or B)
-  padded with side - d zeros, where d = C(N+k-1, k) on Sym^k and C(N, k)
-  on Lambda^k, and tr (A A*)^n = tr (B B*)^n.
+  rows and columns, so A = V B V^T with B[r, s] = sqrt(o_r o_s) A[r, s]:
+    B[r, s] = sqrt(o_r o_s) |Stab(r u s)| bin[r u s]          (S1),
+    B[r, s] = sqrt(o_r o_s) sgn(r, s) bin[r u s]              (S2),
+  with sgn(r, s) = sgn(I) at I = (r, s), divided by the target's scale, and
+  B + B^H for S3.  Hence A A* (or A
+  itself when Hermitian) has the spectrum of B B* (or B) padded with
+  side - d zeros, where d = C(N+k-1, k) on Sym^k and C(N, k) on Lambda^k,
+  and tr (A A*)^n = tr (B B*)^n.
 * Half-power pairing.  tr C^(a+b) = sum_ij (C^a)_ij (C^b)_ji, so the
   moments up to n_max need the powers of C up to ceil(n_max/2) only.
+
+build_target takes the bins straight from a trial's unscaled normal draws
+(tensors.draw_halves), with two bincounts per real half.  The first sums the
+draws over each pair of row orbit r' and column orbit s' into a d x d array
+H (each draw weighted by the signs of its row and column k-tuples for S2),
+a chunk of rows at a time; the second folds H into one sum per multiset
+r' u s' (per set for S2, each pair weighted by the sign of its merge).  Its
+index maps depend only on (N, k, signed), and orbit_maps builds them once.
 """
 
 from __future__ import annotations
@@ -27,11 +42,9 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,67 +52,145 @@ import numpy as np
 from .moments import predicted_moments, target_scale
 # flatten is unused here but stays importable: the benchmark's tracer tests
 # check that it is patched in this namespace too
-from .tensors import FlatMatrix, flatten, sample_tensor  # noqa: F401
+from .tensors import MAX_MAP_ENTRIES, draw_halves, flatten, trial_rng  # noqa: F401
+
+# Bound on the entries of each temporary that orbit_maps and build_target
+# make per chunk: 2k indices per orbit pair, one index and one draw per entry
+# of a chunk of rows.
+CHUNK_ENTRIES = 2**16
 
 
-def _all_axes_sum(entries, signed):
-    """Sum of the tensor over all permutations of its axes, weighted by the
-    signature when signed, built one coset (i m) S_{m-1} at a time."""
-    add = np.subtract if signed else np.add
-    total = entries
-    for m in range(1, entries.ndim):
-        acc = add(total, total.swapaxes(0, m), dtype=complex)
-        for i in range(1, m):
-            add(acc, total.swapaxes(i, m), out=acc)
-        total = acc
-    return total
+@dataclass(frozen=True)
+class OrbitMaps:
+    """build_target's index maps for one (N, k, signed).
 
+    Orbits are numbered by their sorted representatives in lexicographic
+    order.  orbit[i] is the orbit of the k-tuple with row-major index i, and
+    sign[i] the sign of the permutation sorting it; where a signed tuple
+    repeats an index, its sign and orbit are 0.  rows lists the tuples of
+    nonzero sign sorted by orbit.  pair_bin[r, s] is the colex rank of the
+    multiset r u s among the len(stab) multisets of 2k indices (sets when
+    signed), plus len(stab) where merging r and s is an odd permutation, or
+    2 len(stab) where r and s meet.  stab holds |Stab(M)| of each multiset
+    M, and root the square roots of the orbit sizes."""
 
-def build_target(t, which, model):
-    """One of the three normalized all-flattening sums.
-
-    S1 sums every flattening, S2 weights by signature, S3 symmetrizes with
-    the adjoints (Hermitian): the Mixtures all_sigma_mixture and
-    hermitized_mixture, divided by the same target_scale.
-    """
-    scale = target_scale(which, t.k, model.c, model.c_prime)
-    side = t.N**t.k
-    total = _all_axes_sum(t.entries, signed=which == "S2").reshape(side, side)
-    if which == "S3":
-        total += total.conj().T
-    total /= scale
-    return FlatMatrix(t.N, t.k, total)
+    orbit: np.ndarray
+    sign: np.ndarray
+    rows: np.ndarray
+    pair_bin: np.ndarray
+    stab: np.ndarray
+    root: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
-def symmetry_basis(N, k, antisymmetric):
-    """Row-major indices of the orbit representatives of [N]^k under
-    permutations of the coordinates (sorted tuples; strictly increasing
-    when antisymmetric) and the square roots of their orbit sizes."""
-    if antisymmetric:
-        reps = list(itertools.combinations(range(N), k))
-        orbits = [math.factorial(k)] * len(reps)
-    else:
-        reps = list(itertools.combinations_with_replacement(range(N), k))
-        orbits = [
-            math.factorial(k)
-            // math.prod(math.factorial(c) for c in Counter(r).values())
-            for r in reps
-        ]
-    index = np.ravel_multi_index(np.array(reps, dtype=np.intp).reshape(-1, k).T, (N,) * k)
-    weight = np.sqrt(np.array(orbits, dtype=float))
-    index.flags.writeable = weight.flags.writeable = False
-    return index, weight
+def orbit_maps(N, k, signed):
+    """The OrbitMaps of (N, k, signed), built a chunk of orbit pairs at a
+    time, each chunk within CHUNK_ENTRIES indices."""
+    coords = np.stack(np.unravel_index(np.arange(N**k), (N,) * k))
+    ordered = np.sort(coords, axis=0)
+    sign = np.ones(N**k)
+    if signed:
+        inversions = sum(coords[a] > coords[b] for a in range(k) for b in range(a + 1, k))
+        sign -= 2 * (inversions % 2)
+        sign[(ordered[1:] == ordered[:-1]).any(axis=0)] = 0.0
+    kept = np.flatnonzero(sign)
+    # the sorted tuples in lexicographic order are the orbits' representatives
+    reps, inverse, sizes = np.unique(
+        ordered[:, kept], axis=1, return_inverse=True, return_counts=True
+    )
+    orbit = np.zeros(N**k, dtype=np.intp)
+    orbit[kept] = inverse.ravel()
+    rows = kept[np.argsort(orbit[kept], kind="stable")]
+    reps, d, m = reps.T, sizes.size, 2 * k
+    bins = math.comb(N, m) if signed else math.comb(N + m - 1, m)
+    # colex rank: sum_j C(b_j, j + 1) over the increasing b_j = M_j (+ j for a multiset)
+    comb = np.array(
+        [[math.comb(n, j) for j in range(m + 1)] for n in range(N + m)], dtype=np.intp
+    )
+    shift = 0 if signed else 1
+    pair_bin = np.empty((d, d), dtype=np.intp)
+    stab = np.ones(bins)
+    step = max(1, CHUNK_ENTRIES // max(1, m * d))
+    for start in range(0, d, step):
+        r = reps[start:start + step, None, :]
+        merged = np.concatenate(np.broadcast_arrays(r, reps[None]), axis=-1)
+        merged.sort(axis=-1)
+        rank = sum(comb[merged[..., j] + shift * j, j + 1] for j in range(m))
+        repeat = merged[..., 1:] == merged[..., :-1]
+        if signed:
+            odd = sum(r[..., a] > reps[None, :, b] for a in range(k) for b in range(k)) % 2
+            rank += bins * odd
+            pair_bin[start:start + step] = np.where(repeat.any(axis=-1), 2 * bins, rank)
+        else:
+            # |Stab(M)| = prod of (run length)!, the product of each index's
+            # place within its run of equal indices
+            place = np.ones(rank.shape)
+            size = np.ones(rank.shape)
+            for j in range(m - 1):
+                place = np.where(repeat[..., j], place + 1, 1.0)
+                size *= place
+            stab[rank] = size
+            pair_bin[start:start + step] = rank
+    maps = OrbitMaps(orbit, sign, rows, pair_bin, stab, np.sqrt(sizes))
+    for array in vars(maps).values():
+        array.flags.writeable = False
+    return maps
 
 
-def compress(A, which):
-    """The block B[r, s] = sqrt(o_r o_s) A[r, s] of a target on Sym^k (S1,
-    S3) or Lambda^k (S2), in the orbit basis of the module docstring."""
-    index, weight = symmetry_basis(A.N, A.k, which == "S2")
-    return A.data[np.ix_(index, index)] * np.multiply.outer(weight, weight)
+@dataclass(frozen=True)
+class Block:
+    """A spectral target's compressed block B and the side N^k of the target
+    (module docstring)."""
+
+    data: np.ndarray
+    side: int
 
 
-def _spectral_operand(A, hermitian):
+def build_target(draws, which, model, N, k):
+    """The compressed block of one of the three normalized all-flattening
+    sums of the tensor that draws, a trial's buffer from tensors.draw_halves,
+    stands for.
+
+    S1 sums every flattening, S2 weights by signature, S3 symmetrizes with
+    the adjoints (Hermitian): the Mixtures all_sigma_mixture and
+    hermitized_mixture, divided by the same target_scale.  The block is
+    real for the real law, complex otherwise.
+    """
+    signed = which == "S2"
+    maps = orbit_maps(N, k, signed)
+    side, d, bins = N**k, maps.root.size, maps.stab.size
+    real = model.kind == "real_ginibre"
+    halves = draws.reshape(1 if real else 2, side, side)
+    totals = np.zeros((len(halves), d, d))
+    step = max(1, CHUNK_ENTRIES // side)
+    for start in range(0, maps.rows.size, step):
+        rows = maps.rows[start:start + step]
+        lo, hi = maps.orbit[rows[0]], maps.orbit[rows[-1]] + 1
+        index = ((maps.orbit[rows] - lo)[:, None] * d + maps.orbit).ravel()
+        for half, total in zip(halves, totals):
+            chunk = half[rows]
+            if signed:
+                chunk *= maps.sign
+                chunk *= maps.sign[rows, None]
+            counts = np.bincount(index, chunk.ravel(), minlength=(hi - lo) * d)
+            total[lo:hi] += counts.reshape(-1, d)
+    # bins of even merges, of odd merges (S2 only) and of meeting pairs
+    sums = [
+        np.bincount(maps.pair_bin.ravel(), total.ravel(), minlength=2 * bins + 1)
+        for total in totals
+    ]
+    gain = 1.0 if real else model.base_scale / math.sqrt(2)
+    gain /= model.scale(N, k) * target_scale(which, k, model.c, model.c_prime)
+    per_bin = sums[0] if real else sums[0] + 1j * sums[1]
+    per_bin = (per_bin[:bins] - per_bin[bins:2 * bins]) * (maps.stab * gain)
+    block = np.concatenate([per_bin, -per_bin, [0.0]])[maps.pair_bin]
+    block *= np.multiply.outer(maps.root, maps.root)
+    if which == "S3":
+        block += block.conj().T
+    return Block(block, side)
+
+
+def spectral_operand(A, hermitian):
     """A, checked to be Hermitian when declared so, or else A A*: the matrix
     whose traces and eigenvalues the moments and the spectrum describe."""
     if not hermitian:
@@ -109,14 +200,14 @@ def _spectral_operand(A, hermitian):
     return A
 
 
-def trace_power_moments(A, hermitian, n_max):
-    """Normalized traces of (A A*)^n, or of A^n when the matrix is declared
-    Hermitian, for n = 1..n_max by half-power pairing (no
-    eigendecomposition)."""
+def trace_power_moments(base, n_max, side=None):
+    """tr(base^n) / side for n = 1..n_max by half-power pairing (no
+    eigendecomposition).  base is a spectral_operand; side defaults to its
+    own, and the side of the full target makes a compressed block's traces
+    those of its target."""
     if n_max > 12:
         raise ValueError("n_max exceeds guard 12")
-    base = _spectral_operand(A, hermitian)
-    side = base.shape[0]
+    side = base.shape[0] if side is None else side
     if side == 0:
         raise ValueError("the empty 0x0 matrix has no normalized trace moments")
     powers = [None, base]  # powers[a] = base^a
@@ -131,29 +222,14 @@ def trace_power_moments(A, hermitian, n_max):
     return out
 
 
-def compressed_moments(A, which, n_max):
-    """trace_power_moments of a build_target output, computed on its
-    compressed block and rescaled by d/side."""
-    B = compress(A, which)
-    if B.shape[0] == 0:
-        return [0j] * n_max
-    scale = B.shape[0] / A.side
-    return [m * scale for m in trace_power_moments(B, which == "S3", n_max)]
-
-
-def compressed_spectrum(A, which):
-    """empirical_spectrum of a build_target output, from the eigenvalues of
-    its compressed block padded with side - d zeros."""
-    B = compress(A, which)
-    eigs = empirical_spectrum(B, which == "S3")
-    return np.sort(np.concatenate([eigs, np.zeros(A.side - B.shape[0])]))
-
-
-def empirical_spectrum(A, hermitian):
-    """Sorted real eigenvalues of the array A (Hermitian) or of A A*."""
-    if A.shape[0] > 4096:
+def empirical_spectrum(base, side=None):
+    """Sorted eigenvalues of the Hermitian base, a spectral_operand, padded
+    with zeros to side (default its own)."""
+    if base.shape[0] > 4096:
         raise ValueError("matrix side exceeds eigensolver guard 4096")
-    return np.sort(np.linalg.eigvalsh(_spectral_operand(A, hermitian)))
+    eigs = np.linalg.eigvalsh(base)
+    side = base.shape[0] if side is None else side
+    return np.sort(np.concatenate([eigs, np.zeros(side - eigs.size)]))
 
 
 def histogram(values, side):
@@ -189,8 +265,8 @@ class SpectralReport:
     seed: int
     rows: list = field(default_factory=list)  # (n, empirical, stderr, predicted)
     hist: dict = None
-    counters: dict = None  # side, compressed_side and matmuls per trial
-    timings: dict = None  # seconds summed over trials: sample, build, moments, hist
+    counters: dict = None  # side, compressed_side, matmuls per trial, orbit_bins
+    timings: dict = None  # seconds: maps once, sample, build, moments, hist summed over trials
 
     def to_json(self):
         return json.dumps(
@@ -230,21 +306,35 @@ class SpectralReport:
 
 def run_experiment(model, which, k, N, trials, n_max, seed, with_hist=False):
     """Trial-averaged moments of a spectral target with standard errors and
-    the predicted limiting column."""
+    the predicted limiting column.  Each trial draws into one reused buffer,
+    and its moments (and spectrum, with_hist) share one spectral_operand."""
+    size = N ** (2 * k)
+    if size > MAX_MAP_ENTRIES:
+        raise ValueError(
+            f"a spectrum trial of N^(2k) = {size} draws exceeds the guard of {MAX_MAP_ENTRIES}"
+        )
+    model.check_samplable()
     hermitian = which == "S3"
+    start = time.perf_counter()
+    maps = orbit_maps(N, k, which == "S2")
+    timings = {
+        "maps_s": time.perf_counter() - start,
+        **dict.fromkeys(("sample_s", "build_s", "moments_s", "hist_s"), 0.0),
+    }
+    draws = np.empty(size if model.kind == "real_ginibre" else 2 * size)
     samples = np.zeros((trials, n_max))
     pooled = [] if with_hist else None
-    timings = dict.fromkeys(("sample_s", "build_s", "moments_s", "hist_s"), 0.0)
     for trial in range(trials):
         start = time.perf_counter()
-        t = sample_tensor(model, N, k, seed, trial)
+        draw_halves(model, size, trial_rng(seed, trial), draws)
         sampled = time.perf_counter()
-        A = build_target(t, which, model)
+        B = build_target(draws, which, model, N, k)
         built = time.perf_counter()
-        samples[trial] = [m.real for m in compressed_moments(A, which, n_max)]
+        base = spectral_operand(B.data, hermitian)
+        samples[trial] = [m.real for m in trace_power_moments(base, n_max, B.side)]
         done = time.perf_counter()
         if with_hist:
-            pooled.append(compressed_spectrum(A, which))
+            pooled.append(empirical_spectrum(base, B.side))
             timings["hist_s"] += time.perf_counter() - done
         timings["sample_s"] += sampled - start
         timings["build_s"] += built - sampled
@@ -254,10 +344,9 @@ def run_experiment(model, which, k, N, trials, n_max, seed, with_hist=False):
         samples.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(n_max)
     )
     predicted = predicted_moments(which, k, n_max)
-    d = symmetry_basis(N, k, which == "S2")[0].size
-    # trace_power_moments forms B B* unless Hermitian, then the powers up to
-    # ceil(n_max/2); empirical_spectrum forms B B* once more
-    matmuls = (n_max + 1) // 2 - hermitian + (with_hist and not hermitian) if d else 0
+    d = maps.root.size
+    # B B* unless Hermitian, then the powers up to ceil(n_max/2)
+    matmuls = (n_max + 1) // 2 - hermitian if d else 0
     report = SpectralReport(
         target=which,
         model=model.describe(),
@@ -270,7 +359,10 @@ def run_experiment(model, which, k, N, trials, n_max, seed, with_hist=False):
             (n + 1, float(means[n]), float(stderr[n]), float(predicted[n]))
             for n in range(n_max)
         ],
-        counters={"side": N**k, "compressed_side": d, "matmuls": int(matmuls)},
+        counters={
+            "side": N**k, "compressed_side": d, "matmuls": int(matmuls),
+            "orbit_bins": maps.stab.size,
+        },
         timings=timings,
     )
     if with_hist:

@@ -261,21 +261,18 @@ def trial_rng(seed, trial=0):
 
 
 def sample_tensor(model, N, k, seed, trial=0):
+    """The tensor of trial_rng(seed, trial): draw_halves' unscaled draws z,
+    base_scale (z_re + i z_im) / sqrt(2) (z itself for the real law), divided
+    by model.scale(N, k)."""
     model.check_samplable()
-    rng = trial_rng(seed, trial)
-    shape = (N,) * (2 * k)
-    if model.kind == "complex_ginibre":
-        raw = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
-    elif model.kind == "real_ginibre":
-        raw = rng.standard_normal(shape).astype(complex)
+    size = N ** (2 * k)
+    real = model.kind == "real_ginibre"
+    z = draw_halves(model, size, trial_rng(seed, trial), np.empty(size if real else 2 * size))
+    if real:
+        raw = z.astype(complex)
     else:
-        base = (
-            model.base_scale
-            * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            / math.sqrt(2)
-        )
-        raw = (rng.random(shape) < model.p) * base
-    return RandomTensor(N, k, raw / model.scale(N, k))
+        raw = model.base_scale * (z[:size] + 1j * z[size:]) / math.sqrt(2)
+    return RandomTensor(N, k, (raw / model.scale(N, k)).reshape((N,) * (2 * k)))
 
 
 def flatten(t, sigma):
@@ -354,8 +351,9 @@ def cond_expect_N(A, k):
     return AlgebraElement(k, coeffs)
 
 
-# Bound on the k! N^2k entries of a PairProjection's maps (8 bytes each),
-# checked before any of them is allocated.
+# Bound on the k! N^2k entries of a PairProjection's maps (8 bytes each), and
+# on the N^2k draws of a spectrum trial, checked before any of them is
+# allocated.
 MAX_MAP_ENTRIES = 2**24
 
 
@@ -374,10 +372,10 @@ def usable_cpus():
 
 
 def draw_halves(model, size, rng, out):
-    """One trial's unscaled draws into out: the 2 size standard normals of
-    sample_tensor's real and imaginary halves (size for the real law) in
-    the same stream, both halves masked by the same Bernoulli(p) draw for
-    the diluted law."""
+    """One trial's unscaled draws into out: 2 size standard normals, the real
+    then the imaginary halves (size for the real law), both halves masked
+    by the same Bernoulli(p) draw for the diluted law.  sample_tensor,
+    PairProjection.samples and the spectrum trials all draw this stream."""
     rng.standard_normal(out=out)
     if model.kind == "diluted":
         halves = out.reshape(2, size)

@@ -30,14 +30,16 @@ from tensorflat.moments import (
     word_phi,
 )
 from tensorflat.perms import Permutation, compose, coset_key, embed_join, group, tau
-from tensorflat.spectra import build_target, compressed_moments
+from tensorflat.spectra import build_target, spectral_operand, trace_power_moments
 from tensorflat.tensors import (
     TensorModel,
     choi_check,
     cond_expect_N,
+    draw_halves,
     flatten,
     phi_N,
     sample_tensor,
+    trial_rng,
     word_eval,
 )
 from tensorflat.traffic import (
@@ -237,14 +239,16 @@ _WEIGHTS = (1.0 / 3.0, -2.0, 8.0 / 3.0)
 
 def _extrapolated_moments(model_fn, targets, seed):
     """{which: (value, se)} for each target, every target built from the same
-    draw of each (N, trial)."""
+    draws of each (N, trial), as a spectrum trial builds it."""
     rows = {which: [[] for _ in _SIZES] for which in targets}
     for size, (N, trials) in enumerate(_SIZES):
         model = model_fn(N)
+        draws = np.empty(2 * N**4)  # complex and diluted laws
         for trial in range(trials):
-            t = sample_tensor(model, N, 2, seed, trial)
+            draw_halves(model, N**4, trial_rng(seed, trial), draws)
             for which in targets:
-                moments = compressed_moments(build_target(t, which, model), which, 4)
+                B = build_target(draws, which, model, N, 2)
+                moments = trace_power_moments(spectral_operand(B.data, which == "S3"), 4, B.side)
                 rows[which][size].append([m.real for m in moments])
     out = {}
     for which, per_size in rows.items():

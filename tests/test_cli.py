@@ -292,10 +292,24 @@ def test_spectrum_json_counters(capsys):
     code, out = run(capsys, *spectrum_argv(k="2", format="json"))
     assert code in (0, 1)
     report = json.loads(out)["report"]
-    # side N^k = 256, Sym^2 of C^16 has dimension 136, n_max 2 needs B B* only
-    assert report["counters"] == {"side": 256, "compressed_side": 136, "matmuls": 1}
-    assert set(report["timings"]) == {"sample_s", "build_s", "moments_s", "hist_s"}
+    # side N^k = 256, Sym^2 of C^16 has dimension 136, n_max 2 needs B B*
+    # only, and C(19, 4) = 3876 multisets of 4 indices in [16] hold the bins
+    assert report["counters"] == {
+        "side": 256, "compressed_side": 136, "matmuls": 1, "orbit_bins": 3876,
+    }
+    assert set(report["timings"]) == {"maps_s", "sample_s", "build_s", "moments_s", "hist_s"}
     assert all(v >= 0 for v in report["timings"].values())
+
+
+@pytest.mark.parametrize("k, N, draws", [("2", "200", 200**4), ("9", "20", 20**18)])
+def test_spectrum_guards_the_draws(capsys, k, N, draws):
+    # both sizes are refused before any array is allocated
+    code = main(spectrum_argv(k=k, N=N))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: a spectrum trial of N^(2k) = {draws} draws exceeds the guard of 16777216\n"
+    )
 
 
 def test_freeness_command(capsys):

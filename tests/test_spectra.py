@@ -1,27 +1,32 @@
+import functools
+import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from tensorflat import spectra
 from tensorflat.moments import all_sigma_mixture, hermitized_mixture
-from tensorflat.perms import group
+from tensorflat.perms import Permutation, group
 from tensorflat.spectra import (
     build_target,
-    compressed_moments,
-    compressed_spectrum,
     empirical_spectrum,
     histogram,
     histogram_svg,
+    orbit_maps,
     run_experiment,
-    symmetry_basis,
+    spectral_operand,
     trace_power_moments,
 )
 from tensorflat.tensors import (
     TensorModel,
+    draw_halves,
     flatten,
     perm_matrix,
     sample_tensor,
+    trial_rng,
 )
 
 CG = TensorModel.complex_ginibre()
@@ -41,6 +46,43 @@ def dense_target(t, which, model):
         m = flatten(t, letter.sigma).data
         total += coeff * (m if letter.eps == "1" else m.conj().T)
     return total
+
+
+@functools.cache
+def symmetry_basis(N, k, antisymmetric):
+    """Row-major indices of the orbit representatives of [N]^k under
+    permutations of the coordinates (sorted tuples; strictly increasing
+    when antisymmetric) and the square roots of their orbit sizes."""
+    if antisymmetric:
+        reps = list(itertools.combinations(range(N), k))
+        orbits = [math.factorial(k)] * len(reps)
+    else:
+        reps = list(itertools.combinations_with_replacement(range(N), k))
+        orbits = [
+            math.factorial(k)
+            // math.prod(math.factorial(c) for c in Counter(r).values())
+            for r in reps
+        ]
+    index = np.ravel_multi_index(np.array(reps, dtype=np.intp).reshape(-1, k).T, (N,) * k)
+    return index, np.sqrt(np.array(orbits, dtype=float))
+
+
+def compress(dense, which, N, k):
+    """The block B[r, s] = sqrt(o_r o_s) A[r, s] of a dense target on Sym^k
+    (S1, S3) or Lambda^k (S2), in the orbit basis of symmetry_basis."""
+    index, weight = symmetry_basis(N, k, which == "S2")
+    return dense[np.ix_(index, index)] * np.multiply.outer(weight, weight)
+
+
+def draws(model, N, k, seed, trial=0):
+    """The unscaled draws that sample_tensor(model, N, k, seed, trial) scales."""
+    size = N ** (2 * k)
+    out = np.empty(size if model.kind == "real_ginibre" else 2 * size)
+    return draw_halves(model, size, trial_rng(seed, trial), out)
+
+
+def block(model, N, k, which, seed, trial=0):
+    return build_target(draws(model, N, k, seed, trial), which, model, N, k)
 
 
 def dense_spectrum(data, hermitian):
@@ -64,13 +106,10 @@ def _models(N):
 
 FAST_CASES = [
     (which, k, N, index)
-    for k, sizes in ((1, (1, 4, 16)), (2, (2, 5, 16)), (3, (2, 4, 6)))
+    for k, sizes in ((1, (1, 4, 16)), (2, (1, 2, 5, 16)), (3, (2, 4, 6)))
     for N in sizes
     for which in ("S1", "S2", "S3")
     for index in range(3)
-    # S2 antisymmetrizes all 2k axes, so it vanishes for N < 2k and only
-    # rounding noise is left to compare
-    if not (which == "S2" and N < 2 * k)
 ]
 
 
@@ -78,20 +117,101 @@ FAST_CASES = [
 def test_fast_path_matches_dense(which, k, N, index):
     model = _models(N)[index]
     herm = which == "S3"
-    t = sample_tensor(model, N, k, 17, index)
-    A = build_target(t, which, model)
-    dense = dense_target(t, which, model)
-    assert np.abs(A.data - dense).max() <= 1e-10 * np.abs(dense).max()
-    eigs = dense_spectrum(dense, herm)
-    spec = compressed_spectrum(A, which)
-    assert spec.shape == (N**k,)
-    assert np.abs(spec - eigs).max() <= 1e-10 * np.abs(eigs).max()
+    side = N**k
+    B = block(model, N, k, which, 17, index)
+    dense = dense_target(sample_tensor(model, N, k, 17, index), which, model)
+    want = compress(dense, which, N, k)
+    assert B.side == side and B.data.shape == want.shape
+    base = spectral_operand(B.data, herm)
+    spec = empirical_spectrum(base, side)
+    assert spec.shape == (side,)
     n_max = 12
+    moms = trace_power_moments(base, n_max, side)
+    if which == "S2" and N < 2 * k:
+        # S2 antisymmetrizes all 2k axes, so it vanishes for N < 2k: the
+        # block is exactly 0, the dense sum only rounding noise
+        assert not B.data.any() and np.abs(dense).max() <= 1e-12
+        assert not spec.any() and moms == [0] * n_max
+        return
+    assert np.abs(B.data - want).max() <= 1e-10 * np.abs(dense).max()
+    eigs = dense_spectrum(dense, herm)
+    assert np.abs(spec - eigs).max() <= 1e-10 * np.abs(eigs).max()
     # moment n is pinned relative to the mean of |eigenvalue|^n
     scales = [np.mean(np.abs(eigs) ** n) for n in range(1, n_max + 1)]
-    for moms in (compressed_moments(A, which, n_max), trace_power_moments(dense, herm, n_max)):
-        for got, want, scale in zip(moms, dense_moments(dense, herm, n_max), scales):
-            assert abs(got - want) <= 1e-10 * scale
+    dense_base = spectral_operand(dense, herm)
+    for got in (moms, trace_power_moments(dense_base, n_max)):
+        for m, want_m, scale in zip(got, dense_moments(dense, herm, n_max), scales):
+            assert abs(m - want_m) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("N, k", [(1, 1), (5, 1), (1, 2), (3, 2), (7, 2), (16, 2), (2, 3), (5, 3), (3, 4)])
+@pytest.mark.parametrize("signed", [False, True])
+def test_orbit_maps_count_every_arrangement(N, k, signed):
+    maps = orbit_maps(N, k, signed)
+    m = 2 * k
+    bins = math.comb(N, m) if signed else math.comb(N + m - 1, m)
+    assert maps.stab.size == bins
+    # the orbits are the basis' representatives, in its order
+    index, weight = symmetry_basis(N, k, signed)
+    assert np.array_equal(maps.root, weight)
+    assert np.array_equal(maps.orbit[index], np.arange(index.size))
+    # each k-tuple of nonzero sign is a row once, and the orbits have their sizes
+    assert sorted(maps.rows) == list(np.flatnonzero(maps.sign))
+    sizes = np.rint(maps.root**2)
+    assert np.array_equal(np.bincount(maps.orbit[maps.rows], minlength=sizes.size), sizes)
+    # a multiset's arrangements are the arrangements of the (row, column)
+    # orbit pairs that merge into it
+    arrangements = math.factorial(m) / maps.stab
+    pairs = np.multiply.outer(sizes, sizes)
+    met = maps.pair_bin == 2 * bins
+    folded = np.bincount(maps.pair_bin[~met] % max(bins, 1), pairs[~met], minlength=bins)
+    assert np.array_equal(folded, arrangements)
+    assert arrangements.sum() == (math.perm(N, m) if signed else N**m)
+    if not signed:
+        assert not met.any() and (maps.pair_bin < bins).all()
+
+
+def pattern_sign(t):
+    """The signature of the permutation i -> rank of t_i, for distinct t_i."""
+    return Permutation(tuple(sorted(t).index(x) + 1 for x in t)).signature()
+
+
+@pytest.mark.parametrize("N, k", [(5, 2), (4, 3)])
+def test_orbit_maps_signs(N, k):
+    # the sign of a k-tuple and of an orbit pair's merge, by cycle counts
+    maps = orbit_maps(N, k, True)
+    tuples = list(itertools.product(range(N), repeat=k))
+    for i, t in enumerate(tuples):
+        want = 0 if len(set(t)) < k else pattern_sign(t)
+        assert maps.sign[i] == want
+    reps = list(itertools.combinations(range(N), k))
+    bins = maps.stab.size
+    for r, a in enumerate(reps):
+        for s, b in enumerate(reps):
+            code = maps.pair_bin[r, s]
+            if set(a) & set(b):
+                assert code == 2 * bins
+            else:
+                assert (code >= bins) == (pattern_sign(a + b) < 0)
+
+
+@pytest.mark.parametrize("entries", [7, 80])
+def test_chunking_changes_nothing(monkeypatch, entries):
+    # at N = 5, k = 2, 80 entries give chunks of 3 rows and of 1 orbit pair
+    # row, 7 entries chunks of 1 row
+    wide = {which: block(CG, 5, 2, which, 3).data for which in ("S1", "S2", "S3")}
+    maps = {signed: orbit_maps(5, 2, signed) for signed in (False, True)}
+    monkeypatch.setattr(spectra, "CHUNK_ENTRIES", entries)
+    spectra.orbit_maps.cache_clear()
+    try:
+        for signed, want in maps.items():
+            got = orbit_maps(5, 2, signed)
+            for name in ("orbit", "sign", "rows", "pair_bin", "stab", "root"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        for which, want in wide.items():
+            assert np.abs(block(CG, 5, 2, which, 3).data - want).max() <= 1e-12
+    finally:
+        spectra.orbit_maps.cache_clear()
 
 
 def test_symmetry_basis_dimensions():
@@ -102,6 +222,8 @@ def test_symmetry_basis_dimensions():
         index, weight = symmetry_basis(N, k, True)
         assert index.size == math.comb(N, k)
         assert (weight**2).sum() == pytest.approx(math.factorial(k) * math.comb(N, k))
+        if N < 64:  # the maps' pair table at N = 64 holds 35 MB
+            assert orbit_maps(N, k, True).root.size == index.size
     assert symmetry_basis(40, 2, False)[0].size == 820
     assert symmetry_basis(64, 2, False)[0].size == 2080
 
@@ -109,34 +231,33 @@ def test_symmetry_basis_dimensions():
 @pytest.mark.parametrize("k, N", [(2, 1), (3, 2)])
 def test_empty_exterior_power(k, N):
     # Lambda^k of C^N is empty for N < k: S2 vanishes identically
-    t = sample_tensor(CG, N, k, 9)
-    A = build_target(t, "S2", CG)
-    assert not A.data.any()
-    assert compressed_moments(A, "S2", 4) == [0, 0, 0, 0]
-    assert not compressed_spectrum(A, "S2").any()
+    B = block(CG, N, k, "S2", 9)
+    assert B.data.shape == (0, 0)
+    base = spectral_operand(B.data, False)
+    assert trace_power_moments(base, 4, N**k) == [0, 0, 0, 0]
+    assert not empirical_spectrum(base, N**k).any()
     report = run_experiment(CG, "S2", k, N, 1, 4, seed=9, with_hist=True)
     assert [row[1] for row in report.rows] == [0.0] * 4
     assert report.hist["zero_mass"] == N**k
-    assert report.counters == {"side": N**k, "compressed_side": 0, "matmuls": 0}
+    assert report.counters == {"side": N**k, "compressed_side": 0, "matmuls": 0, "orbit_bins": 0}
 
 
 def test_empty_matrix():
     empty = np.zeros((0, 0), dtype=complex)
     for hermitian in (False, True):
-        assert empirical_spectrum(empty, hermitian).shape == (0,)
+        base = spectral_operand(empty, hermitian)
+        assert empirical_spectrum(base).shape == (0,)
         with pytest.raises(ValueError, match="empty 0x0"):
-            trace_power_moments(empty, hermitian, 2)
+            trace_power_moments(base, 2)
 
 
 def test_hermitian_target_is_hermitian():
-    t = sample_tensor(CG, 4, 2, 0)
-    A = build_target(t, "S3", CG)
-    assert np.abs(A.data - A.data.conj().T).max() == 0
+    B = block(CG, 4, 2, "S3", 0).data
+    assert np.abs(B - B.conj().T).max() == 0
 
 
 def test_target_invariant_under_permutation_operators():
-    t = sample_tensor(CG, 3, 2, 1)
-    A = build_target(t, "S1", CG).data
+    A = dense_target(sample_tensor(CG, 3, 2, 1), "S1", CG)
     for eta in group(2):
         for eta2 in group(2):
             U = perm_matrix(eta, 3).data
@@ -146,34 +267,35 @@ def test_target_invariant_under_permutation_operators():
 
 def test_trace_power_moments_basics():
     eye = np.eye(3, dtype=complex)
-    assert trace_power_moments(eye, True, 3) == [1, 1, 1]
+    assert trace_power_moments(eye, 3) == [1, 1, 1]
     zero = np.zeros((3, 3), dtype=complex)
-    assert trace_power_moments(zero, False, 3) == [0, 0, 0]
+    assert trace_power_moments(spectral_operand(zero, False), 3) == [0, 0, 0]
 
 
 def test_first_moment_is_frobenius_norm():
     rng = np.random.default_rng(2)
     data = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    m1 = trace_power_moments(data, False, 1)[0]
+    m1 = trace_power_moments(spectral_operand(data, False), 1)[0]
     assert abs(m1 - (np.abs(data) ** 2).sum() / 9) <= 1e-12
 
 
 def test_moment_spectrum_consistency():
-    t = sample_tensor(CG, 3, 2, 3)
     for which, herm in (("S1", False), ("S3", True)):
-        A = build_target(t, which, CG)
-        eigs = empirical_spectrum(A.data, herm)
-        moms = trace_power_moments(A.data, herm, 4)
+        B = block(CG, 3, 2, which, 3)
+        base = spectral_operand(B.data, herm)
+        eigs = empirical_spectrum(base, B.side)
+        moms = trace_power_moments(base, 4, B.side)
         for n in range(1, 5):
-            assert abs((eigs**n).sum() / A.side - moms[n - 1]) <= 1e-8
+            assert abs((eigs**n).sum() / B.side - moms[n - 1]) <= 1e-8
 
 
 def test_empirical_spectrum_diag():
     diag = np.diag([5.0, 3, 1, 4, 2]).astype(complex)
-    assert np.allclose(empirical_spectrum(diag, True), [1, 2, 3, 4, 5])
+    assert np.allclose(empirical_spectrum(spectral_operand(diag, True)), [1, 2, 3, 4, 5])
+    assert np.allclose(empirical_spectrum(diag, 7), [0, 0, 1, 2, 3, 4, 5])
     nonh = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(ValueError):
-        empirical_spectrum(nonh, True)
+        spectral_operand(nonh, True)
 
 
 def test_normalization_invariance():
@@ -183,10 +305,8 @@ def test_normalization_invariance():
     scaled = TensorModel.diluted(1.0, base_scale=3.0)
     assert scaled.c == pytest.approx(9.0)
     for trial in range(2):
-        t1 = sample_tensor(base, 3, 1, 13, trial)
-        t2 = sample_tensor(scaled, 3, 1, 13, trial)
-        m1 = trace_power_moments(build_target(t1, "S1", base).data, False, 3)
-        m2 = trace_power_moments(build_target(t2, "S1", scaled).data, False, 3)
+        blocks = [block(model, 3, 1, "S1", 13, trial).data for model in (base, scaled)]
+        m1, m2 = (trace_power_moments(spectral_operand(B, False), 3) for B in blocks)
         assert np.allclose(m1, m2, atol=1e-10)
 
 
@@ -202,6 +322,15 @@ def test_run_experiment_small():
     csv_text = report.to_csv()
     assert csv_text.splitlines()[0] == "n,predicted,empirical,stderr"
     assert report.hist["zero_mass"] >= 0
+    # B B* and its square for n_max 3; the spectrum reuses B B*
+    assert report.counters == {"side": 16, "compressed_side": 16, "matmuls": 2, "orbit_bins": 136}
+
+
+def test_run_experiment_guards_the_draws_before_drawing():
+    # 65^4 > 2^24 draws; no allocation is attempted
+    message = "N\\^\\(2k\\) = 17850625 draws exceeds the guard of 16777216"
+    with pytest.raises(ValueError, match=message):
+        run_experiment(CG, "S1", 2, 65, 1, 2, seed=0)
 
 
 def test_s2_matches_s1_statistics():
@@ -212,8 +341,8 @@ def test_s2_matches_s1_statistics():
 
 
 def test_zero_atom_visible_in_spectrum():
-    t = sample_tensor(CG, 16, 2, 7)
-    eigs = empirical_spectrum(build_target(t, "S3", CG).data, True)
+    B = block(CG, 16, 2, "S3", 7)
+    eigs = empirical_spectrum(spectral_operand(B.data, True), B.side)
     frac = np.mean(np.abs(eigs) <= 0.05)
     assert frac >= 0.4  # half the spectrum collapses at zero in the limit
 
