@@ -346,7 +346,7 @@ def cmd_spectrum(args):
     lines.append("PASS" if passed else "FAIL")
     emit(
         args,
-        {"report": json.loads(report.to_json()), "csv": report.to_csv(), "passed": passed},
+        {"report": report.to_dict(), "csv": report.to_csv(), "passed": passed},
         lines,
     )
     return 0 if passed else 1

@@ -28,13 +28,18 @@ identities.
 * Half-power pairing.  tr C^(a+b) = sum_ij (C^a)_ij (C^b)_ji, so the
   moments up to n_max need the powers of C up to ceil(n_max/2) only.
 
-build_target takes the bins straight from a trial's unscaled normal draws
-(tensors.draw_halves), with two bincounts per real half.  The first sums the
-draws over each pair of row orbit r' and column orbit s' into a d x d array
-H (each draw weighted by the signs of its row and column k-tuples for S2),
-a chunk of rows at a time; the second folds H into one sum per multiset
-r' u s' (per set for S2, each pair weighted by the sign of its merge).  Its
-index maps depend only on (N, k, signed), and orbit_maps builds them once.
+build_target takes the bins straight from a trial's unscaled normal draws,
+the stream of tensors.draw_halves, as chunks of rows in natural order
+(draw_chunks).  A bincount per chunk sums its draws over each pair of row
+orbit r' and column orbit s' into a d x d array H (each draw weighted by the
+signs of its row and column k-tuples for S2), over the row orbits that the
+chunk reaches; a second bincount folds H into one sum per multiset r' u s'
+(per set for S2, each pair weighted by the sign of its merge).  The index
+maps and the per-chunk plan depend only on (N, k, signed), and orbit_maps
+builds them once.  The Gaussian laws draw each chunk just in time into one
+reused buffer of at most max(CHUNK_ENTRIES, N^k) draws, so a trial holds no
+N^2k draws.  The diluted law draws its Bernoulli mask after all its normals,
+so its trial fills the whole buffer first and bins views of it.
 """
 
 from __future__ import annotations
@@ -55,40 +60,48 @@ from .moments import predicted_moments, target_scale
 from .tensors import MAX_MAP_ENTRIES, draw_halves, flatten, trial_rng  # noqa: F401
 
 # Bound on the entries of each temporary that orbit_maps and build_target
-# make per chunk: 2k indices per orbit pair, one index and one draw per entry
-# of a chunk of rows.
+# make per chunk, and of the buffer that a Gaussian trial draws into: 2k
+# indices per orbit pair, one index and one draw per entry of a chunk of
+# rows, a chunk holding at least one row.
 CHUNK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
 class OrbitMaps:
-    """build_target's index maps for one (N, k, signed).
+    """build_target's index maps and chunk plan for one (N, k, signed).
 
     Orbits are numbered by their sorted representatives in lexicographic
     order.  orbit[i] is the orbit of the k-tuple with row-major index i, and
     sign[i] the sign of the permutation sorting it; where a signed tuple
-    repeats an index, its sign and orbit are 0.  rows lists the tuples of
-    nonzero sign sorted by orbit.  pair_bin[r, s] is the colex rank of the
-    multiset r u s among the len(stab) multisets of 2k indices (sets when
-    signed), plus len(stab) where merging r and s is an odd permutation, or
-    2 len(stab) where r and s meet.  stab holds |Stab(M)| of each multiset
-    M, and root the square roots of the orbit sizes."""
+    repeats an index, its sign and orbit are 0.  pair_bin[r, s] is the colex
+    rank of the multiset r u s among the len(stab) multisets of 2k indices
+    (sets when signed), plus len(stab) where merging r and s is an odd
+    permutation, or 2 len(stab) where r and s meet.  stab holds |Stab(M)| of
+    each multiset M, and root the square roots of the orbit sizes.
+
+    The plan cuts the N^k rows into chunks of step rows (the last one
+    shorter) and holds a triple (live, offset, reached) per chunk: live
+    indexes the chunk's rows of nonzero sign (slice(None) where that is all
+    of them), reached lists their orbits, ascending, and offset is d times
+    the place of each live row's orbit in reached."""
 
     orbit: np.ndarray
     sign: np.ndarray
-    rows: np.ndarray
     pair_bin: np.ndarray
     stab: np.ndarray
     root: np.ndarray
+    step: int
+    plan: tuple
 
 
 @functools.lru_cache(maxsize=None)
 def orbit_maps(N, k, signed):
     """The OrbitMaps of (N, k, signed), built a chunk of orbit pairs at a
     time, each chunk within CHUNK_ENTRIES indices."""
-    coords = np.stack(np.unravel_index(np.arange(N**k), (N,) * k))
+    side = N**k
+    coords = np.stack(np.unravel_index(np.arange(side), (N,) * k))
     ordered = np.sort(coords, axis=0)
-    sign = np.ones(N**k)
+    sign = np.ones(side)
     if signed:
         inversions = sum(coords[a] > coords[b] for a in range(k) for b in range(a + 1, k))
         sign -= 2 * (inversions % 2)
@@ -98,10 +111,16 @@ def orbit_maps(N, k, signed):
     reps, inverse, sizes = np.unique(
         ordered[:, kept], axis=1, return_inverse=True, return_counts=True
     )
-    orbit = np.zeros(N**k, dtype=np.intp)
+    orbit = np.zeros(side, dtype=np.intp)
     orbit[kept] = inverse.ravel()
-    rows = kept[np.argsort(orbit[kept], kind="stable")]
     reps, d, m = reps.T, sizes.size, 2 * k
+    step = min(side, max(1, CHUNK_ENTRIES // side))
+    plan = []
+    for start in range(0, side, step):
+        live = np.flatnonzero(sign[start:start + step])
+        reached, place = np.unique(orbit[start + live], return_inverse=True)
+        whole = live.size == min(step, side - start)
+        plan.append((slice(None) if whole else live, d * place, reached))
     bins = math.comb(N, m) if signed else math.comb(N + m - 1, m)
     # colex rank: sum_j C(b_j, j + 1) over the increasing b_j = M_j (+ j for a multiset)
     comb = np.array(
@@ -110,9 +129,9 @@ def orbit_maps(N, k, signed):
     shift = 0 if signed else 1
     pair_bin = np.empty((d, d), dtype=np.intp)
     stab = np.ones(bins)
-    step = max(1, CHUNK_ENTRIES // max(1, m * d))
-    for start in range(0, d, step):
-        r = reps[start:start + step, None, :]
+    pairs = max(1, CHUNK_ENTRIES // max(1, m * d))
+    for start in range(0, d, pairs):
+        r = reps[start:start + pairs, None, :]
         merged = np.concatenate(np.broadcast_arrays(r, reps[None]), axis=-1)
         merged.sort(axis=-1)
         rank = sum(comb[merged[..., j] + shift * j, j + 1] for j in range(m))
@@ -120,7 +139,7 @@ def orbit_maps(N, k, signed):
         if signed:
             odd = sum(r[..., a] > reps[None, :, b] for a in range(k) for b in range(k)) % 2
             rank += bins * odd
-            pair_bin[start:start + step] = np.where(repeat.any(axis=-1), 2 * bins, rank)
+            pair_bin[start:start + pairs] = np.where(repeat.any(axis=-1), 2 * bins, rank)
         else:
             # |Stab(M)| = prod of (run length)!, the product of each index's
             # place within its run of equal indices
@@ -130,10 +149,11 @@ def orbit_maps(N, k, signed):
                 place = np.where(repeat[..., j], place + 1, 1.0)
                 size *= place
             stab[rank] = size
-            pair_bin[start:start + step] = rank
-    maps = OrbitMaps(orbit, sign, rows, pair_bin, stab, np.sqrt(sizes))
-    for array in vars(maps).values():
-        array.flags.writeable = False
+            pair_bin[start:start + pairs] = rank
+    maps = OrbitMaps(orbit, sign, pair_bin, stab, np.sqrt(sizes), step, tuple(plan))
+    for array in (orbit, sign, pair_bin, stab, maps.root, *(a for p in plan for a in p)):
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
     return maps
 
 
@@ -146,10 +166,44 @@ class Block:
     side: int
 
 
-def build_target(draws, which, model, N, k):
+def chunk_views(draws, side, step):
+    """draws, a trial's whole draw_halves buffer, as build_target's chunks:
+    views of step rows of side draws (the last of each half shorter), the
+    real half's rows before the imaginary half's."""
+    for half in draws.reshape(-1, side, side):
+        for start in range(0, side, step):
+            yield half[start:start + step]
+
+
+def draw_chunks(model, side, step, rng, out, timings):
+    """A trial's unscaled draws from rng, the stream of tensors.draw_halves, as
+    the chunks of chunk_views.  The Gaussian laws draw each chunk just in time
+    into the first rows of out, which needs step * side entries, so every
+    chunk is a view of that one buffer.  The diluted law draws its Bernoulli
+    mask after all its normals: out holds the trial's 2 side^2 draws, filled
+    by draw_halves before the first chunk.  The drawing time is added to
+    timings["sample_s"]."""
+    size = side * side
+    if model.kind == "diluted":
+        start = time.perf_counter()
+        draw_halves(model, size, rng, out)
+        timings["sample_s"] += time.perf_counter() - start
+        yield from chunk_views(out, side, step)
+        return
+    for _ in range(1 if model.kind == "real_ginibre" else 2):
+        for row in range(0, side, step):
+            chunk = out[:min(step, side - row) * side]
+            start = time.perf_counter()
+            rng.standard_normal(out=chunk)
+            timings["sample_s"] += time.perf_counter() - start
+            yield chunk.reshape(-1, side)
+
+
+def build_target(chunks, which, model, N, k):
     """The compressed block of one of the three normalized all-flattening
-    sums of the tensor that draws, a trial's buffer from tensors.draw_halves,
-    stands for.
+    sums of the tensor that chunks, a trial's draws as draw_chunks or
+    chunk_views cut them, stands for.  Each chunk is binned before the next
+    is taken.
 
     S1 sums every flattening, S2 weights by signature, S3 symmetrizes with
     the adjoints (Hermitian): the Mixtures all_sigma_mixture and
@@ -160,20 +214,26 @@ def build_target(draws, which, model, N, k):
     maps = orbit_maps(N, k, signed)
     side, d, bins = N**k, maps.root.size, maps.stab.size
     real = model.kind == "real_ginibre"
-    halves = draws.reshape(1 if real else 2, side, side)
-    totals = np.zeros((len(halves), d, d))
-    step = max(1, CHUNK_ENTRIES // side)
-    for start in range(0, maps.rows.size, step):
-        rows = maps.rows[start:start + step]
-        lo, hi = maps.orbit[rows[0]], maps.orbit[rows[-1]] + 1
-        index = ((maps.orbit[rows] - lo)[:, None] * d + maps.orbit).ravel()
-        for half, total in zip(halves, totals):
-            chunk = half[rows]
-            if signed:
-                chunk *= maps.sign
-                chunk *= maps.sign[rows, None]
-            counts = np.bincount(index, chunk.ravel(), minlength=(hi - lo) * d)
-            total[lo:hi] += counts.reshape(-1, d)
+    totals = np.zeros((1 if real else 2, d, d))
+    per_half = len(maps.plan)
+    count, indexed = 0, None
+    for count, chunk in enumerate(chunks, 1):
+        half, c = divmod(count - 1, per_half)
+        start = c * maps.step
+        if chunk.shape != (min(maps.step, side - start), side):
+            raise ValueError(f"chunk {count - 1} of shape {chunk.shape} is not the plan's")
+        live, offset, reached = maps.plan[c]
+        if not reached.size:
+            continue
+        if indexed != c:  # a half of one chunk reuses the other half's index
+            index, indexed = (offset[:, None] + maps.orbit).ravel(), c
+        if signed:
+            chunk = chunk[live] * maps.sign
+            chunk *= maps.sign[start:start + maps.step][live, None]
+        counts = np.bincount(index, chunk.ravel(), minlength=reached.size * d)
+        totals[half][reached] += counts.reshape(-1, d)
+    if count != len(totals) * per_half:
+        raise ValueError(f"{count} chunks given, the plan has {len(totals) * per_half}")
     # bins of even merges, of odd merges (S2 only) and of meeting pairs
     sums = [
         np.bincount(maps.pair_bin.ravel(), total.ravel(), minlength=2 * bins + 1)
@@ -268,32 +328,26 @@ class SpectralReport:
     counters: dict = None  # side, compressed_side, matmuls per trial, orbit_bins
     timings: dict = None  # seconds: maps once, sample, build, moments, hist summed over trials
 
+    def to_dict(self):
+        return {
+            "target": self.target,
+            "model": self.model,
+            "N": self.N,
+            "k": self.k,
+            "trials": self.trials,
+            "n_max": self.n_max,
+            "seed": self.seed,
+            "moments": [
+                {"n": n, "empirical": emp, "stderr": se, "predicted": pred}
+                for n, emp, se, pred in self.rows
+            ],
+            "histogram": self.hist,
+            "counters": self.counters,
+            "timings": self.timings,
+        }
+
     def to_json(self):
-        return json.dumps(
-            {
-                "target": self.target,
-                "model": self.model,
-                "N": self.N,
-                "k": self.k,
-                "trials": self.trials,
-                "n_max": self.n_max,
-                "seed": self.seed,
-                "moments": [
-                    {
-                        "n": n,
-                        "empirical": emp,
-                        "stderr": se,
-                        "predicted": pred,
-                    }
-                    for n, emp, se, pred in self.rows
-                ],
-                "histogram": self.hist,
-                "counters": self.counters,
-                "timings": self.timings,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_csv(self):
         buf = io.StringIO()
@@ -306,8 +360,10 @@ class SpectralReport:
 
 def run_experiment(model, which, k, N, trials, n_max, seed, with_hist=False):
     """Trial-averaged moments of a spectral target with standard errors and
-    the predicted limiting column.  Each trial draws into one reused buffer,
-    and its moments (and spectrum, with_hist) share one spectral_operand."""
+    the predicted limiting column.  Each trial draws its chunks into one
+    reused buffer (draw_chunks), and its moments (and spectrum, with_hist)
+    share one spectral_operand.  sample_s counts the drawing alone, and
+    build_s the rest of build_target."""
     size = N ** (2 * k)
     if size > MAX_MAP_ENTRIES:
         raise ValueError(
@@ -321,23 +377,22 @@ def run_experiment(model, which, k, N, trials, n_max, seed, with_hist=False):
         "maps_s": time.perf_counter() - start,
         **dict.fromkeys(("sample_s", "build_s", "moments_s", "hist_s"), 0.0),
     }
-    draws = np.empty(size if model.kind == "real_ginibre" else 2 * size)
+    out = np.empty(2 * size if model.kind == "diluted" else maps.step * N**k)
     samples = np.zeros((trials, n_max))
     pooled = [] if with_hist else None
     for trial in range(trials):
-        start = time.perf_counter()
-        draw_halves(model, size, trial_rng(seed, trial), draws)
-        sampled = time.perf_counter()
-        B = build_target(draws, which, model, N, k)
+        start, sample_s = time.perf_counter(), timings["sample_s"]
+        chunks = draw_chunks(model, N**k, maps.step, trial_rng(seed, trial), out, timings)
+        B = build_target(chunks, which, model, N, k)
         built = time.perf_counter()
-        base = spectral_operand(B.data, hermitian)
+        # B + B^H is Hermitian by construction, so S3 skips the check
+        base = B.data if hermitian else spectral_operand(B.data, False)
         samples[trial] = [m.real for m in trace_power_moments(base, n_max, B.side)]
         done = time.perf_counter()
         if with_hist:
             pooled.append(empirical_spectrum(base, B.side))
             timings["hist_s"] += time.perf_counter() - done
-        timings["sample_s"] += sampled - start
-        timings["build_s"] += built - sampled
+        timings["build_s"] += built - start - (timings["sample_s"] - sample_s)
         timings["moments_s"] += done - built
     means = samples.mean(axis=0)
     stderr = (

@@ -30,7 +30,13 @@ from tensorflat.moments import (
     word_phi,
 )
 from tensorflat.perms import Permutation, compose, coset_key, embed_join, group, tau
-from tensorflat.spectra import build_target, spectral_operand, trace_power_moments
+from tensorflat.spectra import (
+    build_target,
+    chunk_views,
+    orbit_maps,
+    spectral_operand,
+    trace_power_moments,
+)
 from tensorflat.tensors import (
     TensorModel,
     choi_check,
@@ -238,16 +244,17 @@ _WEIGHTS = (1.0 / 3.0, -2.0, 8.0 / 3.0)
 
 
 def _extrapolated_moments(model_fn, targets, seed):
-    """{which: (value, se)} for each target, every target built from the same
-    draws of each (N, trial), as a spectrum trial builds it."""
+    """{which: (value, se)} for each target, every target built from chunk
+    views of the same draws of each (N, trial), drawn once."""
     rows = {which: [[] for _ in _SIZES] for which in targets}
     for size, (N, trials) in enumerate(_SIZES):
         model = model_fn(N)
         draws = np.empty(2 * N**4)  # complex and diluted laws
+        step = orbit_maps(N, 2, False).step
         for trial in range(trials):
             draw_halves(model, N**4, trial_rng(seed, trial), draws)
             for which in targets:
-                B = build_target(draws, which, model, N, 2)
+                B = build_target(chunk_views(draws, N**2, step), which, model, N, 2)
                 moments = trace_power_moments(spectral_operand(B.data, which == "S3"), 4, B.side)
                 rows[which][size].append([m.real for m in moments])
     out = {}

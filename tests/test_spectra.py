@@ -2,6 +2,8 @@ import functools
 import itertools
 import json
 import math
+import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,7 +13,10 @@ from tensorflat import spectra
 from tensorflat.moments import all_sigma_mixture, hermitized_mixture
 from tensorflat.perms import Permutation, group
 from tensorflat.spectra import (
+    CHUNK_ENTRIES,
     build_target,
+    chunk_views,
+    draw_chunks,
     empirical_spectrum,
     histogram,
     histogram_svg,
@@ -81,8 +86,17 @@ def draws(model, N, k, seed, trial=0):
     return draw_halves(model, size, trial_rng(seed, trial), out)
 
 
+def chunks(model, N, k, seed, trial=0, timings=None):
+    """A trial's draws as a spectrum trial draws them: draw_chunks into a
+    buffer of the size run_experiment gives it."""
+    step = orbit_maps(N, k, False).step
+    out = np.empty(2 * N ** (2 * k) if model.kind == "diluted" else step * N**k)
+    timings = {"sample_s": 0.0} if timings is None else timings
+    return draw_chunks(model, N**k, step, trial_rng(seed, trial), out, timings)
+
+
 def block(model, N, k, which, seed, trial=0):
-    return build_target(draws(model, N, k, seed, trial), which, model, N, k)
+    return build_target(chunks(model, N, k, seed, trial), which, model, N, k)
 
 
 def dense_spectrum(data, hermitian):
@@ -155,10 +169,14 @@ def test_orbit_maps_count_every_arrangement(N, k, signed):
     index, weight = symmetry_basis(N, k, signed)
     assert np.array_equal(maps.root, weight)
     assert np.array_equal(maps.orbit[index], np.arange(index.size))
-    # each k-tuple of nonzero sign is a row once, and the orbits have their sizes
-    assert sorted(maps.rows) == list(np.flatnonzero(maps.sign))
+    # a k-tuple's sign is +-1 unless a signed tuple repeats an index, where
+    # sign and orbit are 0, and the orbits of the others have their sizes
+    tuples = list(itertools.product(range(N), repeat=k))
+    distinct = np.array([not signed or len(set(t)) == k for t in tuples])
+    assert np.array_equal(np.abs(maps.sign), distinct)
+    assert not maps.orbit[~distinct].any()
     sizes = np.rint(maps.root**2)
-    assert np.array_equal(np.bincount(maps.orbit[maps.rows], minlength=sizes.size), sizes)
+    assert np.array_equal(np.bincount(maps.orbit[distinct], minlength=sizes.size), sizes)
     # a multiset's arrangements are the arrangements of the (row, column)
     # orbit pairs that merge into it
     arrangements = math.factorial(m) / maps.stab
@@ -169,6 +187,7 @@ def test_orbit_maps_count_every_arrangement(N, k, signed):
     assert arrangements.sum() == (math.perm(N, m) if signed else N**m)
     if not signed:
         assert not met.any() and (maps.pair_bin < bins).all()
+    check_plan(maps, N, k)
 
 
 def pattern_sign(t):
@@ -195,6 +214,19 @@ def test_orbit_maps_signs(N, k):
                 assert (code >= bins) == (pattern_sign(a + b) < 0)
 
 
+def check_plan(maps, N, k):
+    """Each chunk of maps.step rows reaches the orbits of its rows of nonzero
+    sign, and each such row's offset points at its orbit's place."""
+    side, d = N**k, maps.root.size
+    assert len(maps.plan) == -(-side // maps.step)
+    for c, (live, offset, reached) in enumerate(maps.plan):
+        rows = np.arange(c * maps.step, min(side, (c + 1) * maps.step))
+        assert np.array_equal(rows[live], rows[maps.sign[rows] != 0])
+        assert np.array_equal(reached, np.unique(maps.orbit[rows[live]]))
+        assert not (offset % max(d, 1)).any()
+        assert np.array_equal(reached[offset // max(d, 1)], maps.orbit[rows[live]])
+
+
 @pytest.mark.parametrize("entries", [7, 80])
 def test_chunking_changes_nothing(monkeypatch, entries):
     # at N = 5, k = 2, 80 entries give chunks of 3 rows and of 1 orbit pair
@@ -206,12 +238,88 @@ def test_chunking_changes_nothing(monkeypatch, entries):
     try:
         for signed, want in maps.items():
             got = orbit_maps(5, 2, signed)
-            for name in ("orbit", "sign", "rows", "pair_bin", "stab", "root"):
+            for name in ("orbit", "sign", "pair_bin", "stab", "root"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert (want.step, got.step) == (25, max(1, entries // 25))
+            for plan in (want, got):
+                check_plan(plan, 5, 2)
         for which, want in wide.items():
             assert np.abs(block(CG, 5, 2, which, 3).data - want).max() <= 1e-12
     finally:
         spectra.orbit_maps.cache_clear()
+
+
+@pytest.mark.parametrize("N, k", [(1, 1), (7, 1), (3, 2), (6, 2), (3, 3)])
+@pytest.mark.parametrize("index", range(3))
+def test_chunks_are_the_stream_of_draw_halves(monkeypatch, N, k, index):
+    # 2 N^k + 3 entries give chunks of 2 rows: the last chunk of a half is
+    # partial where N^k is odd
+    model = _models(N)[index]
+    monkeypatch.setattr(spectra, "CHUNK_ENTRIES", 2 * N**k + 3)
+    spectra.orbit_maps.cache_clear()
+    try:
+        step = orbit_maps(N, k, False).step
+        assert step == min(2, N**k)
+        timings = {"sample_s": 0.0}
+        got = [c.copy() for c in chunks(model, N, k, 8, 2, timings)]
+    finally:
+        spectra.orbit_maps.cache_clear()
+    whole = draws(model, N, k, 8, 2)
+    assert all(c.shape[1] == N**k and c.shape[0] <= step for c in got)
+    assert np.array_equal(np.concatenate(got).ravel(), whole)
+    assert all(np.array_equal(a, b) for a, b in zip(got, chunk_views(whole, N**k, step)))
+    assert timings["sample_s"] > 0
+
+
+@pytest.mark.parametrize("N, k", [(5, 2), (20, 2), (64, 1), (300, 1), (7, 3)])
+@pytest.mark.parametrize("index", range(2))
+def test_gaussian_chunks_share_one_small_buffer(N, k, index):
+    model = _models(N)[index]
+    bound = max(CHUNK_ENTRIES, N**k)
+    bases = set()
+    count = 0
+    for count, chunk in enumerate(chunks(model, N, k, 4), 1):
+        assert chunk.base is not None and chunk.base.size <= bound
+        bases.add(id(chunk.base))
+    assert len(bases) == 1
+    assert count == (1 if index else 2) * len(orbit_maps(N, k, False).plan)
+
+
+def test_gaussian_trial_holds_no_draw_buffer():
+    # k = 3, N = 10: N^2k draws take 8 MB, a trial's chunk buffer 0.5 MB;
+    # the first run fills the caches
+    run_experiment(CG, "S1", 3, 10, 1, 2, seed=0)
+    tracemalloc.start()
+    try:
+        report = run_experiment(CG, "S1", 3, 10, 1, 2, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6 * 8
+    assert report.timings["sample_s"] > 0 and report.timings["build_s"] > 0
+
+
+def test_sample_s_times_the_draws_alone(monkeypatch):
+    # each standard_normal call of a slowed generator sleeps 50 ms
+    class Slow:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, out):
+            time.sleep(0.05)
+            return self.rng.standard_normal(out=out)
+
+    monkeypatch.setattr(spectra, "trial_rng", lambda seed, trial: Slow(trial_rng(seed, trial)))
+    timings = run_experiment(CG, "S1", 2, 4, 2, 2, seed=1).timings
+    assert timings["sample_s"] >= 4 * 0.05 and timings["build_s"] < 0.05
+
+
+def test_build_target_checks_the_chunks():
+    step = orbit_maps(4, 2, False).step
+    with pytest.raises(ValueError, match="chunk 0 of shape"):
+        build_target([np.zeros((3, 16))], "S1", CG, 4, 2)
+    with pytest.raises(ValueError, match="1 chunks given, the plan has 2"):
+        build_target(chunk_views(np.zeros(256), 16, step), "S1", CG, 4, 2)
 
 
 def test_symmetry_basis_dimensions():
@@ -252,8 +360,11 @@ def test_empty_matrix():
 
 
 def test_hermitian_target_is_hermitian():
-    B = block(CG, 4, 2, "S3", 0).data
-    assert np.abs(B - B.conj().T).max() == 0
+    # N = 20, k = 2: chunks of 163 rows, three to a half
+    assert len(orbit_maps(20, 2, False).plan) == 3
+    for model in _models(20):
+        B = block(model, 20, 2, "S3", 0).data
+        assert np.array_equal(B, B.conj().T)
 
 
 def test_target_invariant_under_permutation_operators():
