@@ -10,6 +10,7 @@ import pathlib
 import sys
 
 from tensorflat.cli import Parser, bounded, sizes
+from tensorflat.moments import Target
 from tensorflat.spectra import histogram_svg, run_experiment
 from tensorflat.tensors import parse_model
 
@@ -17,7 +18,7 @@ from tensorflat.tensors import parse_model
 def main():
     ap = Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--k", type=bounded(1), default=2)
-    ap.add_argument("--target", choices=("S1", "S2", "S3"), default="S1")
+    ap.add_argument("--target", choices=[t.name for t in Target], default=Target.S1.name)
     ap.add_argument("--model", default="complex_ginibre")
     ap.add_argument("--sizes", default="8,16,32")
     ap.add_argument("--trials", type=bounded(1), default=10)
@@ -32,7 +33,7 @@ def main():
     out_dir.mkdir(parents=True, exist_ok=True)
     for N in n_list:
         report = run_experiment(
-            model, args.target, args.k, N, args.trials, args.n_max,
+            model, Target[args.target], args.k, N, args.trials, args.n_max,
             seed=args.seed, with_hist=True,
         )
         stem = f"{args.target}_k{args.k}_N{N}"

@@ -9,8 +9,6 @@ numbers strictly between them.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from functools import lru_cache
 
@@ -90,65 +88,9 @@ def dimension(lam):
     return character(lam, (1,) * sum(lam))
 
 
-def conjugacy_class_size(mu):
-    """Number of permutations with cycle type mu."""
-    mu = check_partition(mu)
-    n = sum(mu)
-    denom = 1
-    mult = {}
-    for p in mu:
-        mult[p] = mult.get(p, 0) + 1
-    for p, m in mult.items():
-        denom *= (p**m) * math.factorial(m)
-    return math.factorial(n) // denom
-
-
 def character_value(lam, sigma):
     """chi^lam at a permutation, routed through its cycle type."""
     return character(tuple(lam), sigma.cycle_type())
-
-
-class CharacterTable:
-    """Full character table of the symmetric group on k letters.
-
-    entries[(irrep, class_type)] is the exact integer character value.
-    """
-
-    def __init__(self, k):
-        self.k = k
-        parts = enumerate_partitions(k)
-        self.irreps = parts
-        self.classes = parts
-        self.entries = {
-            (lam, mu): character(lam, mu) for lam in parts for mu in parts
-        }
-
-    def value(self, lam, mu):
-        return self.entries[(tuple(lam), tuple(mu))]
-
-    def check_orthogonality(self):
-        k = self.k
-        for rho in self.irreps:
-            for rho2 in self.irreps:
-                total = sum(
-                    conjugacy_class_size(mu) * self.value(rho, mu) * self.value(rho2, mu)
-                    for mu in self.classes
-                )
-                expected = math.factorial(k) if rho == rho2 else 0
-                if total != expected:
-                    return False
-        return True
-
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        head = ["irrep\\class"] + ["|".join(map(str, mu)) for mu in self.classes]
-        writer.writerow(head)
-        for lam in self.irreps:
-            writer.writerow(
-                ["|".join(map(str, lam))] + [self.value(lam, mu) for mu in self.classes]
-            )
-        return buf.getvalue()
 
 
 def character_convolution_check(k):

@@ -20,6 +20,7 @@ from .characters import character_convolution_check, check_partition
 from .group_algebra import AlgebraElement, max_coeff_diff
 from .moments import (
     Letter,
+    Target,
     Word,
     catalan,
     character_mixture,
@@ -327,7 +328,7 @@ def cmd_oracle(args):
 
 def cmd_spectrum(args):
     report = run_experiment(
-        parse_model(args.model), args.target, args.k, args.N, args.trials, args.n_max,
+        parse_model(args.model), Target[args.target], args.k, args.N, args.trials, args.n_max,
         args.seed, with_hist=bool(args.hist),
     )
     if args.hist:
@@ -490,7 +491,7 @@ def build_parser():
     p.add_argument("--seed", type=bounded(0), default=11)
     p.add_argument("--trials", type=bounded(1), default=20)
     p.add_argument("--tol", type=tolerance, default=0.10)
-    p.add_argument("--target", default="S1", choices=["S1", "S2", "S3"])
+    p.add_argument("--target", default=Target.S1.name, choices=[t.name for t in Target])
     p.add_argument("--n-max", dest="n_max", type=bounded(1, 12), default=4)
     p.add_argument("--hist", help="write an SVG histogram to this path")
 

@@ -16,10 +16,15 @@ U_eta M_sigma U_eta2^* = M_{(eta join eta2) sigma} holds exactly at every N,
 and so in the limit, so a permutation operator between two letters is
 folded into the flattening before it (Letter.followed_by) when the word is
 read or built, and every evaluator iterates over the same folded letters.
+
+The spectral targets S1, S2 and S3 are defined here and nowhere else, as
+the members of Target: each carries its flags (signed, hermitian), its
+scale, its Mixture and the closed forms of its limiting moments.
 """
 
 from __future__ import annotations
 
+import enum
 import itertools
 import json
 import math
@@ -379,39 +384,62 @@ def mixture_covariance(s, eta, s2, c, cp, conj_second=False):
     return AlgebraElement._trusted(eta.n, out)
 
 
-def target_scale(which, k, c, cp=0.0):
-    """The divisor of the spectral target `which` (S1, S2 or S3): the square
-    root of (2k)! k! c, with 2 (c + Re c') in place of c for the Hermitian
-    S3, so that the limiting nonzero spectral component has unit variance."""
-    if which == "S3":
-        c = 2 * (c + complex(cp).real)
-        if c <= 0:
-            raise ValueError("c + Re c' must be positive for the Hermitian target")
-    elif which not in ("S1", "S2"):
-        raise ValueError(f"unknown target {which!r}")
-    return math.sqrt(math.factorial(2 * k) * math.factorial(k) * c)
+class Target(enum.Enum):
+    """The three spectral targets, each a normalized sum of all (2k)!
+    flattenings: S1 sums them, S2 weights each by its signature (so the
+    block lives on Lambda^k in place of Sym^k), and S3 adds their adjoints
+    (Hermitian).  A target's name is its label at the command line."""
+
+    S1 = (False, False)
+    S2 = (True, False)
+    S3 = (False, True)
+
+    def __init__(self, signed, hermitian):
+        self.signed = signed
+        self.hermitian = hermitian
+
+    def scale(self, k, c, cp=0.0):
+        """The divisor of the sum: the square root of (2k)! k! c, with
+        2 (c + Re c') in place of c when Hermitian, so that the limiting
+        nonzero spectral component has unit variance."""
+        if self.hermitian:
+            c = 2 * (c + complex(cp).real)
+            if c <= 0:
+                raise ValueError("c + Re c' must be positive for the Hermitian target")
+        return math.sqrt(math.factorial(2 * k) * math.factorial(k) * c)
+
+    def mixture(self, k, c, cp=0.0):
+        """The target as a Mixture: every flattening (and its adjoint when
+        Hermitian), weighted by its signature when signed, over the scale."""
+        norm = 1.0 / self.scale(k, c, cp)
+        return Mixture.from_map(
+            k,
+            {
+                Letter(sigma, eps): (sigma.signature() if self.signed else 1) * norm
+                for sigma in group(2 * k)
+                for eps in (("1", "*") if self.hermitian else ("1",))
+            },
+        )
+
+    def predicted_moments(self, k, n_max):
+        """The limiting moments for n = 1..n_max: those of (SS*)^n, or of
+        S^n when Hermitian (the odd ones vanish)."""
+        if n_max > 12:
+            raise ValueError("n_max exceeds guard 12")
+        kfact = math.factorial(k)
+        if self.hermitian:
+            return [0.0 if n % 2 else catalan(n // 2) / kfact for n in range(1, n_max + 1)]
+        return [catalan(n) / kfact for n in range(1, n_max + 1)]
 
 
 def all_sigma_mixture(k, c, signed=False):
-    """The normalized sum of all flattenings (optionally signature-weighted):
-    the target S1, or S2 when signed."""
-    norm = 1.0 / target_scale("S2" if signed else "S1", k, c)
-    terms = {}
-    for sigma in group(2 * k):
-        w = sigma.signature() if signed else 1
-        terms[Letter(sigma, "1")] = w * norm
-    return Mixture.from_map(k, terms)
+    """The target S1, or S2 when signed, as a Mixture."""
+    return (Target.S2 if signed else Target.S1).mixture(k, c)
 
 
 def hermitized_mixture(k, c, cp):
-    """The normalized Hermitian sum of all flattenings plus their adjoints:
-    the target S3."""
-    norm = 1.0 / target_scale("S3", k, c, cp)
-    terms = {}
-    for sigma in group(2 * k):
-        terms[Letter(sigma, "1")] = norm
-        terms[Letter(sigma, "*")] = norm
-    return Mixture.from_map(k, terms)
+    """The target S3 as a Mixture."""
+    return Target.S3.mixture(k, c, cp)
 
 
 def character_mixture(k, rho, left_delta=True):
@@ -497,21 +525,3 @@ def scalar_freeness_report(sigmas, c, cp):
 @lru_cache(maxsize=None)
 def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
-
-
-def predicted_moments(target, k, n_max):
-    """Limiting moments of the spectral targets.
-
-    For the two non-Hermitian targets these are the moments of (SS*)^n; for
-    the Hermitian one they are the moments of S^n (odd ones vanish).
-    """
-    if n_max > 12:
-        raise ValueError("n_max exceeds guard 12")
-    kfact = math.factorial(k)
-    if target in ("S1", "S2"):
-        return [catalan(n) / kfact for n in range(1, n_max + 1)]
-    if target == "S3":
-        return [
-            0.0 if n % 2 else catalan(n // 2) / kfact for n in range(1, n_max + 1)
-        ]
-    raise ValueError(f"unknown target {target!r}")

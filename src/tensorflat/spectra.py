@@ -1,6 +1,10 @@
 """Spectral experiments: normalized sums of all flattenings and their
 trace-power moments against the predicted diluted limit laws.
 
+The targets S1, S2 and S3 are the members of moments.Target.  This module
+reads only a target's fields (signed, hermitian) and methods (scale,
+predicted_moments): the spectrum path never builds a target's Mixture.
+
 The pipeline forms no flattening and no N^k x N^k matrix.  It rests on three
 identities.
 
@@ -54,7 +58,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import predicted_moments, target_scale
 # flatten is unused here but stays importable: the benchmark's tracer tests
 # check that it is patched in this namespace too
 from .tensors import MAX_MAP_ENTRIES, draw_halves, flatten, trial_rng  # noqa: F401
@@ -199,18 +202,14 @@ def draw_chunks(model, side, step, rng, out, timings):
             yield chunk.reshape(-1, side)
 
 
-def build_target(chunks, which, model, N, k):
-    """The compressed block of one of the three normalized all-flattening
-    sums of the tensor that chunks, a trial's draws as draw_chunks or
-    chunk_views cut them, stands for.  Each chunk is binned before the next
-    is taken.
-
-    S1 sums every flattening, S2 weights by signature, S3 symmetrizes with
-    the adjoints (Hermitian): the Mixtures all_sigma_mixture and
-    hermitized_mixture, divided by the same target_scale.  The block is
-    real for the real law, complex otherwise.
+def build_target(chunks, target, model, N, k):
+    """The compressed block of the moments.Target target for the tensor
+    that chunks, a trial's draws as draw_chunks or chunk_views cut them,
+    stands for.  Each chunk is binned before the next is taken.  The block
+    reads only the target's signed and hermitian flags and its scale, and
+    builds no Mixture.  It is real for the real law, complex otherwise.
     """
-    signed = which == "S2"
+    signed = target.signed
     maps = orbit_maps(N, k, signed)
     side, d, bins = N**k, maps.root.size, maps.stab.size
     real = model.kind == "real_ginibre"
@@ -234,18 +233,18 @@ def build_target(chunks, which, model, N, k):
         totals[half][reached] += counts.reshape(-1, d)
     if count != len(totals) * per_half:
         raise ValueError(f"{count} chunks given, the plan has {len(totals) * per_half}")
-    # bins of even merges, of odd merges (S2 only) and of meeting pairs
+    # bins of even merges, of odd merges (signed only) and of meeting pairs
     sums = [
         np.bincount(maps.pair_bin.ravel(), total.ravel(), minlength=2 * bins + 1)
         for total in totals
     ]
     gain = 1.0 if real else model.base_scale / math.sqrt(2)
-    gain /= model.scale(N, k) * target_scale(which, k, model.c, model.c_prime)
+    gain /= model.scale(N, k) * target.scale(k, model.c, model.c_prime)
     per_bin = sums[0] if real else sums[0] + 1j * sums[1]
     per_bin = (per_bin[:bins] - per_bin[bins:2 * bins]) * (maps.stab * gain)
     block = np.concatenate([per_bin, -per_bin, [0.0]])[maps.pair_bin]
     block *= np.multiply.outer(maps.root, maps.root)
-    if which == "S3":
+    if target.hermitian:
         block += block.conj().T
     return Block(block, side)
 
@@ -358,21 +357,21 @@ class SpectralReport:
         return buf.getvalue()
 
 
-def run_experiment(model, which, k, N, trials, n_max, seed, with_hist=False):
-    """Trial-averaged moments of a spectral target with standard errors and
-    the predicted limiting column.  Each trial draws its chunks into one
-    reused buffer (draw_chunks), and its moments (and spectrum, with_hist)
-    share one spectral_operand.  sample_s counts the drawing alone, and
-    build_s the rest of build_target."""
+def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
+    """Trial-averaged moments of the moments.Target target with standard
+    errors and the predicted limiting column.  Each trial draws its chunks
+    into one reused buffer (draw_chunks), and its moments (and spectrum,
+    with_hist) share one spectral_operand.  sample_s counts the drawing
+    alone, and build_s the rest of build_target."""
     size = N ** (2 * k)
     if size > MAX_MAP_ENTRIES:
         raise ValueError(
             f"a spectrum trial of N^(2k) = {size} draws exceeds the guard of {MAX_MAP_ENTRIES}"
         )
     model.check_samplable()
-    hermitian = which == "S3"
+    hermitian = target.hermitian
     start = time.perf_counter()
-    maps = orbit_maps(N, k, which == "S2")
+    maps = orbit_maps(N, k, target.signed)
     timings = {
         "maps_s": time.perf_counter() - start,
         **dict.fromkeys(("sample_s", "build_s", "moments_s", "hist_s"), 0.0),
@@ -383,9 +382,9 @@ def run_experiment(model, which, k, N, trials, n_max, seed, with_hist=False):
     for trial in range(trials):
         start, sample_s = time.perf_counter(), timings["sample_s"]
         chunks = draw_chunks(model, N**k, maps.step, trial_rng(seed, trial), out, timings)
-        B = build_target(chunks, which, model, N, k)
+        B = build_target(chunks, target, model, N, k)
         built = time.perf_counter()
-        # B + B^H is Hermitian by construction, so S3 skips the check
+        # B + B^H is Hermitian by construction, so a Hermitian target skips the check
         base = B.data if hermitian else spectral_operand(B.data, False)
         samples[trial] = [m.real for m in trace_power_moments(base, n_max, B.side)]
         done = time.perf_counter()
@@ -398,12 +397,12 @@ def run_experiment(model, which, k, N, trials, n_max, seed, with_hist=False):
     stderr = (
         samples.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(n_max)
     )
-    predicted = predicted_moments(which, k, n_max)
+    predicted = target.predicted_moments(k, n_max)
     d = maps.root.size
     # B B* unless Hermitian, then the powers up to ceil(n_max/2)
     matmuls = (n_max + 1) // 2 - hermitian if d else 0
     report = SpectralReport(
-        target=which,
+        target=target.name,
         model=model.describe(),
         N=N,
         k=k,

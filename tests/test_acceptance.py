@@ -22,9 +22,9 @@ from references import (
 from tensorflat.characters import character_convolution_check
 from tensorflat.group_algebra import AlgebraElement, max_coeff_diff
 from tensorflat.moments import (
+    Target,
     Word,
     plain_word,
-    predicted_moments,
     word_expectation,
     word_expectation_enumerated,
     word_phi,
@@ -76,6 +76,14 @@ def mc_gap_and_se(samples, exact):
         len(samples)
     )
     return abs(samples.mean() - exact), se
+
+
+def _worst_share(gaps, bars):
+    """Asserts every gap is within its bar; the largest gap as a share of
+    its bar."""
+    gaps, bars = np.asarray(gaps), np.asarray(bars)
+    assert (gaps <= bars).all(), (gaps, bars)
+    return float((gaps / bars).max())
 
 
 def test_criterion_1_exact_identities(capsys):
@@ -146,12 +154,14 @@ def test_criterion_3_covariance_convergence(capsys):
         (s, s2, e2) for s in group(4) for s2 in group(4) for e2 in ("1", "*")
     ]
     words = [plain_word(k, [(sigma, "1"), (sigma2, eps2)]) for sigma, sigma2, eps2 in pairs]
+    gaps, bars = [], []
     for word in words:
         limit = complex(word_phi(word, CG.c, CG.c_prime))
         gap4 = abs(full_trace_expect(word, 4, CG) - limit)
-        gap8 = abs(full_trace_expect(word, 8, CG) - limit)
         C = 4 * gap4
-        assert gap8 <= C / 8 + 1e-12
+        gaps.append(abs(full_trace_expect(word, 8, CG) - limit))
+        bars.append(C / 8 + 1e-12)
+    worst = {"C/N": _worst_share(gaps, bars)}
     # Monte Carlo cross-check on a spread of pairs at a larger size; the
     # trace of a two-letter product is phi_N(AB) = sum A * B^T / side, so the
     # product is never formed
@@ -164,14 +174,18 @@ def test_criterion_3_covariance_convergence(capsys):
         for i, word in enumerate(chosen):
             A, B = word_eval(t, word[:1]).data, word_eval(t, word[1:]).data
             samples[i].append(complex((A * B.T).sum()) / N**k)
+    gaps, bars = [], []
     for i, word in enumerate(chosen):
-        exact = full_trace_expect(word, N, CG)
-        gap, se = mc_gap_and_se(samples[i], exact)
-        assert gap <= 3 * se + 1e-12
+        gap, se = mc_gap_and_se(samples[i], full_trace_expect(word, N, CG))
+        gaps.append(gap)
+        bars.append(3 * se + 1e-12)
+    worst["3 SE"] = _worst_share(gaps, bars)
     report(
         capsys,
         "[PASS] criterion 3: pair-moment oracle within C/N of the limit "
-        "(all 1152 pairs, k=2) and within 3 SE of Monte Carlo at N=16",
+        "(all 1152 pairs, k=2) and within 3 SE of Monte Carlo at N=16; "
+        "worst gap as a share of its bar: "
+        + ", ".join(f"{name} {share:.2f}" for name, share in worst.items()),
     )
 
 
@@ -205,18 +219,23 @@ def test_criterion_4_oracle_engine_simulation(capsys):
         tensors = {k: sample_tensor(CG, N, k, 41 + k, trial) for k in (1, 2)}
         for i, word in enumerate(words):
             samples[i].append(phi_N(word_eval(tensors[word.k], word).data))
+    gaps, bars = [], []
     for i, word in enumerate(words):
-        exact = full_trace_expect(word, N, CG)
-        gap, se = mc_gap_and_se(samples[i], exact)
-        assert gap <= 3 * se + 1e-12
+        gap, se = mc_gap_and_se(samples[i], full_trace_expect(word, N, CG))
+        gaps.append(gap)
+        bars.append(3 * se + 1e-12)
+    worst = {"3 SE": _worst_share(gaps, bars)}
     # (b) the exact expectation approaches the limit at rate 1/N
+    gaps, bars = [], []
     for word in words:
         limit = complex(word_phi(word, CG.c, CG.c_prime))
-        gaps = {n: abs(full_trace_expect(word, n, CG) - limit) for n in (4, 6, 8)}
-        C = 4 * gaps[4]
-        assert gaps[6] <= C / 6 + 1e-12
-        assert gaps[8] <= C / 8 + 1e-12
+        at = {n: abs(full_trace_expect(word, n, CG) - limit) for n in (4, 6, 8)}
+        C = 4 * at[4]
+        gaps += [at[6], at[8]]
+        bars += [C / 6 + 1e-12, C / 8 + 1e-12]
+    worst["C/N"] = _worst_share(gaps, bars)
     # (c) the pairing recursion agrees with brute-force enumeration
+    gaps = []
     for _ in range(20):
         word = _random_plain_words(rng, 1)[0]
         k = word.k
@@ -226,11 +245,14 @@ def test_criterion_4_oracle_engine_simulation(capsys):
         w = Word(k, tuple(l.followed_by(eta) for l, eta in zip(word.letters, etas)))
         a = word_expectation(w, 1.0, 0.3 + 0.2j)
         b = word_expectation_enumerated(w, 1.0, 0.3 + 0.2j)
-        assert max_coeff_diff(a, b) <= 1e-12
+        gaps.append(max_coeff_diff(a, b))
+    worst["1e-12"] = _worst_share(gaps, 1e-12)
     report(
         capsys,
         "[PASS] criterion 4: 20 random words - simulation within 3 SE, "
-        "1/N convergence to the limit, recursion = enumeration to 1e-12",
+        "1/N convergence to the limit, recursion = enumeration to 1e-12; "
+        "worst gap as a share of its bar: "
+        + ", ".join(f"{name} {share:.2f}" for name, share in worst.items()),
     )
 
 
@@ -244,52 +266,45 @@ _WEIGHTS = (1.0 / 3.0, -2.0, 8.0 / 3.0)
 
 
 def _extrapolated_moments(model_fn, targets, seed):
-    """{which: (value, se)} for each target, every target built from chunk
+    """{target: (value, se)} for each target, every target built from chunk
     views of the same draws of each (N, trial), drawn once."""
-    rows = {which: [[] for _ in _SIZES] for which in targets}
+    rows = {target: [[] for _ in _SIZES] for target in targets}
     for size, (N, trials) in enumerate(_SIZES):
         model = model_fn(N)
         draws = np.empty(2 * N**4)  # complex and diluted laws
         step = orbit_maps(N, 2, False).step
         for trial in range(trials):
             draw_halves(model, N**4, trial_rng(seed, trial), draws)
-            for which in targets:
-                B = build_target(chunk_views(draws, N**2, step), which, model, N, 2)
-                moments = trace_power_moments(spectral_operand(B.data, which == "S3"), 4, B.side)
-                rows[which][size].append([m.real for m in moments])
+            for target in targets:
+                B = build_target(chunk_views(draws, N**2, step), target, model, N, 2)
+                base = spectral_operand(B.data, target.hermitian)
+                moments = trace_power_moments(base, 4, B.side)
+                rows[target][size].append([m.real for m in moments])
     out = {}
-    for which, per_size in rows.items():
+    for target, per_size in rows.items():
         per_size = [np.array(r) for r in per_size]
         means = [r.mean(axis=0) for r in per_size]
         ses = [r.std(axis=0, ddof=1) / math.sqrt(len(r)) for r in per_size]
         value = sum(w * m for w, m in zip(_WEIGHTS, means))
-        out[which] = value, np.sqrt(sum((w * s) ** 2 for w, s in zip(_WEIGHTS, ses)))
+        out[target] = value, np.sqrt(sum((w * s) ** 2 for w, s in zip(_WEIGHTS, ses)))
     return out
-
-
-def _worst_share(gaps, bars):
-    """Asserts every gap is within its bar; the largest gap as a share of
-    its bar."""
-    gaps, bars = np.asarray(gaps), np.asarray(bars)
-    assert (gaps <= bars).all(), (gaps, bars)
-    return float((gaps / bars).max())
 
 
 def test_criterion_5_limiting_spectral_moments(capsys):
     k, n_max = 2, 4
-    targets_sq = np.array(predicted_moments("S1", k, n_max))
-    herm = np.array(predicted_moments("S3", k, n_max))
+    targets_sq = np.array(Target.S1.predicted_moments(k, n_max))
+    herm = np.array(Target.S3.predicted_moments(k, n_max))
     cg = lambda N: CG  # noqa: E731
     dil = lambda N: TensorModel.diluted(1.0 / N)  # noqa: E731
     worst = {}
-    drawn = _extrapolated_moments(cg, ("S1", "S2", "S3"), 51)
-    for which in ("S1", "S2"):
-        value, _ = drawn[which]
-        worst[which] = _worst_share(abs(value - targets_sq), 0.10 * targets_sq)
-    value, se = drawn["S3"]
+    drawn = _extrapolated_moments(cg, tuple(Target), 51)
+    for target in (Target.S1, Target.S2):
+        value, _ = drawn[target]
+        worst[target.name] = _worst_share(abs(value - targets_sq), 0.10 * targets_sq)
+    value, se = drawn[Target.S3]
     bars = np.where(herm != 0, 0.10 * herm, 3 * se + 1e-2)
     worst["S3"] = _worst_share(abs(value - herm), bars)
-    value, _ = _extrapolated_moments(dil, ("S1",), 52)["S1"]
+    value, _ = _extrapolated_moments(dil, (Target.S1,), 52)[Target.S1]
     worst["diluted S1"] = _worst_share(abs(value - targets_sq), 0.15 * targets_sq)
     report(
         capsys,

@@ -1,13 +1,12 @@
 import math
+from collections import Counter
 
 import pytest
 
 from tensorflat.characters import (
-    CharacterTable,
     character,
     character_convolution_check,
     character_value,
-    conjugacy_class_size,
     dimension,
     enumerate_partitions,
 )
@@ -62,15 +61,15 @@ def test_dimensions_match_hook_lengths(k):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_row_orthogonality(k):
-    table = CharacterTable(k)
-    assert table.check_orthogonality()
-
-
-def test_class_sizes():
-    assert conjugacy_class_size((1, 1, 1)) == 1
-    assert conjugacy_class_size((2, 1)) == 3
-    assert conjugacy_class_size((3,)) == 2
-    assert sum(conjugacy_class_size(mu) for mu in enumerate_partitions(5)) == 120
+    # class sizes counted over the group itself, by cycle type
+    sizes = Counter(sigma.cycle_type() for sigma in group(k))
+    assert sorted(sizes) == sorted(enumerate_partitions(k))
+    for rho in enumerate_partitions(k):
+        for rho2 in enumerate_partitions(k):
+            total = sum(
+                size * character(rho, mu) * character(rho2, mu) for mu, size in sizes.items()
+            )
+            assert total == (math.factorial(k) if rho == rho2 else 0)
 
 
 def test_character_value_routes_by_cycle_type():
@@ -81,11 +80,3 @@ def test_character_value_routes_by_cycle_type():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_convolution_identity(k):
     assert character_convolution_check(k)
-
-
-def test_csv_export():
-    table = CharacterTable(3)
-    text = table.to_csv()
-    lines = text.strip().splitlines()
-    assert len(lines) == 4  # header + 3 irreps
-    assert lines[0].startswith("irrep\\class")

@@ -301,6 +301,21 @@ def test_spectrum_json_counters(capsys):
     assert all(v >= 0 for v in report["timings"].values())
 
 
+def test_spectrum_rejects_an_unknown_target(capsys):
+    code = main(spectrum_argv(target="S9"))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "--target" in lines[0] and "'S9'" in lines[0]
+
+
+def test_spectrum_json_names_the_target(capsys):
+    code, out = run(capsys, *spectrum_argv(target="S3", format="json"))
+    assert code in (0, 1)
+    payload = json.loads(out)
+    assert payload["config"]["target"] == payload["report"]["target"] == "S3"
+
+
 @pytest.mark.parametrize("k, N, draws", [("2", "200", 200**4), ("9", "20", 20**18)])
 def test_spectrum_guards_the_draws(capsys, k, N, draws):
     # both sizes are refused before any array is allocated

@@ -13,6 +13,7 @@ from tensorflat.moments import (
     Letter,
     Word,
     Mixture,
+    Target,
     all_sigma_mixture,
     catalan,
     character_mixture,
@@ -23,9 +24,7 @@ from tensorflat.moments import (
     mixture_covariance,
     parastat_mixture,
     plain_word,
-    predicted_moments,
     scalar_freeness_report,
-    target_scale,
     word_expectation,
     word_expectation_enumerated,
     word_phi,
@@ -344,11 +343,86 @@ def test_hermitized_mixture_covariance():
 
 
 def test_target_scale():
-    assert target_scale("S1", 2, 1.0) == target_scale("S2", 2, 1.0) == math.sqrt(48)
-    # real Ginibre: c = c' = 1
-    assert target_scale("S3", 2, 1.0, 1.0) == math.sqrt(48 * 4)
-    with pytest.raises(ValueError, match="unknown target"):
-        target_scale("S9", 2, 1.0)
+    assert Target.S1.scale(2, 1.0) == Target.S2.scale(2, 1.0) == math.sqrt(48)
+    # c' only enters the Hermitian scale; real Ginibre: c = c' = 1
+    assert Target.S1.scale(2, 1.0, 1.0) == math.sqrt(48)
+    assert Target.S3.scale(2, 1.0, 1.0) == math.sqrt(48 * 4)
+    with pytest.raises(KeyError):
+        Target["S9"]
+
+
+def test_target_fields_and_mixtures():
+    assert [(t.name, t.signed, t.hermitian) for t in Target] == [
+        ("S1", False, False), ("S2", True, False), ("S3", False, True),
+    ]
+    for k in (1, 2):
+        count = math.factorial(2 * k)
+        for target in Target:
+            terms = target.mixture(k, 2.0, 0.5).terms
+            assert len(terms) == count * (2 if target.hermitian else 1)
+            for letter, coeff in terms:
+                sign = letter.sigma.signature() if target.signed else 1
+                assert coeff == sign / target.scale(k, 2.0, 0.5)
+
+
+def eta_map(s, s2, c, cp, conj_second=False):
+    """The covariance map b -> E[S b S2] (E[S b S2*] with conj_second) of
+    two mixtures, linear in b and read off mixture_covariance on the basis."""
+    table = {mu: mixture_covariance(s, mu, s2, c, cp, conj_second) for mu in group(s.k)}
+
+    def eta(b):
+        out = AlgebraElement.zero(s.k)
+        for mu, coeff in b.coeffs.items():
+            out = out + coeff * table[mu]
+        return out
+
+    return eta
+
+
+def semicircular_moments(eta, k, n_max):
+    """phi(E_n) for n = 1..n_max, E_n = sum_{j=2..n} eta(E_{j-2}) E_{n-j}:
+    the moments of an operator-valued semicircular element of covariance
+    map eta."""
+    E = [AlgebraElement.unit(k)]
+    for n in range(1, n_max + 1):
+        total = AlgebraElement.zero(k)
+        for j in range(2, n + 1):
+            total = total + eta(E[j - 2]) * E[n - j]
+        E.append(total)
+    return [e.phi() for e in E[1:]]
+
+
+def hermitized_moments(s, c, k, n_max):
+    """phi((S S*)^n) for n = 1..n_max at c' = 0: the (1, 1) entry of the
+    semicircular element [[0, S], [S*, 0]], whose covariance map sends
+    diag(b1, b2) to diag(E[S b2 S*], E[S* b1 S]).  P_m and Q_m are the
+    diagonal entries of E_m; only even m are nonzero."""
+    eta1 = eta_map(s, s, c, 0.0, conj_second=True)
+    eta2 = eta_map(s.adjoint, s.adjoint, c, 0.0, conj_second=True)
+    P, Q = [AlgebraElement.unit(k)], [AlgebraElement.unit(k)]
+    for m in range(2, 2 * n_max + 1, 2):
+        P.append(AlgebraElement.zero(k))
+        Q.append(AlgebraElement.zero(k))
+        for j in range(2, m + 1, 2):
+            P[-1] = P[-1] + eta1(Q[(j - 2) // 2]) * P[(m - j) // 2]
+            Q[-1] = Q[-1] + eta2(P[(j - 2) // 2]) * Q[(m - j) // 2]
+    return [p.phi() for p in P[1:]]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_closed_forms_are_the_mixtures_limits(k):
+    # each target's closed-form moments, from its own Mixture through the
+    # operator-valued recursion over C[S_k]
+    n_max, c = 8, 1.0
+    cases = []
+    for cp in (0.0, 1.0):
+        s = Target.S3.mixture(k, c, cp)
+        cases.append((Target.S3, cp, semicircular_moments(eta_map(s, s, c, cp), k, n_max)))
+    for target in (Target.S1, Target.S2):
+        cases.append((target, 0.0, hermitized_moments(target.mixture(k, c), c, k, n_max)))
+    for target, cp, moments in cases:
+        for m, want in zip(moments, target.predicted_moments(k, n_max)):
+            assert abs(m - want) <= 1e-12 * abs(want), (target, cp)
 
 
 def test_mixtures_in_distinct_extended_cosets_are_uncorrelated():
@@ -518,10 +592,9 @@ def test_character_mixture_is_self_scalar():
 
 
 def test_predicted_moments():
-    assert predicted_moments("S1", 2, 4) == [0.5, 1.0, 2.5, 7.0]
-    assert predicted_moments("S1", 1, 4) == [1.0, 2.0, 5.0, 14.0]
-    assert predicted_moments("S3", 2, 4) == [0.0, 0.5, 0.0, 1.0]
-    with pytest.raises(ValueError):
-        predicted_moments("S9", 2, 4)
-    with pytest.raises(ValueError):
-        predicted_moments("S1", 2, 13)
+    assert Target.S1.predicted_moments(2, 4) == [0.5, 1.0, 2.5, 7.0]
+    assert Target.S2.predicted_moments(2, 4) == [0.5, 1.0, 2.5, 7.0]
+    assert Target.S1.predicted_moments(1, 4) == [1.0, 2.0, 5.0, 14.0]
+    assert Target.S3.predicted_moments(2, 4) == [0.0, 0.5, 0.0, 1.0]
+    with pytest.raises(ValueError, match="guard 12"):
+        Target.S1.predicted_moments(2, 13)

@@ -48,12 +48,17 @@ def run_script(name, *argv, code=0):
     [
         ("covariance_scan.py", ["--k", "1", "--N", "2", "--N2", "3", "--top", "2"]),
         ("spectrum_experiment.py", ["--k", "1", "--sizes", "3", "--trials", "2", "--n-max", "2"]),
+        ("spectrum_experiment.py", ["--k", "1", "--sizes", "3", "--trials", "2", "--n-max", "2",
+                                    "--target", "S3"]),
     ],
 )
 def test_script_runs(tmp_path, name, argv):
     if name == "spectrum_experiment.py":
         argv = argv + ["--out-dir", str(tmp_path)]
     assert run_script(name, *argv)
+    # a spectrum report names its target as its file does
+    for path in tmp_path.glob("*.json"):
+        assert json.loads(path.read_text())["target"] == path.name.split("_")[0]
 
 
 @pytest.mark.parametrize(

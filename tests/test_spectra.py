@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tensorflat import spectra
-from tensorflat.moments import all_sigma_mixture, hermitized_mixture
+from tensorflat.moments import Target
 from tensorflat.perms import Permutation, group
 from tensorflat.spectra import (
     CHUNK_ENTRIES,
@@ -40,12 +40,9 @@ CG = TensorModel.complex_ginibre()
 # --- dense references for the fast path -------------------------------------
 
 
-def dense_target(t, which, model):
+def dense_target(t, target, model):
     """The target's library Mixture, evaluated one flattening at a time."""
-    if which == "S3":
-        mixture = hermitized_mixture(t.k, model.c, model.c_prime)
-    else:
-        mixture = all_sigma_mixture(t.k, model.c, signed=which == "S2")
+    mixture = target.mixture(t.k, model.c, model.c_prime)
     total = np.zeros((t.N**t.k, t.N**t.k), dtype=complex)
     for letter, coeff in mixture.terms:
         m = flatten(t, letter.sigma).data
@@ -72,10 +69,10 @@ def symmetry_basis(N, k, antisymmetric):
     return index, np.sqrt(np.array(orbits, dtype=float))
 
 
-def compress(dense, which, N, k):
+def compress(dense, target, N, k):
     """The block B[r, s] = sqrt(o_r o_s) A[r, s] of a dense target on Sym^k
     (S1, S3) or Lambda^k (S2), in the orbit basis of symmetry_basis."""
-    index, weight = symmetry_basis(N, k, which == "S2")
+    index, weight = symmetry_basis(N, k, target.signed)
     return dense[np.ix_(index, index)] * np.multiply.outer(weight, weight)
 
 
@@ -95,8 +92,8 @@ def chunks(model, N, k, seed, trial=0, timings=None):
     return draw_chunks(model, N**k, step, trial_rng(seed, trial), out, timings)
 
 
-def block(model, N, k, which, seed, trial=0):
-    return build_target(chunks(model, N, k, seed, trial), which, model, N, k)
+def block(model, N, k, target, seed, trial=0):
+    return build_target(chunks(model, N, k, seed, trial), target, model, N, k)
 
 
 def dense_spectrum(data, hermitian):
@@ -122,26 +119,26 @@ FAST_CASES = [
     (which, k, N, index)
     for k, sizes in ((1, (1, 4, 16)), (2, (1, 2, 5, 16)), (3, (2, 4, 6)))
     for N in sizes
-    for which in ("S1", "S2", "S3")
+    for which in (t.name for t in Target)
     for index in range(3)
 ]
 
 
 @pytest.mark.parametrize("which, k, N, index", FAST_CASES)
 def test_fast_path_matches_dense(which, k, N, index):
-    model = _models(N)[index]
-    herm = which == "S3"
+    model, target = _models(N)[index], Target[which]
+    herm = target.hermitian
     side = N**k
-    B = block(model, N, k, which, 17, index)
-    dense = dense_target(sample_tensor(model, N, k, 17, index), which, model)
-    want = compress(dense, which, N, k)
+    B = block(model, N, k, target, 17, index)
+    dense = dense_target(sample_tensor(model, N, k, 17, index), target, model)
+    want = compress(dense, target, N, k)
     assert B.side == side and B.data.shape == want.shape
     base = spectral_operand(B.data, herm)
     spec = empirical_spectrum(base, side)
     assert spec.shape == (side,)
     n_max = 12
     moms = trace_power_moments(base, n_max, side)
-    if which == "S2" and N < 2 * k:
+    if target.signed and N < 2 * k:
         # S2 antisymmetrizes all 2k axes, so it vanishes for N < 2k: the
         # block is exactly 0, the dense sum only rounding noise
         assert not B.data.any() and np.abs(dense).max() <= 1e-12
@@ -231,7 +228,7 @@ def check_plan(maps, N, k):
 def test_chunking_changes_nothing(monkeypatch, entries):
     # at N = 5, k = 2, 80 entries give chunks of 3 rows and of 1 orbit pair
     # row, 7 entries chunks of 1 row
-    wide = {which: block(CG, 5, 2, which, 3).data for which in ("S1", "S2", "S3")}
+    wide = {target: block(CG, 5, 2, target, 3).data for target in Target}
     maps = {signed: orbit_maps(5, 2, signed) for signed in (False, True)}
     monkeypatch.setattr(spectra, "CHUNK_ENTRIES", entries)
     spectra.orbit_maps.cache_clear()
@@ -243,8 +240,8 @@ def test_chunking_changes_nothing(monkeypatch, entries):
             assert (want.step, got.step) == (25, max(1, entries // 25))
             for plan in (want, got):
                 check_plan(plan, 5, 2)
-        for which, want in wide.items():
-            assert np.abs(block(CG, 5, 2, which, 3).data - want).max() <= 1e-12
+        for target, want in wide.items():
+            assert np.abs(block(CG, 5, 2, target, 3).data - want).max() <= 1e-12
     finally:
         spectra.orbit_maps.cache_clear()
 
@@ -288,10 +285,10 @@ def test_gaussian_chunks_share_one_small_buffer(N, k, index):
 def test_gaussian_trial_holds_no_draw_buffer():
     # k = 3, N = 10: N^2k draws take 8 MB, a trial's chunk buffer 0.5 MB;
     # the first run fills the caches
-    run_experiment(CG, "S1", 3, 10, 1, 2, seed=0)
+    run_experiment(CG, Target.S1, 3, 10, 1, 2, seed=0)
     tracemalloc.start()
     try:
-        report = run_experiment(CG, "S1", 3, 10, 1, 2, seed=1)
+        report = run_experiment(CG, Target.S1, 3, 10, 1, 2, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -310,16 +307,16 @@ def test_sample_s_times_the_draws_alone(monkeypatch):
             return self.rng.standard_normal(out=out)
 
     monkeypatch.setattr(spectra, "trial_rng", lambda seed, trial: Slow(trial_rng(seed, trial)))
-    timings = run_experiment(CG, "S1", 2, 4, 2, 2, seed=1).timings
+    timings = run_experiment(CG, Target.S1, 2, 4, 2, 2, seed=1).timings
     assert timings["sample_s"] >= 4 * 0.05 and timings["build_s"] < 0.05
 
 
 def test_build_target_checks_the_chunks():
     step = orbit_maps(4, 2, False).step
     with pytest.raises(ValueError, match="chunk 0 of shape"):
-        build_target([np.zeros((3, 16))], "S1", CG, 4, 2)
+        build_target([np.zeros((3, 16))], Target.S1, CG, 4, 2)
     with pytest.raises(ValueError, match="1 chunks given, the plan has 2"):
-        build_target(chunk_views(np.zeros(256), 16, step), "S1", CG, 4, 2)
+        build_target(chunk_views(np.zeros(256), 16, step), Target.S1, CG, 4, 2)
 
 
 def test_symmetry_basis_dimensions():
@@ -339,12 +336,12 @@ def test_symmetry_basis_dimensions():
 @pytest.mark.parametrize("k, N", [(2, 1), (3, 2)])
 def test_empty_exterior_power(k, N):
     # Lambda^k of C^N is empty for N < k: S2 vanishes identically
-    B = block(CG, N, k, "S2", 9)
+    B = block(CG, N, k, Target.S2, 9)
     assert B.data.shape == (0, 0)
     base = spectral_operand(B.data, False)
     assert trace_power_moments(base, 4, N**k) == [0, 0, 0, 0]
     assert not empirical_spectrum(base, N**k).any()
-    report = run_experiment(CG, "S2", k, N, 1, 4, seed=9, with_hist=True)
+    report = run_experiment(CG, Target.S2, k, N, 1, 4, seed=9, with_hist=True)
     assert [row[1] for row in report.rows] == [0.0] * 4
     assert report.hist["zero_mass"] == N**k
     assert report.counters == {"side": N**k, "compressed_side": 0, "matmuls": 0, "orbit_bins": 0}
@@ -363,12 +360,12 @@ def test_hermitian_target_is_hermitian():
     # N = 20, k = 2: chunks of 163 rows, three to a half
     assert len(orbit_maps(20, 2, False).plan) == 3
     for model in _models(20):
-        B = block(model, 20, 2, "S3", 0).data
+        B = block(model, 20, 2, Target.S3, 0).data
         assert np.array_equal(B, B.conj().T)
 
 
 def test_target_invariant_under_permutation_operators():
-    A = dense_target(sample_tensor(CG, 3, 2, 1), "S1", CG)
+    A = dense_target(sample_tensor(CG, 3, 2, 1), Target.S1, CG)
     for eta in group(2):
         for eta2 in group(2):
             U = perm_matrix(eta, 3).data
@@ -391,9 +388,9 @@ def test_first_moment_is_frobenius_norm():
 
 
 def test_moment_spectrum_consistency():
-    for which, herm in (("S1", False), ("S3", True)):
-        B = block(CG, 3, 2, which, 3)
-        base = spectral_operand(B.data, herm)
+    for target in (Target.S1, Target.S3):
+        B = block(CG, 3, 2, target, 3)
+        base = spectral_operand(B.data, target.hermitian)
         eigs = empirical_spectrum(base, B.side)
         moms = trace_power_moments(base, 4, B.side)
         for n in range(1, 5):
@@ -416,13 +413,13 @@ def test_normalization_invariance():
     scaled = TensorModel.diluted(1.0, base_scale=3.0)
     assert scaled.c == pytest.approx(9.0)
     for trial in range(2):
-        blocks = [block(model, 3, 1, "S1", 13, trial).data for model in (base, scaled)]
+        blocks = [block(model, 3, 1, Target.S1, 13, trial).data for model in (base, scaled)]
         m1, m2 = (trace_power_moments(spectral_operand(B, False), 3) for B in blocks)
         assert np.allclose(m1, m2, atol=1e-10)
 
 
 def test_run_experiment_small():
-    report = run_experiment(CG, "S1", 1, 16, 8, 3, seed=4, with_hist=True)
+    report = run_experiment(CG, Target.S1, 1, 16, 8, 3, seed=4, with_hist=True)
     assert len(report.rows) == 3
     # pure square case: first moment close to 1
     n, emp, se, pred = report.rows[0]
@@ -441,18 +438,18 @@ def test_run_experiment_guards_the_draws_before_drawing():
     # 65^4 > 2^24 draws; no allocation is attempted
     message = "N\\^\\(2k\\) = 17850625 draws exceeds the guard of 16777216"
     with pytest.raises(ValueError, match=message):
-        run_experiment(CG, "S1", 2, 65, 1, 2, seed=0)
+        run_experiment(CG, Target.S1, 2, 65, 1, 2, seed=0)
 
 
 def test_s2_matches_s1_statistics():
-    moments1 = run_experiment(CG, "S1", 1, 12, 10, 2, seed=5).rows
-    moments2 = run_experiment(CG, "S2", 1, 12, 10, 2, seed=6).rows
+    moments1 = run_experiment(CG, Target.S1, 1, 12, 10, 2, seed=5).rows
+    moments2 = run_experiment(CG, Target.S2, 1, 12, 10, 2, seed=6).rows
     for (n1, e1, s1, _), (n2, e2, s2, _) in zip(moments1, moments2):
         assert abs(e1 - e2) <= 2 * (s1 + s2) + 0.1
 
 
 def test_zero_atom_visible_in_spectrum():
-    B = block(CG, 16, 2, "S3", 7)
+    B = block(CG, 16, 2, Target.S3, 7)
     eigs = empirical_spectrum(spectral_operand(B.data, True), B.side)
     frac = np.mean(np.abs(eigs) <= 0.05)
     assert frac >= 0.4  # half the spectrum collapses at zero in the limit
