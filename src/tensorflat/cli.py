@@ -45,7 +45,12 @@ from .tensors import (
     sample_tensor,
     word_eval,
 )
-from .traffic import full_trace_expect, full_trace_expect_detailed, word_cond_expect_exact
+from .traffic import (
+    check_letters,
+    full_trace_expect,
+    full_trace_expect_detailed,
+    word_cond_expect_exact,
+)
 
 
 def load_word(spec):
@@ -67,7 +72,10 @@ def with_config_flags(argv):
         return argv  # spares the pre-parse below, about 0.1 ms a call
     pre = Parser(prog="tensorflat", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
-    path = pre.parse_known_args(argv[1:])[0].config
+    try:
+        path = pre.parse_known_args(argv[1:])[0].config
+    except ValueError:  # "--config" without a value: the full parser names the fault
+        return argv
     if not path:
         return argv
     tokens = []
@@ -257,6 +265,7 @@ def cmd_moments(args):
     w = load_word(args.word)
     model = parse_model(args.model)
     c, cp = model.c, model.c_prime
+    check_letters(len(w))  # the oracle guard, before the limit evaluators spend their time
     start = time.perf_counter()
     limit = word_expectation(w, c, cp)
     recursed = time.perf_counter()

@@ -8,8 +8,11 @@ and is given by a coset membership test on the two flattening permutations,
 written once (_partner): covariance reads it off the two permutations,
 and mixture_covariance reads its table over S_k (_partners).
 word_expectation sums the pairings by recursion on the first letter's
-partner; word_expectation_enumerated, its cross-check, lists the pairings
-and walks each one's nesting.
+partner, in the group algebra (covariance, multiply).  Its cross-check
+word_expectation_enumerated lists the pairings and walks each one's
+nesting: through one basis element a covariance is a weight times one
+basis element or zero, so a pairing's value is one monomial, carried as
+(coefficient, permutation).
 
 A word holds letters only.  The bimodule identity
 U_eta M_sigma U_eta2^* = M_{(eta join eta2) sigma} holds exactly at every N,
@@ -218,19 +221,19 @@ def _covariance_through(l, x, l2, c, cp):
     return out
 
 
-def enumerate_nc_pairings(n):
-    """All non-crossing pair partitions of [n] (0-based pairs internally),
-    as a fresh list; the pairings are built once per n."""
-    return list(_nc_pairing_table(n))
-
-
 @lru_cache(maxsize=None)
-def _nc_pairing_table(n):
+def _nc_partner_table(n):
+    """All non-crossing pair partitions of [n] (0-based), as partner tuples:
+    entry i is the point paired with i.  Built once per n."""
     if n % 2:
         return ()
     if n > 20:
         raise ValueError(f"n={n} exceeds pairing enumeration bound 20")
-    return tuple(tuple(sorted(p)) for p in _nc_pairings(tuple(range(n))))
+    table = []
+    for pairing in _nc_pairings(tuple(range(n))):
+        partner = dict(pairing) | {b: a for a, b in pairing}
+        table.append(tuple(partner[i] for i in range(n)))
+    return tuple(table)
 
 
 def _nc_pairings(points):
@@ -273,8 +276,9 @@ def _wick(k, letters, c, cp, cache):
         paircov = _covariance_through(letters[0], inner, letters[j], c, cp)
         if paircov.is_zero():
             continue
-        outer = _wick(k, letters[j + 1 :], c, cp, cache)
-        total = total + paircov * outer
+        if j < L - 1:  # the empty outer segment is the unit
+            paircov = paircov * _wick(k, letters[j + 1 :], c, cp, cache)
+        total = total + paircov
     cache[letters] = total
     return total
 
@@ -284,30 +288,43 @@ def word_expectation_enumerated(w, c, cp):
     each walked along its nesting.  Independent code path from the
     recursion above; used to cross-check it.
 
-    The value of a segment under a pairing is the product, left to right,
-    of the covariances of its outer pairs, each taken through the value of
-    the segment the pair encloses; the empty segment is the unit.  A
-    pairing stops at its first vanishing covariance, since zero absorbs
-    every later product and a zero pairing adds nothing to the sum.
+    A segment's value is the product, left to right, of the covariances of
+    its outer pairs, each taken through the value of the segment the pair
+    encloses; the empty segment is the unit.  Through one basis element a
+    covariance is a weight times one basis element u_b, or zero, so a
+    pairing's value is one monomial, carried as (coefficient, permutation):
+    value * (inner * weight) and value b.  A pairing stops at its first
+    vanishing covariance, since zero absorbs every later product and a
+    zero pairing adds nothing to the sum.
     """
-    letters = w.letters
+    ident, rule = Permutation.identity(w.k), {}
+    for (i, l), (j, l2) in itertools.combinations(enumerate(w.letters), 2):
+        # both eps, sigma1 sigma2^-1 and the weight of the pair rule
+        g = compose(l.sigma, l2.sigma.inverse())
+        rule[i, j] = l.eps, l2.eps, g, _weight(l.eps, l2.eps, c, cp)
 
     def walk(partner, start, end):
-        value = AlgebraElement.unit(w.k)
+        coeff, perm = 1, ident
         while start < end:
             close = partner[start]
             inner = walk(partner, start + 1, close)
-            cov = _covariance_through(letters[start], inner, letters[close], c, cp)
-            if cov.is_zero():
-                return cov
-            value = value * cov
+            if inner is None:
+                return None
+            eps1, eps2, g, weight = rule[start, close]
+            cov = inner[0] * weight
+            b = _partner(eps1, eps2, inner[1], g) if cov != 0 else None
+            if b is None:
+                return None
+            coeff, perm = coeff * cov, compose(perm, b)
             start = close + 1
-        return value
+        return coeff, perm
 
-    total = AlgebraElement.zero(w.k)
-    for pairing in enumerate_nc_pairings(len(w)):
-        total = total + walk(dict(pairing), 0, len(w))
-    return total
+    total = {}
+    for partner in _nc_partner_table(len(w)):
+        value = walk(partner, 0, len(w))
+        if value is not None:
+            total[value[1]] = total.get(value[1], 0) + value[0]
+    return AlgebraElement._trusted(w.k, total)
 
 
 def word_phi(w, c, cp):

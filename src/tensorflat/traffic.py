@@ -135,6 +135,13 @@ def inj_trace_expect(T, labeling, N, model):
 MAX_LETTERS = 12  # the letter partitions grow like Bell(L)
 
 
+def check_letters(L):
+    """The oracle's guard: a ValueError naming the bound when a word of L
+    letters is past MAX_LETTERS."""
+    if L > MAX_LETTERS:
+        raise ValueError(f"L = {L} letters exceeds the oracle guard of {MAX_LETTERS} letters")
+
+
 def full_trace_expect(w, N, model):
     """Exact expected normalized trace of the Word: the letter-partition
     cumulant sum of the module docstring."""
@@ -149,8 +156,7 @@ def full_trace_expect_detailed(w, N, model):
     left, then the letters after it.  Components are tracked by relabeling
     the vertices of one side of every merge."""
     L, k = len(w), w.k
-    if L > MAX_LETTERS:
-        raise ValueError(f"L = {L} letters exceeds the oracle guard of {MAX_LETTERS} letters")
+    check_letters(L)
     T = build_test_hypergraph(w)
     entries = [_edge_entry(edge, range(T.n_vertices), k) for edge in T.edges]
     plain = [int(edge.eps == "1") for edge in T.edges]

@@ -129,9 +129,12 @@ def covariance_by_branches(l, eta, l2, c, cp):
 def word_expectation_every_pairing(w, c, cp):
     """The sum over non-crossing pairings of moments.word_expectation_enumerated,
     with every pairing walked to its end even when a covariance has
-    vanished, and every covariance taken by the branch rule.  The pairings,
-    their order and the arithmetic on a surviving pairing are the same, so
-    the two agree exactly."""
+    vanished, every covariance taken by the branch rule, and every value
+    kept as a group-algebra element.  The enumerator carries a pairing's
+    value as one (coefficient, permutation) monomial in place of an
+    element, but the pairings, their order and the products of the
+    coefficients on a surviving pairing, value * (inner * weight), are the
+    same, so the two sums agree exactly (==)."""
 
     def through(l, x, l2):
         out = AlgebraElement.zero(w.k)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorflat import tensors
+from tensorflat import cli, tensors
 from tensorflat.cli import build_parser, main, tolerance, with_config_flags
 from tensorflat.moments import Word
 from tensorflat.perms import Permutation, group
@@ -390,6 +390,11 @@ def parsed(argv):
     return args
 
 
+def test_a_flag_value_spelled_like_the_config_flag_is_reported_by_its_flag(capsys):
+    message = usage_error(capsys, "covariance", "--sigma", "[1,2]", "--sigma2", "--config")
+    assert message == "error: tensorflat covariance: argument --sigma2: expected one argument"
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_flags_survive_a_round_trip_through_config(tmp_path_factory, data):
@@ -549,6 +554,19 @@ def test_guard_errors_exit_2(capsys):
         }
     )
     assert "guard of 12 letters" in usage_error(capsys, "oracle", "--word", word, "--N", "4")
+
+
+def test_moments_checks_the_oracle_guard_before_the_limit(capsys, monkeypatch):
+    # the guard is checked before the limit evaluators spend their time
+    def refuse(*args):
+        raise AssertionError("a limit evaluator ran before the oracle guard")
+
+    monkeypatch.setattr(cli, "word_expectation", refuse)
+    monkeypatch.setattr(cli, "word_expectation_enumerated", refuse)
+    letters = [{"sigma": [1, 2, 3, 4], "eps": "1*"[i % 2]} for i in range(20)]
+    word = json.dumps({"k": 2, "letters": letters})
+    message = usage_error(capsys, "moments", "--word", word)
+    assert message == "error: L = 20 letters exceeds the oracle guard of 12 letters"
 
 
 @pytest.mark.parametrize("command", ["oracle", "moments"])

@@ -14,11 +14,11 @@ from tensorflat.moments import (
     Word,
     Mixture,
     Target,
+    _nc_partner_table,
     all_sigma_mixture,
     catalan,
     character_mixture,
     covariance,
-    enumerate_nc_pairings,
     freeness_conditions,
     hermitized_mixture,
     mixture_covariance,
@@ -167,13 +167,15 @@ def test_covariance_table_matches_the_branch_rule(cases):
 
 
 def test_nc_pairings():
-    assert enumerate_nc_pairings(2) == [((0, 1),)]
-    assert len(enumerate_nc_pairings(4)) == 2
-    assert len(enumerate_nc_pairings(16)) == 1430
-    assert enumerate_nc_pairings(3) == []
-    for pairing in enumerate_nc_pairings(6):
-        flat = sorted(x for p in pairing for x in p)
-        assert flat == list(range(6))
+    assert _nc_partner_table(2) == ((1, 0),)
+    assert len(_nc_partner_table(4)) == 2
+    assert len(_nc_partner_table(16)) == 1430
+    assert _nc_partner_table(3) == ()
+    for partner in _nc_partner_table(6):
+        # a pairing of [6]: a fixed-point-free involution, and non-crossing,
+        # as the points inside each pair are paired among themselves
+        assert all(partner[partner[i]] == i != partner[i] for i in range(6))
+        assert all(i < partner[x] < partner[i] for i in range(6) for x in range(i + 1, partner[i]))
 
 
 def test_word_expectation_length_two():
@@ -267,6 +269,59 @@ def test_enumeration_stops_each_pairing_without_changing_the_sum(w, c, cp):
     assert got == want
     if isinstance(c, int) and isinstance(cp, int):
         assert all(type(v) is int for v in got.coeffs.values())
+
+
+def paired_word(rng, k, L, same_eps):
+    """A word of L letters built along one random non-crossing pairing, each
+    pair given letters whose covariance through the value of the segment it
+    encloses is nonzero (the cosets of moments._partner), so at least that
+    pairing survives.  Without same_eps every pair has mixed eps, and the
+    word survives at c' = 0 too."""
+    partner = rng.choice(_nc_partner_table(L))
+    letters = [None] * L
+
+    def build(start, end):
+        value = Permutation.identity(k)
+        while start < end:
+            close = partner[start]
+            eta, b = build(start + 1, close), rng.choice(group(k))
+            e1, e2 = rng.choice(["1*", "*1", "11", "**"] if same_eps else ["1*", "*1"])
+            sigma2 = rng.choice(group(2 * k))
+            if (e1, e2) == ("1", "*"):
+                sigma1 = embed_join(b, eta) * sigma2
+            elif (e1, e2) == ("*", "1"):
+                sigma1 = embed_join(eta, b) * sigma2
+            elif e1 == "1":
+                sigma1 = tau(k) * embed_join(eta, b) * sigma2
+            else:
+                sigma1 = embed_join(eta, b) * tau(k) * sigma2
+            letters[start], letters[close] = Letter(sigma1, e1), Letter(sigma2, e2)
+            value, start = value * b, close + 1
+        return value
+
+    build(0, L)
+    return Word(k, tuple(letters))
+
+
+@pytest.mark.parametrize(
+    "k,L,same_eps",
+    [(2, 12, False), (3, 12, True), (2, 14, True), (3, 14, False), (2, 16, False), (3, 16, True)],
+)
+def test_evaluators_agree_at_the_benchmark_lengths(k, L, same_eps):
+    """The recursion, the enumerator and the every-pairing reference at the
+    word lengths of the limit benchmark: exactly equal in int and float
+    mode, int coefficients in int mode, and 1e-12 relative at complex c'."""
+    w = paired_word(random.Random(f"{k}/{L}/{same_eps}"), k, L, same_eps)
+    evaluators = (word_expectation, word_expectation_enumerated, word_expectation_every_pairing)
+    for c, cp in ((1, 0), (1, 1), (1.0, 0.0), (1.0, 1.0)):
+        got, enum, ref = (evaluate(w, c, cp) for evaluate in evaluators)
+        assert got == enum == ref
+        assert not got.is_zero() or (cp == 0 and same_eps)
+        if isinstance(c, int):
+            assert all(type(v) is int for v in got.coeffs.values())
+    got, enum, ref = (evaluate(w, 1.0, 0.3 + 0.2j) for evaluate in evaluators)
+    scale = max(abs(v) for v in ref.coeffs.values())
+    assert max(max_coeff_diff(got, ref), max_coeff_diff(enum, ref)) <= 1e-12 * scale
 
 
 def test_word_expectation_bimodule():
