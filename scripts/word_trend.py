@@ -48,7 +48,7 @@ def main():
         if args.trials:
             samples = np.array(
                 [
-                    phi_N(word_eval(sample_tensor(model, N, w.k, args.seed, t), w).data)
+                    phi_N(word_eval(sample_tensor(model, N, w.k, args.seed, t), w))
                     for t in range(args.trials)
                 ]
             )

@@ -8,7 +8,6 @@ from .group_algebra import AlgebraElement
 from .moments import Letter, Mixture, Word, covariance, word_expectation, word_phi
 from .perms import Permutation, compose, embed_join, tau
 from .tensors import (
-    FlatMatrix,
     RandomTensor,
     TensorModel,
     cond_expect_N,
@@ -18,18 +17,16 @@ from .tensors import (
     sample_tensor,
     word_eval,
 )
-from .traffic import build_test_hypergraph, full_trace_expect, q_profile
+from .traffic import full_trace_expect, q_profile, strip_entries
 
 __all__ = [
     "AlgebraElement",
-    "FlatMatrix",
     "Letter",
     "Mixture",
     "Permutation",
     "RandomTensor",
     "TensorModel",
     "Word",
-    "build_test_hypergraph",
     "compose",
     "cond_expect_N",
     "covariance",
@@ -40,6 +37,7 @@ __all__ = [
     "phi_N",
     "q_profile",
     "sample_tensor",
+    "strip_entries",
     "tau",
     "word_eval",
     "word_expectation",

@@ -137,33 +137,31 @@ def cmd_check(args):
         worst = 0.0
         for _ in range(5):
             sigma = perms2k[rng.integers(len(perms2k))]
-            M = flatten(t, sigma).data
+            M = flatten(t, sigma)
             for eta in group(k):
-                U = perm_matrix(eta, t.N).data
+                U = perm_matrix(eta, t.N)
                 for eta2 in group(k):
-                    U2 = perm_matrix(eta2, t.N).data
+                    U2 = perm_matrix(eta2, t.N)
                     lhs = U @ M @ U2.conj().T
-                    rhs = flatten(t, compose(embed_join(eta, eta2), sigma)).data
+                    rhs = flatten(t, compose(embed_join(eta, eta2), sigma))
                     worst = max(worst, float(np.abs(lhs - rhs).max()))
         record(f"intertwine k={k}", worst <= 1e-12, f"max defect {worst:.2e}")
         # normalized trace of permutation operators
         ok = all(
-            phi_N(perm_matrix(eta, t.N).data)
-            == t.N ** (eta.cycle_count() - k) + 0j
-            for eta in group(k)
+            phi_N(perm_matrix(eta, t.N)) == t.N ** (eta.cycle_count() - k) + 0j for eta in group(k)
         )
         record(f"perm trace k={k}", ok)
         # transpose flattening
         sigma = perms2k[rng.integers(len(perms2k))]
-        ok = np.array_equal(flatten(t, compose(tau(k), sigma)).data, flatten(t, sigma).data.T)
+        ok = np.array_equal(flatten(t, compose(tau(k), sigma)), flatten(t, sigma).T)
         record(f"transpose k={k}", ok)
         # conditional expectation bimodule identity
         side = t.N**k
         A = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
         eta = group(k)[rng.integers(math.factorial(k))]
         eta2 = group(k)[rng.integers(math.factorial(k))]
-        U = perm_matrix(eta, t.N).data
-        U2 = perm_matrix(eta2, t.N).data
+        U = perm_matrix(eta, t.N)
+        U2 = perm_matrix(eta2, t.N)
         lhs = cond_expect_N(U @ A @ U2, k)
         rhs = AlgebraElement.basis(eta) * cond_expect_N(A, k) * AlgebraElement.basis(eta2)
         diff = max_coeff_diff(lhs, rhs)
@@ -217,7 +215,7 @@ def cmd_covariance(args):
     if args.dump:
         # through a handle, so that np.save adds no .npy suffix to the path
         with open(args.dump, "wb") as fh:
-            np.save(fh, word_eval(sample_tensor(model, N, k, seed, trials - 1), w).data)
+            np.save(fh, word_eval(sample_tensor(model, N, k, seed, trials - 1), w))
     rows = []
     for h, vals in zip(group(k), estimates):
         mean = complex(vals.mean())

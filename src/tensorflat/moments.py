@@ -253,9 +253,10 @@ def _nc_pairings(points):
 def word_expectation(w, c, cp):
     """Group-algebra expectation of the word, by the pair recursion.
 
-    The first letter is paired with each admissible position j; the inner
-    segment is evaluated first and folded into the middle argument of the
-    pair covariance (module linearity), then the outer segment multiplies on
+    The first letter is paired with each admissible position j.  The outer
+    segment, after j, is evaluated first, and j is skipped when it is zero.
+    Otherwise the inner segment is folded into the middle argument of the
+    pair covariance (module linearity), and the outer segment multiplies on
     the right.
     """
     return _wick(w.k, w.letters, c, cp, {})
@@ -272,12 +273,15 @@ def _wick(k, letters, c, cp, cache):
         return hit
     total = AlgebraElement.zero(k)
     for j in range(1, L, 2):
+        outer = _wick(k, letters[j + 1 :], c, cp, cache)
+        if outer.is_zero():
+            continue
         inner = _wick(k, letters[1:j], c, cp, cache)
         paircov = _covariance_through(letters[0], inner, letters[j], c, cp)
         if paircov.is_zero():
             continue
         if j < L - 1:  # the empty outer segment is the unit
-            paircov = paircov * _wick(k, letters[j + 1 :], c, cp, cache)
+            paircov = paircov * outer
         total = total + paircov
     cache[letters] = total
     return total

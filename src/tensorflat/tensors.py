@@ -224,10 +224,11 @@ def parse_model(spec):
         return TensorModel.complex_ginibre()
     if spec == "real_ginibre":
         return TensorModel.real_ginibre()
-    if spec.startswith("diluted"):
+    name, colon, params = spec.partition(":")
+    if name == "diluted":
         p = 0.5
-        if ":" in spec:
-            for item in spec.split(":", 1)[1].split(","):
+        if colon:
+            for item in params.split(","):
                 key, _, value = item.partition("=")
                 if key == "p":
                     p = float(value)
@@ -242,17 +243,6 @@ class RandomTensor:
     N: int
     k: int
     entries: np.ndarray  # shape (N,) * 2k, complex
-
-
-@dataclass(frozen=True)
-class FlatMatrix:
-    N: int
-    k: int
-    data: np.ndarray  # (N^k, N^k) complex
-
-    @property
-    def side(self):
-        return self.N**self.k
 
 
 def trial_rng(seed, trial=0):
@@ -276,14 +266,15 @@ def sample_tensor(model, N, k, seed, trial=0):
 
 
 def flatten(t, sigma):
-    """The flattening whose (rows, cols) entry is the tensor at the tuple
-    with p-th coordinate i_{sigma(p)}."""
+    """The N^k x N^k flattening whose (rows, cols) entry is the tensor at the
+    tuple with p-th coordinate i_{sigma(p)}; it may share memory with
+    t.entries."""
     if sigma.n != 2 * t.k:
         raise ValueError(f"degree {sigma.n} != 2k = {2 * t.k}")
     inv = sigma.inverse()
     axes = [inv(p) - 1 for p in range(1, 2 * t.k + 1)]
     side = t.N**t.k
-    return FlatMatrix(t.N, t.k, t.entries.transpose(axes).reshape(side, side))
+    return t.entries.transpose(axes).reshape(side, side)
 
 
 @functools.cache
@@ -302,11 +293,12 @@ def tuple_index_map(eta, N):
 
 
 def perm_matrix(eta, N):
-    """Dense permutation operator U_eta on the k-fold tensor power."""
+    """Dense permutation operator U_eta on the k-fold tensor power, as a
+    complex array."""
     side = N**eta.n
     data = np.zeros((side, side))
     data[np.arange(side), tuple_index_map(eta, N)] = 1.0
-    return FlatMatrix(N, eta.n, data.astype(complex))
+    return data.astype(complex)
 
 
 def _N_of(A, k):
@@ -384,7 +376,7 @@ def draw_halves(model, size, rng, out):
 
 
 class PairProjection:
-    """cond_expect_N(word_eval(t, w).data, k) for a two-letter word w = (a, b)
+    """cond_expect_N(word_eval(t, w), k) for a two-letter word w = (a, b)
     at size N, without forming a matrix.  With m the tuple map,
       tr(M_a M_b U_eta^*) = sum_ij M_a[m_eta^-1(i), j] M_b[j, i].
     Evaluating each letter on the tensor of flat indices arange(N^2k) gives
@@ -406,7 +398,7 @@ class PairProjection:
             )
         _warn_if_dependent(N, k)
         index = RandomTensor(N, k, np.arange(size).reshape((N,) * (2 * k)))
-        first, second = word_eval(index, w[:1]).data, word_eval(index, w[1:]).data
+        first, second = word_eval(index, w[:1]), word_eval(index, w[1:])
         self.N, self.k = N, k
         self.eps = tuple(l.eps for l in w.letters)
         self.maps = []
@@ -491,12 +483,12 @@ def word_eval(t, w):
     permutation operators are folded into its letters, so no operator is
     applied here.
 
-    The empty word gives the identity; a word of L letters makes L - 1
-    products, and the result never shares memory with t.entries.
+    The empty word gives the N^k x N^k identity; a word of L letters makes
+    L - 1 products, and the result never shares memory with t.entries.
     """
     out = None
     for letter in w.letters:
-        m = flatten(t, letter.sigma).data
+        m = flatten(t, letter.sigma)
         if letter.eps == "*":
             m = m.conj().T
         out = m if out is None else out @ m
@@ -504,7 +496,7 @@ def word_eval(t, w):
         out = np.eye(t.N**t.k, dtype=complex)
     elif np.may_share_memory(out, t.entries):
         out = out.copy()
-    return FlatMatrix(t.N, t.k, out)
+    return out
 
 
 def choi_check(N, k):
@@ -518,7 +510,7 @@ def choi_check(N, k):
     side = N ** (2 * k)
     C = np.zeros((side, side), dtype=complex)
     for eta in group(k):
-        U = perm_matrix(eta, N).data
+        U = perm_matrix(eta, N)
         C += np.kron(U, U.conj())
     min_eig = float(np.linalg.eigvalsh(C).min())
     defect = float(np.abs(C @ C - math.factorial(k) * C).max())

@@ -2,10 +2,12 @@
 
 Every evaluator here takes a Word of the moments module, whose interleaved
 permutations are folded into its letters (Letter.followed_by).  The L
-letters become a cyclic strip hypergraph on k rows and L columns: hyperedge
-l has inputs in column l+1 (cyclically) and outputs in column l, and reads
-the tensor entry at the vertex tuple e_l (routed through its flattening
-permutation).  The expected normalized trace is
+letters sit on a cyclic strip of k rows and L columns, whose vertex (row r,
+column c) has id (c-1)*k + (r-1).  Letter l reads the tensor entry e_l, a
+tuple of 2k vertex ids (strip_entries): its matrix row indices are column l
+and its column indices column l+1 (cyclically), swapped for an adjoint
+letter, and routed through its flattening permutation.  The expected
+normalized trace is
 
     N^-k * sum over vertex maps i of E[prod_l X_{i(e_l)}^{eps_l}],
 
@@ -32,97 +34,57 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .group_algebra import AlgebraElement
-from .perms import Permutation, group
+from .perms import group
 
 
-@dataclass(frozen=True)
-class Hyperedge:
-    inputs: tuple  # k vertex ids
-    outputs: tuple  # k vertex ids
-    sigma: Permutation
-    eps: str
-
-
-@dataclass(frozen=True)
-class TestHypergraph:
-    k: int
-    L: int
-    n_vertices: int  # k * L, vertex (row r, col c) has id (c-1)*k + (r-1)
-    edges: tuple  # of Hyperedge
-
-
-def build_test_hypergraph(w):
-    """The strip hypergraph of a Word."""
+def strip_entries(w):
+    """The entry tuple e_l of each letter of the Word, in letter order: its
+    rows, then its columns (swapped for an adjoint letter), coordinate p at
+    place sigma(p) (module docstring)."""
     L, k = len(w), w.k
     if L < 1:
         raise ValueError("word must have at least one letter")
-    edges = []
-    for l, letter in enumerate(w.letters, start=1):
-        col_out = l
-        col_in = l % L + 1
-        outputs = tuple((col_out - 1) * k + r for r in range(k))
-        inputs = tuple((col_in - 1) * k + r for r in range(k))
-        edges.append(Hyperedge(inputs, outputs, letter.sigma, letter.eps))
-    return TestHypergraph(k, L, k * L, tuple(edges))
+    out = []
+    for l, letter in enumerate(w.letters):
+        rows = tuple(range(l * k, (l + 1) * k))
+        cols = tuple(range((l + 1) % L * k, ((l + 1) % L + 1) * k))
+        half = rows + cols if letter.eps == "1" else cols + rows
+        out.append(tuple(half[letter.sigma(p) - 1] for p in range(1, 2 * k + 1)))
+    return out
 
 
 def n_blocks(labeling):
     return max(labeling) + 1 if labeling else 0
 
 
-def _edge_entry(edge, labeling, k):
-    """The block tuple of the tensor entry a quotient hyperedge references:
-    matrix row indices are the outputs and column indices the inputs for a
-    plain letter, swapped for an adjoint letter, then routed through the
-    flattening permutation."""
-    if edge.eps == "1":
-        half = edge.outputs + edge.inputs
-    else:
-        half = edge.inputs + edge.outputs
-    return tuple(labeling[half[edge.sigma(p) - 1]] for p in range(1, 2 * k + 1))
-
-
-@dataclass(frozen=True)
-class DependenceClass:
-    members: tuple  # edge indices
-    m: int  # count of plain letters
-    n: int  # count of adjoint letters
-    entry: tuple  # referenced block tuple
-
-
-def dependence_classes(T, labeling):
-    """Group quotient hyperedges referencing the same tensor entry."""
+def dependence_classes(w, labeling):
+    """The (m, n) letter counts, plain and adjoint, of each group of letters
+    that read the same tensor entry of the quotient by the labeling."""
     groups = {}
-    for idx, edge in enumerate(T.edges):
-        key = _edge_entry(edge, labeling, T.k)
-        groups.setdefault(key, []).append(idx)
-    out = []
-    for key, members in groups.items():
-        m = sum(1 for i in members if T.edges[i].eps == "1")
-        out.append(
-            DependenceClass(tuple(members), m, len(members) - m, key)
-        )
-    return out
+    for letter, entry in zip(w.letters, strip_entries(w)):
+        counts = groups.setdefault(tuple(labeling[v] for v in entry), [0, 0])
+        counts[letter.eps != "1"] += 1
+    return [tuple(counts) for counts in groups.values()]
 
 
-def inj_trace_expect(T, labeling, N, model):
-    """Expected normalized injective trace of the quotient by the labeling.
+def inj_trace_expect(w, labeling, N, model):
+    """Expected normalized injective trace of the quotient of the Word's
+    strip by the labeling.
 
     Equals N^(-k - k * #classes) * N!/(N - #blocks)! * product over classes
     of N^k * E[entry^m conj(entry)^n]; zero when the partition has more
     blocks than N or when a centered model leaves a singleton class.
     """
-    k = T.k
+    k = w.k
     blocks = n_blocks(labeling)
     if blocks > N:
         return 0.0
-    classes = dependence_classes(T, labeling)
+    classes = dependence_classes(w, labeling)
     weight = 1.0 + 0.0j
-    for cl in classes:
-        mom = model.entry_moment(cl.m, cl.n, N, k)
+    for m, n in classes:
+        mom = model.entry_moment(m, n, N, k)
         if mom == 0:
             return 0.0
         weight *= N**k * mom
@@ -157,11 +119,10 @@ def full_trace_expect_detailed(w, N, model):
     the vertices of one side of every merge."""
     L, k = len(w), w.k
     check_letters(L)
-    T = build_test_hypergraph(w)
-    entries = [_edge_entry(edge, range(T.n_vertices), k) for edge in T.edges]
-    plain = [int(edge.eps == "1") for edge in T.edges]
+    entries = strip_entries(w)
+    plain = [int(letter.eps == "1") for letter in w.letters]
     kappa = model.entry_cumulants(L, N, k)
-    powers = [float(N) ** c for c in range(T.n_vertices + 1)]
+    powers = [float(N) ** c for c in range(k * L + 1)]
     total = 0.0 + 0.0j
     count = pruned = 0
 
@@ -193,7 +154,7 @@ def full_trace_expect_detailed(w, N, model):
                                 c -= 1
                     extend(tuple(l for l in rest if l not in block), lab, c, weight * kap)
 
-    extend(tuple(range(L)), list(range(T.n_vertices)), T.n_vertices, 1.0)
+    extend(tuple(range(L)), list(range(k * L)), k * L, 1.0)
     return total * float(N) ** -k, count, pruned
 
 
@@ -205,32 +166,19 @@ def word_cond_expect_exact(w, N, model):
     return AlgebraElement(w.k, coeffs)
 
 
-def _skeleton_edges(T, labeling, upto):
-    """Distinct unordered block-sets of the first `upto` hyperedges."""
-    seen = set()
-    for edge in T.edges[:upto]:
-        seen.add(frozenset(labeling[v] for v in edge.inputs + edge.outputs))
-    return seen
-
-
-def q_profile(T, labeling):
+def q_profile(w, labeling):
     """The non-increasing exponent sequence of the growth construction.
 
     Position l counts blocks among the first l+1 columns (all vertices at
-    l = L) minus k times the skeleton edge count of the first l hyperedges,
-    minus k.  The final value bounds the N-scaling exponent of the quotient's
-    expected injective trace.
+    l = L) minus k times the skeleton edge count of the first l letters (the
+    distinct block sets their entries touch), minus k.  The final value
+    bounds the N-scaling exponent of the quotient's expected injective
+    trace.
     """
-    k, L = T.k, T.L
+    k, L = w.k, len(w)
+    blocksets = [frozenset(labeling[v] for v in entry) for entry in strip_entries(w)]
     seq = []
     for l in range(L + 1):
-        if l == 0:
-            verts = range(k)  # column 1
-        elif l < L:
-            verts = range(k * (l + 1))  # columns 1..l+1
-        else:
-            verts = range(T.n_vertices)
-        vcount = len({labeling[v] for v in verts})
-        ecount = len(_skeleton_edges(T, labeling, l))
-        seq.append(-k - k * ecount + vcount)
+        vcount = len(set(labeling[: k * min(l + 1, L)]))
+        seq.append(-k - k * len(set(blocksets[:l])) + vcount)
     return seq, seq[-1]

@@ -1,5 +1,5 @@
 """Test-only references: permutation operators applied by index gathering,
-the direct and injective traces of a strip hypergraph on a fixed tensor,
+the direct and injective traces of a word's strip on a fixed tensor,
 the set partitions that the vertex-partition sums run over, the branch
 rule of the pair covariance (the reference for moments.covariance, which
 reads one half-swap-twisted product instead of four branches and an
@@ -16,7 +16,7 @@ from tensorflat.group_algebra import AlgebraElement
 from tensorflat.moments import Letter, _nc_pairings
 from tensorflat.perms import Permutation, tau
 from tensorflat.tensors import _N_of, tuple_index_map
-from tensorflat.traffic import _edge_entry, n_blocks
+from tensorflat.traffic import n_blocks, strip_entries
 
 
 def apply_perm_left(eta, A):
@@ -47,40 +47,41 @@ def set_partitions(n):
     yield from rec(1, 0)
 
 
-def trace_of_graph(T, tensor):
-    """Direct evaluation of the normalized trace sum over all vertex maps
-    into [N], for a fixed sampled tensor.  Test reference, exponential cost.
+def _entry_product(w, entries, tensor, assignment):
+    """The product over the letters of the entries they read, with the
+    strip's vertices mapped by assignment, conjugated on adjoint letters."""
+    prod = 1.0 + 0.0j
+    for letter, entry in zip(w.letters, entries):
+        val = tensor.entries[tuple(assignment[v] for v in entry)]
+        prod *= val.conjugate() if letter.eps == "*" else val
+    return prod
+
+
+def trace_of_graph(w, tensor):
+    """Direct evaluation of the normalized trace sum over all maps of the
+    Word's strip vertices into [N], for a fixed sampled tensor.  Test
+    reference, exponential cost.
     """
     N, k = tensor.N, tensor.k
+    entries = strip_entries(w)
     total = 0.0 + 0.0j
-    for assignment in np.ndindex(*(N,) * T.n_vertices):
-        prod = 1.0 + 0.0j
-        for edge in T.edges:
-            val = tensor.entries[_edge_entry(edge, assignment, k)]
-            if edge.eps == "*":
-                val = val.conjugate()
-            prod *= val
-        total += prod
+    for assignment in np.ndindex(*(N,) * (k * len(w))):
+        total += _entry_product(w, entries, tensor, assignment)
     return total / N**k
 
 
-def inj_trace_of_graph(T, labeling, tensor):
-    """Normalized injective trace of a quotient for a fixed sampled tensor:
-    only labelings assigning distinct values to distinct blocks contribute."""
+def inj_trace_of_graph(w, labeling, tensor):
+    """Normalized injective trace of the quotient of the Word's strip by the
+    labeling, for a fixed sampled tensor: only maps assigning distinct values
+    to distinct blocks contribute."""
     N, k = tensor.N, tensor.k
     blocks = n_blocks(labeling)
     if blocks > N:
         return 0.0
+    entries = strip_entries(w)
     total = 0.0 + 0.0j
     for values in itertools.permutations(range(N), blocks):
-        assignment = tuple(values[b] for b in labeling)
-        prod = 1.0 + 0.0j
-        for edge in T.edges:
-            val = tensor.entries[_edge_entry(edge, assignment, k)]
-            if edge.eps == "*":
-                val = val.conjugate()
-            prod *= val
-        total += prod
+        total += _entry_product(w, entries, tensor, tuple(values[b] for b in labeling))
     return total / N**k
 
 

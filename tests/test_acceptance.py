@@ -49,7 +49,6 @@ from tensorflat.tensors import (
     word_eval,
 )
 from tensorflat.traffic import (
-    build_test_hypergraph,
     dependence_classes,
     full_trace_expect,
     inj_trace_expect,
@@ -95,16 +94,16 @@ def test_criterion_1_exact_identities(capsys):
             ]
             t = sample_tensor(CG, N, k, 11 * k + N)
             for sigma in sigmas:
-                M = flatten(t, sigma).data
+                M = flatten(t, sigma)
                 for eta in group(k):
                     for eta2 in group(k):
-                        twisted = flatten(t, compose(embed_join(eta, eta2), sigma)).data
+                        twisted = flatten(t, compose(embed_join(eta, eta2), sigma))
                         moved = apply_perm_right(
                             apply_perm_left(eta, M), eta2.inverse()
                         )
                         assert np.abs(moved - twisted).max() <= 1e-12
                 # transpose equals the half-swap twist, bit for bit
-                assert np.array_equal(flatten(t, compose(tau(k), sigma)).data, M.T)
+                assert np.array_equal(flatten(t, compose(tau(k), sigma)), M.T)
             # trace of a permutation operator counts its cycles exactly
             for eta in group(k):
                 U = np.eye(N**k, dtype=complex)
@@ -172,7 +171,7 @@ def test_criterion_3_covariance_convergence(capsys):
     for trial in range(trials):
         t = sample_tensor(CG, N, k, 31, trial)
         for i, word in enumerate(chosen):
-            A, B = word_eval(t, word[:1]).data, word_eval(t, word[1:]).data
+            A, B = word_eval(t, word[:1]), word_eval(t, word[1:])
             samples[i].append(complex((A * B.T).sum()) / N**k)
     gaps, bars = [], []
     for i, word in enumerate(chosen):
@@ -218,7 +217,7 @@ def test_criterion_4_oracle_engine_simulation(capsys):
     for trial in range(trials):
         tensors = {k: sample_tensor(CG, N, k, 41 + k, trial) for k in (1, 2)}
         for i, word in enumerate(words):
-            samples[i].append(phi_N(word_eval(tensors[word.k], word).data))
+            samples[i].append(phi_N(word_eval(tensors[word.k], word)))
     gaps, bars = [], []
     for i, word in enumerate(words):
         gap, se = mc_gap_and_se(samples[i], full_trace_expect(word, N, CG))
@@ -327,27 +326,24 @@ def test_criterion_6_graph_combinatorics(capsys):
             for _ in range(L)
         ])
         t = sample_tensor(CG, N, k, 61 + k * L)
-        T = build_test_hypergraph(word)
-        direct = trace_of_graph(T, t)
-        total = sum(
-            inj_trace_of_graph(T, lab, t) for lab in set_partitions(T.n_vertices)
-        )
+        direct = trace_of_graph(word, t)
+        total = sum(inj_trace_of_graph(word, lab, t) for lab in set_partitions(k * L))
         assert abs(direct - total) <= 1e-10 * max(1.0, abs(direct))
         # the exponent profile never increases along the word, exhaustively
-        for lab in set_partitions(T.n_vertices):
-            seq, final = q_profile(T, lab)
+        for lab in set_partitions(k * L):
+            seq, final = q_profile(word, lab)
             assert all(a >= b for a, b in zip(seq, seq[1:]))
             assert final <= 0
     # closed-form value of the glued four-letter example
     k = 3
     g = group(6)
     s_a, s_b = g[123], g[45]
-    T = build_test_hypergraph(plain_word(k, [(s_a, "1"), (s_b, "1"), (s_b, "*"), (s_a, "*")]))
+    word = plain_word(k, [(s_a, "1"), (s_b, "1"), (s_b, "*"), (s_a, "*")])
     lab = list(range(12))
     for r in range(3):
         lab[9 + r] = 3 + r
     lab = canonical(lab)
-    value = inj_trace_expect(T, lab, 10, CG)
+    value = inj_trace_expect(word, lab, 10, CG)
     assert value == pytest.approx(0.0036288, abs=1e-15)
     # twisted six-letter example resolves into exactly three matched classes
     eta1 = Permutation.from_cycles(3, [(1, 2)])
@@ -358,15 +354,13 @@ def test_criterion_6_graph_combinatorics(capsys):
     s2 = embed_join(eta2.inverse(), eta1.inverse()) * s5
     s1 = embed_join(ident, eta2.inverse()) * s6
     word = plain_word(k, [(s1, "1"), (s2, "1"), (s3, "1"), (s4, "*"), (s5, "*"), (s6, "*")])
-    T = build_test_hypergraph(word)
     lab = list(range(18))
     for i in (1, 2, 3):
         lab[12 + eta1(i) - 1] = 6 + i - 1
         lab[15 + eta2(i) - 1] = 3 + i - 1
     lab = canonical(lab)
     assert n_blocks(lab) == 12
-    cls = dependence_classes(T, lab)
-    assert sorted((c.m, c.n) for c in cls) == [(1, 1)] * 3
+    assert sorted(dependence_classes(word, lab)) == [(1, 1)] * 3
     report(
         capsys,
         "[PASS] criterion 6: exact trace decomposition, monotone exponent "

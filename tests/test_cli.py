@@ -35,8 +35,9 @@ def test_parse_model():
     assert parse_model("real_ginibre").kind == "real_ginibre"
     d = parse_model("diluted:p=0.25")
     assert d.kind == "diluted" and d.p == 0.25
-    with pytest.raises(ValueError):
-        parse_model("unknown")
+    for spec in ("unknown", "diluted2", "dilutedx:p=0.3"):
+        with pytest.raises(ValueError, match=f"unknown model spec '{spec}'"):
+            parse_model(spec)
 
 
 def test_check_passes(capsys):
@@ -108,10 +109,10 @@ def formed_product(t, sigma, eps, eta, sigma2, eps2):
     permutation operator."""
 
     def letter(image, e):
-        m = flatten(t, Permutation(image)).data
+        m = flatten(t, Permutation(image))
         return m if e == "1" else m.conj().T
 
-    return letter(sigma, eps) @ perm_matrix(Permutation(eta), t.N).data @ letter(sigma2, eps2)
+    return letter(sigma, eps) @ perm_matrix(Permutation(eta), t.N) @ letter(sigma2, eps2)
 
 
 @pytest.mark.parametrize(
@@ -567,6 +568,11 @@ def test_moments_checks_the_oracle_guard_before_the_limit(capsys, monkeypatch):
     word = json.dumps({"k": 2, "letters": letters})
     message = usage_error(capsys, "moments", "--word", word)
     assert message == "error: L = 20 letters exceeds the oracle guard of 12 letters"
+
+
+def test_model_spec_past_diluted_exits_2(capsys):
+    message = usage_error(capsys, "oracle", "--word", WORD_K1, "--N", "3", "--model", "diluted2")
+    assert message == "error: unknown model spec 'diluted2'"
 
 
 @pytest.mark.parametrize("command", ["oracle", "moments"])

@@ -91,3 +91,15 @@ def test_word_trend_exact_column_is_the_oracle():
     for row in rows:
         exact = word_cond_expect_exact(w, int(row[0]), parse_model(model)).phi()
         assert row[1] == f"{exact.real:+.8f}{exact.imag:+.8f}j"
+
+
+def test_pool_digest_lists_every_pooled_op_the_same_way_twice(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    first = run_script("pool_digest.py", "--workload", "oracle")
+    lines = first.splitlines()
+    assert len(lines) == 420
+    assert [line.split()[0] for line in lines] == [op["id"] for op in workloads.pool("oracle")]
+    assert all(len(line.split()) == 2 for line in lines)
+    assert run_script("pool_digest.py", "--workload", "oracle") == first

@@ -45,7 +45,7 @@ def dense_target(t, target, model):
     mixture = target.mixture(t.k, model.c, model.c_prime)
     total = np.zeros((t.N**t.k, t.N**t.k), dtype=complex)
     for letter, coeff in mixture.terms:
-        m = flatten(t, letter.sigma).data
+        m = flatten(t, letter.sigma)
         total += coeff * (m if letter.eps == "1" else m.conj().T)
     return total
 
@@ -368,8 +368,8 @@ def test_target_invariant_under_permutation_operators():
     A = dense_target(sample_tensor(CG, 3, 2, 1), Target.S1, CG)
     for eta in group(2):
         for eta2 in group(2):
-            U = perm_matrix(eta, 3).data
-            U2 = perm_matrix(eta2, 3).data
+            U = perm_matrix(eta, 3)
+            U2 = perm_matrix(eta2, 3)
             assert np.abs(U @ A @ U2.conj().T - A).max() <= 1e-12
 
 

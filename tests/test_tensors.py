@@ -52,15 +52,15 @@ def test_flatten_matches_brute_force(k, N):
     perms = group(2 * k)
     for _ in range(4):
         sigma = perms[rng.integers(len(perms))]
-        assert np.array_equal(flatten(t, sigma).data, brute_force_flatten(t, sigma))
+        assert np.array_equal(flatten(t, sigma), brute_force_flatten(t, sigma))
 
 
 def test_flatten_identity_and_transpose():
     t = sample_tensor(CG, 3, 1, 0)
     m = flatten(t, Permutation.identity(2))
-    assert np.array_equal(m.data, t.entries)
+    assert np.array_equal(m, t.entries)
     swapped = flatten(t, Permutation([2, 1]))
-    assert np.array_equal(swapped.data, m.data.T)
+    assert np.array_equal(swapped, m.T)
 
 
 def test_flatten_degree_check():
@@ -72,12 +72,12 @@ def test_flatten_degree_check():
 @pytest.mark.parametrize("k,N", [(1, 3), (2, 3)])
 def test_perm_matrix_representation(k, N):
     for eta in group(k):
-        U = perm_matrix(eta, N).data
+        U = perm_matrix(eta, N)
         assert phi_N(U) == N ** (eta.cycle_count() - k)
         for eta2 in group(k):
-            U2 = perm_matrix(eta2, N).data
-            assert np.array_equal(U @ U2, perm_matrix(eta * eta2, N).data)
-    assert np.array_equal(perm_matrix(Permutation.identity(k), N).data, np.eye(N**k))
+            U2 = perm_matrix(eta2, N)
+            assert np.array_equal(U @ U2, perm_matrix(eta * eta2, N))
+    assert np.array_equal(perm_matrix(Permutation.identity(k), N), np.eye(N**k))
 
 
 @pytest.mark.parametrize("k,N", [(1, 4), (2, 3)])
@@ -87,11 +87,11 @@ def test_intertwining_identity(k, N):
     perms = group(2 * k)
     for _ in range(3):
         sigma = perms[rng.integers(len(perms))]
-        M = flatten(t, sigma).data
+        M = flatten(t, sigma)
         for eta in group(k):
             for eta2 in group(k):
-                lhs = perm_matrix(eta, N).data @ M @ perm_matrix(eta2, N).data.conj().T
-                rhs = flatten(t, compose(embed_join(eta, eta2), sigma)).data
+                lhs = perm_matrix(eta, N) @ M @ perm_matrix(eta2, N).conj().T
+                rhs = flatten(t, compose(embed_join(eta, eta2), sigma))
                 assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -100,7 +100,7 @@ def test_half_swap_is_transpose(k, N):
     t = sample_tensor(CG, N, k, 6)
     for sigma in group(2 * k)[:8]:
         assert np.array_equal(
-            flatten(t, compose(tau(k), sigma)).data, flatten(t, sigma).data.T
+            flatten(t, compose(tau(k), sigma)), flatten(t, sigma).T
         )
 
 
@@ -109,7 +109,7 @@ def test_index_maps_match_dense_products():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((N**k, N**k)) + 1j * rng.standard_normal((N**k, N**k))
     for eta in group(k):
-        U = perm_matrix(eta, N).data
+        U = perm_matrix(eta, N)
         assert np.allclose(apply_perm_left(eta, A), U @ A)
         assert np.allclose(apply_perm_right(A, eta), A @ U)
 
@@ -146,8 +146,8 @@ def test_cond_expect_bimodule():
     A = rng.standard_normal((N**k, N**k)) + 1j * rng.standard_normal((N**k, N**k))
     for eta in group(k):
         for eta2 in group(k):
-            U = perm_matrix(eta, N).data
-            U2 = perm_matrix(eta2, N).data
+            U = perm_matrix(eta, N)
+            U2 = perm_matrix(eta2, N)
             lhs = cond_expect_N(U @ A @ U2, k)
             rhs = AlgebraElement.basis(eta) * cond_expect_N(A, k) * AlgebraElement.basis(eta2)
             assert max_coeff_diff(lhs, rhs) <= 1e-12
@@ -227,16 +227,14 @@ def test_samplers_refuse_a_base_given_only_by_its_moments():
 def test_word_eval():
     k, N = 1, 3
     t = sample_tensor(CG, N, k, 9)
-    assert np.array_equal(word_eval(t, plain_word(k, [])).data, np.eye(N))
+    assert np.array_equal(word_eval(t, plain_word(k, [])), np.eye(N))
     sigma = Permutation([2, 1])
-    assert np.array_equal(
-        word_eval(t, plain_word(k, [(sigma, "1")])).data, flatten(t, sigma).data
-    )
-    m = flatten(t, sigma).data
-    prod = word_eval(t, plain_word(k, [(sigma, "1"), (sigma, "*")])).data
+    assert np.array_equal(word_eval(t, plain_word(k, [(sigma, "1")])), flatten(t, sigma))
+    m = flatten(t, sigma)
+    prod = word_eval(t, plain_word(k, [(sigma, "1"), (sigma, "*")]))
     assert np.allclose(prod, m @ m.conj().T)
     # the identity flattening is a view of the tensor; the word is a copy
-    out = word_eval(t, plain_word(k, [(Permutation.identity(2), "1")])).data
+    out = word_eval(t, plain_word(k, [(Permutation.identity(2), "1")]))
     assert np.array_equal(out, t.entries) and not np.shares_memory(out, t.entries)
 
 
@@ -262,7 +260,7 @@ def assert_samples_match_the_formed_products(model, w, N, seed, trials):
     assert fast.shape == (math.factorial(w.k), trials)
     for trial in range(trials):
         t = sample_tensor(model, N, w.k, seed, trial)
-        assert_same_projection(fast[:, trial], cond_expect_N(word_eval(t, w).data, w.k))
+        assert_same_projection(fast[:, trial], cond_expect_N(word_eval(t, w), w.k))
 
 
 @pytest.mark.parametrize("model", LAWS, ids=lambda m: m.kind)
@@ -394,7 +392,7 @@ def test_paired_projection_of_a_word_property(k, N, letters, model, seed):
         warnings.simplefilter("always")
         project = PairProjection(word, N)
         fast = project.samples(model, seed, 2)
-        slow = [cond_expect_N(word_eval(sample_tensor(model, N, k, seed, trial), word).data, k)
+        slow = [cond_expect_N(word_eval(sample_tensor(model, N, k, seed, trial), word), k)
                 for trial in range(2)]
     # the maps warn once, when they are built; the formed product once per trial
     assert len(caught) == (3 if N < k else 0)

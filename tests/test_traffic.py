@@ -21,13 +21,13 @@ from tensorflat.tensors import (
 )
 from tensorflat.traffic import (
     MAX_LETTERS,
-    build_test_hypergraph,
     dependence_classes,
     full_trace_expect,
     full_trace_expect_detailed,
     inj_trace_expect,
     n_blocks,
     q_profile,
+    strip_entries,
     word_cond_expect_exact,
 )
 
@@ -66,8 +66,7 @@ def models(N):
 def vertex_partition_reference(w, N, model):
     """The expected trace as the sum of the injective traces of all
     Bell(kL) vertex-partition quotients."""
-    T = build_test_hypergraph(w)
-    return sum(inj_trace_expect(T, lab, N, model) for lab in set_partitions(T.n_vertices))
+    return sum(inj_trace_expect(w, lab, N, model) for lab in set_partitions(w.k * len(w)))
 
 
 def assert_pinned(value, ref):
@@ -99,18 +98,23 @@ def random_plain_word(rng, k, L):
     ])
 
 
-def test_build_graph_shapes():
+def test_strip_entries():
+    # vertex (row r, column c) has id (c-1)k + (r-1); letter l reads its
+    # rows in column l and its columns in column l+1, cyclically
     k = 3
-    word = plain_word(k, [(group(6)[0], "1")] * 4)
-    T = build_test_hypergraph(word)
-    assert T.n_vertices == 12 and len(T.edges) == 4
-    # edge l reads inputs from column l+1 (cyclically) and outputs column l
-    assert T.edges[0].outputs == (0, 1, 2)
-    assert T.edges[0].inputs == (3, 4, 5)
-    assert T.edges[3].inputs == (0, 1, 2)
-    T1 = build_test_hypergraph(plain_word(1, [(group(2)[0], "1")]))
-    assert T1.n_vertices == 1
-    assert T1.edges[0].inputs == T1.edges[0].outputs == (0,)
+    ident = Permutation.identity(6)
+    assert strip_entries(plain_word(k, [(ident, "1")] * 4)) == [
+        (0, 1, 2, 3, 4, 5), (3, 4, 5, 6, 7, 8), (6, 7, 8, 9, 10, 11), (9, 10, 11, 0, 1, 2)
+    ]
+    # coordinate p reads place sigma(p) of the rows (0, 1), then the columns
+    # (2, 3); an adjoint letter swaps them first, to (2, 3, 0, 1)
+    sigma = Permutation([2, 4, 1, 3])
+    assert strip_entries(plain_word(2, [(sigma, "1")] * 2))[0] == (1, 3, 0, 2)
+    assert strip_entries(plain_word(2, [(sigma, "*")] * 2))[0] == (3, 1, 2, 0)
+    # one letter at k = 1: its row and its column are the same vertex
+    assert strip_entries(plain_word(1, [(group(2)[0], "1")])) == [(0, 0)]
+    with pytest.raises(ValueError, match="at least one letter"):
+        strip_entries(plain_word(1, []))
 
 
 def test_set_partitions_counts():
@@ -124,11 +128,10 @@ def test_singleton_partition_two_letter_value():
     # all vertices distinct: (1/N) * N(N-1) * E|entry|^2 = (N-1)/N
     k, N = 1, 4
     sigma = group(2)[0]
-    T = build_test_hypergraph(plain_word(k, [(sigma, "1"), (sigma, "*")]))
-    lab = tuple(range(T.n_vertices))
-    assert inj_trace_expect(T, lab, N, CG) == pytest.approx(0.75)
+    w = plain_word(k, [(sigma, "1"), (sigma, "*")])
+    assert inj_trace_expect(w, (0, 1), N, CG) == pytest.approx(0.75)
     # the merged labeling carries the rest of the full trace
-    assert inj_trace_expect(T, (0, 0), N, CG) == pytest.approx(0.25)
+    assert inj_trace_expect(w, (0, 0), N, CG) == pytest.approx(0.25)
 
 
 def test_full_trace_unit_word():
@@ -152,22 +155,18 @@ def test_worked_example_four_letter_quotient():
     g = group(6)
     s_a, s_b = g[123], g[45]
     word = plain_word(k, [(s_a, "1"), (s_b, "1"), (s_b, "*"), (s_a, "*")])
-    T = build_test_hypergraph(word)
     lab = list(range(12))
     for r in range(3):
         lab[9 + r] = 3 + r
     lab = canonical(lab)
-    cls = dependence_classes(T, lab)
-    assert sorted((c.m, c.n) for c in cls) == [(1, 1), (1, 1)]
-    assert inj_trace_expect(T, lab, 10, CG) == pytest.approx(0.0036288, abs=1e-15)
-    seq, final = q_profile(T, lab)
+    assert sorted(dependence_classes(word, lab)) == [(1, 1), (1, 1)]
+    assert inj_trace_expect(word, lab, 10, CG) == pytest.approx(0.0036288, abs=1e-15)
+    seq, final = q_profile(word, lab)
     assert final == 0
     # breaking the middle letter match leaves two unmatched singletons
     word2 = plain_word(k, [(s_a, "1"), (s_b, "1"), (g[44], "*"), (s_a, "*")])
-    T2 = build_test_hypergraph(word2)
-    cls2 = dependence_classes(T2, lab)
-    assert sorted((c.m, c.n) for c in cls2) == [(0, 1), (1, 0), (1, 1)]
-    assert inj_trace_expect(T2, lab, 10, CG) == 0
+    assert sorted(dependence_classes(word2, lab)) == [(0, 1), (1, 0), (1, 1)]
+    assert inj_trace_expect(word2, lab, 10, CG) == 0
 
 
 def test_worked_example_twisted_six_letter_quotient():
@@ -184,20 +183,17 @@ def test_worked_example_twisted_six_letter_quotient():
     s2 = embed_join(eta2.inverse(), eta1.inverse()) * s5
     s1 = embed_join(ident, eta2.inverse()) * s6
     word = plain_word(k, [(s1, "1"), (s2, "1"), (s3, "1"), (s4, "*"), (s5, "*"), (s6, "*")])
-    T = build_test_hypergraph(word)
     lab = list(range(18))
     for i in (1, 2, 3):
         lab[12 + eta1(i) - 1] = 6 + i - 1
         lab[15 + eta2(i) - 1] = 3 + i - 1
     lab = canonical(lab)
     assert n_blocks(lab) == 12
-    cls = dependence_classes(T, lab)
-    assert sorted((c.m, c.n) for c in cls) == [(1, 1)] * 3
+    assert sorted(dependence_classes(word, lab)) == [(1, 1)] * 3
     # perturbing one letter destroys the three-class structure
     bad = word.letters[:2] + (Letter(s4, "*"),) + word.letters[3:]
     if s3 != s4:
-        cls_bad = dependence_classes(build_test_hypergraph(Word(k, bad)), lab)
-        assert len(cls_bad) > 3
+        assert len(dependence_classes(Word(k, bad), lab)) > 3
 
 
 @pytest.mark.parametrize("k,L,N", [(1, 4, 3), (1, 4, 2), (2, 2, 2), (1, 6, 2)])
@@ -205,11 +201,10 @@ def test_trace_decomposition_fixed_tensor(k, L, N, seed=3):
     rng = np.random.default_rng(seed)
     word = random_plain_word(rng, k, L)
     t = sample_tensor(CG, N, k, seed)
-    T = build_test_hypergraph(word)
-    direct = trace_of_graph(T, t)
-    total = sum(inj_trace_of_graph(T, lab, t) for lab in set_partitions(T.n_vertices))
+    direct = trace_of_graph(word, t)
+    total = sum(inj_trace_of_graph(word, lab, t) for lab in set_partitions(k * L))
     assert abs(direct - total) <= 1e-10 * max(1.0, abs(direct))
-    via_product = phi_N(word_eval(t, word).data)
+    via_product = phi_N(word_eval(t, word))
     assert abs(direct - via_product) <= 1e-10 * max(1.0, abs(direct))
 
 
@@ -222,8 +217,8 @@ def test_folding_matches_the_product_with_permutation_operators(k, N, L):
     # on a fixed tensor, the word whose letters (sigma, eps) are each
     # followed by u_eta is the product of the flattenings (or their
     # adjoints) with the dense permutation operators, formed here from the
-    # raw triples; its hypergraph has the trace of that product, and the
-    # hypergraph of the word twisted by h the coefficient of u_h
+    # raw triples; its strip has the trace of that product, and the strip of
+    # the word twisted by h the coefficient of u_h
     rng = np.random.default_rng(100 * k + 10 * N + L)
     perms = group(k)
     moving = perms[1:] or perms  # S_1 has the identity only
@@ -235,16 +230,16 @@ def test_folding_matches_the_product_with_permutation_operators(k, N, L):
         t = sample_tensor(CG, N, k, int(rng.integers(2**16)))
         product = np.eye(N**k, dtype=complex)
         for sigma, eps, eta in triples:
-            m = flatten(t, sigma).data
-            product = product @ (m if eps == "1" else m.conj().T) @ perm_matrix(eta, N).data
+            m = flatten(t, sigma)
+            product = product @ (m if eps == "1" else m.conj().T) @ perm_matrix(eta, N)
         scale = np.abs(product).max()
-        assert np.abs(word_eval(t, w).data - product).max() <= 1e-12 * scale
+        assert np.abs(word_eval(t, w) - product).max() <= 1e-12 * scale
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # N < k: coefficients are not unique
             projection = cond_expect_N(product, k)
-        refs = {h: trace_of_graph(build_test_hypergraph(w.twisted(h)), t) for h in perms}
+        refs = {h: trace_of_graph(w.twisted(h), t) for h in perms}
         scale = max(abs(ref) for ref in refs.values())
-        direct = trace_of_graph(build_test_hypergraph(w), t)
+        direct = trace_of_graph(w, t)
         assert abs(phi_N(product) - direct) <= 1e-10 * scale
         for h, ref in refs.items():
             assert abs(projection.coeff(h) - ref) <= 1e-10 * scale
@@ -258,7 +253,7 @@ def test_full_trace_matches_monte_carlo():
     samples = []
     for trial in range(trials):
         t = sample_tensor(CG, N, k, 17, trial)
-        samples.append(phi_N(word_eval(t, word).data))
+        samples.append(phi_N(word_eval(t, word)))
     samples = np.array(samples)
     se = math.hypot(
         samples.real.std(ddof=1), samples.imag.std(ddof=1)
@@ -304,10 +299,10 @@ def test_real_ginibre_transpose_pairing():
 def test_q_profile_monotone_random():
     rng = np.random.default_rng(7)
     for k, L in ((1, 6), (2, 3)):
-        T = build_test_hypergraph(random_plain_word(rng, k, L))
+        w = random_plain_word(rng, k, L)
         for _ in range(200):
-            lab = canonical(rng.integers(0, T.n_vertices, T.n_vertices))
-            seq, final = q_profile(T, lab)
+            lab = canonical(rng.integers(0, k * L, k * L))
+            seq, final = q_profile(w, lab)
             assert all(a >= b for a, b in zip(seq, seq[1:]))
             assert seq[0] <= 0 and final <= 0
 
@@ -317,13 +312,13 @@ def test_final_q_bounds_contribution_order():
     # stay below the combinatorial bound, and the bound is attained at zero
     k = 1
     sigma = group(2)[1]
-    T = build_test_hypergraph(plain_word(k, [(sigma, "1"), (sigma, "*")] * 3))
+    w = plain_word(k, [(sigma, "1"), (sigma, "*")] * 3)
     n1, n2 = 20, 40
     attained = 0
-    for lab in set_partitions(T.n_vertices):
-        _, final = q_profile(T, lab)
-        v1 = inj_trace_expect(T, lab, n1, CG)
-        v2 = inj_trace_expect(T, lab, n2, CG)
+    for lab in set_partitions(k * len(w)):
+        _, final = q_profile(w, lab)
+        v1 = inj_trace_expect(w, lab, n1, CG)
+        v2 = inj_trace_expect(w, lab, n2, CG)
         if v1 == 0 or v2 == 0:
             continue
         est = math.log(abs(v2 / v1)) / math.log(n2 / n1)
@@ -331,7 +326,7 @@ def test_final_q_bounds_contribution_order():
         # finite-size drift of the falling factorials
         assert est <= final + 0.5
         # balanced conjugation count in every class, else the mean vanishes
-        assert all(c.m == c.n for c in dependence_classes(T, lab))
+        assert all(m == n for m, n in dependence_classes(w, lab))
         if final == 0 and est > -0.2:
             attained += 1
     assert attained > 0
