@@ -36,6 +36,7 @@ from .spectra import histogram_svg, run_experiment
 from .tensors import (
     PairProjection,
     TensorModel,
+    check_trials,
     cond_expect_N,
     flatten,
     choi_check,
@@ -206,6 +207,7 @@ def cmd_covariance(args):
     model = parse_model(args.model)
 
     w = Word(k, (first.followed_by(eta), second))
+    check_trials(k, trials)
     start = time.perf_counter()
     project = PairProjection(w, N)
     maps_s = time.perf_counter() - start
@@ -316,11 +318,13 @@ def cmd_oracle(args):
     w = load_word(args.word)
     model = parse_model(args.model)
     N = args.N
+    start = time.perf_counter()
     value, count, pruned = full_trace_expect_detailed(w, N, model)
     payload = {
         "exact": [value.real, value.imag],
         "per_partition_count": count,
         "pruned_count": pruned,
+        "timings": {"walk_s": time.perf_counter() - start},
     }
     lines = [
         f"exact expected trace at N={N}: {value.real:+.8f}{value.imag:+.8f}j",

@@ -368,6 +368,14 @@ def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
         raise ValueError(
             f"a spectrum trial of N^(2k) = {size} draws exceeds the guard of {MAX_MAP_ENTRIES}"
         )
+    if trials * n_max > MAX_MAP_ENTRIES:
+        raise ValueError(
+            f"trials n_max = {trials * n_max} moments exceed the guard of {MAX_MAP_ENTRIES}"
+        )
+    if with_hist and trials * N**k > MAX_MAP_ENTRIES:
+        raise ValueError(
+            f"trials N^k = {trials * N**k} pooled eigenvalues exceed the guard of {MAX_MAP_ENTRIES}"
+        )
     model.check_samplable()
     hermitian = target.hermitian
     start = time.perf_counter()

@@ -20,25 +20,31 @@ Conventions shared by the whole package:
     PairProjection.samples sums over z, drawn into a reused buffer, and
     multiplies by c^2 once, after the last trial.
 
-Each trial has its own random stream (trial_rng), and the draws and dot
-products release the interpreter lock, so PairProjection.samples splits the
-trials into contiguous chunks, one per worker thread, up to the CPUs of the
-process's affinity set.  Every trial's column is computed as with one worker,
-so the estimates are bit-identical for any worker count.  Threads are used
-only when one trial draws at least MIN_THREADED_DRAWS = 4096 normals
-(2 N^2k for the complex and diluted laws, N^2k for the real law): on 2 cores,
-trials of k = 2 with N >= 8 and of k = 3 with N = 5 took 0.51-0.82x the time
-of one thread, while trials of at most 2592 normals (k = 1; k = 2 with N <= 6)
-took 1.0-1.9x, as the lock passes between their short numpy calls.  Each
-worker holds its own buffers: 48 N^2k bytes for the complex laws, 16 N^2k for
-the real law.  The sampling and estimating timings are summed over every
-worker's trials, so they can exceed the wall time of the call.
+Each trial has its own random stream, trial_rng(seed, trial), the PCG64 of
+SeedSequence(seed, spawn_key=(trial,)).  Building that generator takes longer
+than a k = 1 trial's draws, so PairProjection.samples reuses one generator
+per worker and sets it to each trial's state, which trial_states computes for
+a block of trials at once: the streams are trial_rng's, bit for bit.  The
+draws and dot products release the interpreter lock, so
+PairProjection.samples splits the trials into contiguous chunks, one per
+worker thread, up to the CPUs of the process's affinity set.  Every trial's
+column is computed as with one worker, so the estimates are bit-identical for
+any worker count.  Threads are used only when one trial draws at least
+MIN_THREADED_DRAWS = 4096 normals (2 N^2k for the complex and diluted laws,
+N^2k for the real law): on 2 cores, complex trials of k = 2 with N >= 8 and
+of k = 3 with N = 5 took 0.61-0.72x the time of one thread, while trials of
+at most 2592 normals (k = 1; k = 2 with N <= 7) took 1.0-1.9x, as the lock
+passes between their short numpy calls.  Each worker holds its own buffers:
+48 N^2k bytes for the complex laws, 16 N^2k for the real law.  The seeding,
+sampling and estimating timings are summed over every worker's trials, so
+they can exceed the wall time of the call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import threading
 import time
@@ -250,6 +256,69 @@ def trial_rng(seed, trial=0):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
+# numpy's SeedSequence hash constants and PCG64's multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _hashmix(value, const, mult=_MULT_A):
+    # (hashed value, next const); value is an int or a uint32 array, whose
+    # products wrap as the masks wrap the ints
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    out = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
+    return out ^ out >> 16
+
+
+def trial_states(seed, trials):
+    """The PCG64 (state, inc) of trial_rng(seed, trial) for every trial of
+    the range trials, as a list of ints.  SeedSequence(seed, spawn_key=(trial,))
+    hashes the seed's 32-bit words (at least four) before the trial's one
+    word, so that part is done once in ints, and only the trial word's mixing
+    and the pool's eight output words run over the trials in uint32 arrays.
+    PCG64 seeds with the output words as initstate and initseq:
+    inc = 2 initseq + 1, state = (inc + initstate) MULT + inc, mod 2^128."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
+    if trials and not (0 <= min(trials[0], trials[-1]) and max(trials[0], trials[-1]) < 2**32):
+        raise ValueError(f"trials {trials} need spawn keys in 0..2^32-1")
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    const, pool = _INIT_A, []
+    for word in words[:4]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[4:] + [np.arange(trials.start, trials.stop, trials.step, dtype=np.uint32)]:
+        for dst in range(4):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    const, out = _INIT_B, []
+    for i in range(8):
+        value, const = _hashmix(pool[i % 4], const, _MULT_B)
+        out.append(value.tolist())
+    states = []
+    for w in zip(*out):
+        # the little-endian uint64 words (w0 w1), (w2 w3) are initstate's
+        # high and low halves, and (w4 w5), (w6 w7) initseq's
+        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        inc = (w[5] << 97 | w[4] << 65 | w[7] << 33 | w[6] << 1 | 1) & _MASK128
+        states.append((((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
 def sample_tensor(model, N, k, seed, trial=0):
     """The tensor of trial_rng(seed, trial): draw_halves' unscaled draws z,
     base_scale (z_re + i z_im) / sqrt(2) (z itself for the real law), divided
@@ -343,15 +412,30 @@ def cond_expect_N(A, k):
     return AlgebraElement(k, coeffs)
 
 
-# Bound on the k! N^2k entries of a PairProjection's maps (8 bytes each), and
-# on the N^2k draws of a spectrum trial, checked before any of them is
-# allocated.
+# Bound on the k! N^2k entries of a PairProjection's maps (8 bytes each) and
+# the k! trials estimates of its samples (16 bytes each), and on a spectrum's
+# N^2k draws a trial, trials n_max moments and trials N^k pooled eigenvalues,
+# checked before any of them is allocated.  It keeps the trials of samples
+# below 2^32, so that each spawn key is one 32-bit word (trial_states).
 MAX_MAP_ENTRIES = 2**24
 
 
 # A trial drawing fewer normals than this runs its chunk loop on the calling
 # thread alone (module docstring).
 MIN_THREADED_DRAWS = 4096
+
+# The trials whose PCG64 states a worker of PairProjection.samples makes in
+# one trial_states call: 150 bytes of ints a trial, 490 at the call's peak
+# (tracemalloc), so at most 2 MB a worker at any trial count.
+SEED_BLOCK = 4096
+
+
+def check_trials(k, trials):
+    """Raises unless the k! trials estimates of PairProjection.samples fit
+    the MAX_MAP_ENTRIES guard."""
+    estimates = math.factorial(k) * trials
+    if estimates > MAX_MAP_ENTRIES:
+        raise ValueError(f"k! trials = {estimates} estimates exceed the guard of {MAX_MAP_ENTRIES}")
 
 
 def usable_cpus():
@@ -418,9 +502,13 @@ class PairProjection:
         The trials are cut into one contiguous chunk per worker (module
         docstring); the caller runs the first chunk and a thread each of the
         others, all with their own buffers, each writing only its chunk's
-        columns.  A worker's exception is raised here once every worker has
-        been joined.  Sets self.workers, and self.timings: sampling and
-        estimating time, summed over the trials of every worker."""
+        columns.  Each worker reuses one PCG64, set to each trial's state
+        from trial_states, SEED_BLOCK trials at a time, so it draws the
+        stream of trial_rng(seed, trial).  A worker's exception is raised here
+        once every worker has been joined.  Sets self.workers, and
+        self.timings: seeding, sampling and estimating time, summed over the
+        trials of every worker."""
+        check_trials(self.k, trials)
         model.check_samplable()
         size, side = self.N ** (2 * self.k), self.N**self.k
         real = model.kind == "real_ginibre"
@@ -438,19 +526,29 @@ class PairProjection:
             buf = np.empty(draws)
             z = buf if real else np.empty(size, dtype=complex)
             met = np.empty_like(z)
-            sample_s = estimate_s = 0.0
-            for trial in chunk:
+            rng = np.random.Generator(np.random.PCG64())
+            seed_s = sample_s = estimate_s = 0.0
+            for at in range(0, len(chunk), SEED_BLOCK):
                 start = time.perf_counter()
-                draw_halves(model, size, trial_rng(seed, trial), buf)
-                if not real:
-                    z.real, z.imag = buf[:size], buf[size:]
-                sampled = time.perf_counter()
-                for row, q in enumerate(self.maps):
-                    z.take(q, out=met)
-                    out[row, trial] = dot(met, z)
-                sample_s += sampled - start
-                estimate_s += time.perf_counter() - sampled
-            return sample_s, estimate_s
+                block = chunk[at:at + SEED_BLOCK]
+                states = trial_states(seed, block)
+                seed_s += time.perf_counter() - start
+                for trial, (state, inc) in zip(block, states):
+                    start = time.perf_counter()
+                    rng.bit_generator.state = {
+                        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0,
+                    }
+                    draw_halves(model, size, rng, buf)
+                    if not real:
+                        z.real, z.imag = buf[:size], buf[size:]
+                    sampled = time.perf_counter()
+                    for row, q in enumerate(self.maps):
+                        z.take(q, out=met)
+                        out[row, trial] = dot(met, z)
+                    sample_s += sampled - start
+                    estimate_s += time.perf_counter() - sampled
+            return seed_s, sample_s, estimate_s
 
         workers = max(1, min(usable_cpus(), trials)) if draws >= MIN_THREADED_DRAWS else 1
         chunks = [range(trials * i // workers, trials * (i + 1) // workers) for i in range(workers)]
@@ -473,7 +571,7 @@ class PairProjection:
                 raise exc
         out *= gain**2 / (model.scale(self.N, self.k) ** 2 * side)
         self.workers = workers
-        self.timings = {"sample_s": sum(s for s, _ in spent), "estimate_s": sum(e for _, e in spent)}
+        self.timings = dict(zip(("seed_s", "sample_s", "estimate_s"), map(sum, zip(*spent))))
         return out
 
 

@@ -89,7 +89,7 @@ def test_covariance_command(capsys):
     assert payload["counters"] == {
         "side": 6, "trials": 40, "pairings": 1, "matmuls": 0, "map_entries": 36, "workers": 1
     }
-    assert set(payload["timings"]) == {"maps_s", "sample_s", "estimate_s"}
+    assert set(payload["timings"]) == {"maps_s", "seed_s", "sample_s", "estimate_s"}
     assert all(v >= 0 for v in payload["timings"].values())
 
 
@@ -215,6 +215,7 @@ def test_oracle_command(capsys):
     # letter partitions: {0, 1} summed, the singleton {0} pruned
     assert payload["per_partition_count"] == 1
     assert payload["pruned_count"] == 1
+    assert set(payload["timings"]) == {"walk_s"} and payload["timings"]["walk_s"] >= 0
 
 
 def test_oracle_twisted_word_reports_counts(capsys):
@@ -465,6 +466,40 @@ def test_covariance_guards_the_size_of_its_maps(capsys):
         capsys, "covariance", "--k", "3", "--N", "1000", "--sigma", identity, "--sigma2", identity
     )
     assert f"= {6 * 1000**6} entries exceed the guard of {MAX_MAP_ENTRIES}" in line
+
+
+@pytest.mark.parametrize(
+    "k, trials", [("2", 10**11), ("2", MAX_MAP_ENTRIES // 2 + 1), ("1", MAX_MAP_ENTRIES + 1)]
+)
+def test_covariance_guards_its_trials(capsys, monkeypatch, k, trials):
+    # k! trials estimates: refused before the maps are built or the oracle runs
+    monkeypatch.setattr(cli, "PairProjection", None)
+    monkeypatch.setattr(cli, "word_cond_expect_exact", None)
+    identity = json.dumps(list(range(1, 2 * int(k) + 1)))
+    line = usage_error(
+        capsys, "covariance", "--k", k, "--trials", str(trials), "--sigma", identity,
+        "--sigma2", identity,
+    )
+    estimates = math.factorial(int(k)) * trials
+    assert line == f"error: k! trials = {estimates} estimates exceed the guard of {MAX_MAP_ENTRIES}"
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"trials": str(10**11)}, f"trials n_max = {2 * 10**11} moments"),
+        ({"trials": str(MAX_MAP_ENTRIES // 12 + 1), "n_max": "12"},
+         f"trials n_max = {12 * (MAX_MAP_ENTRIES // 12 + 1)} moments"),
+        ({"trials": str(MAX_MAP_ENTRIES // 16 + 1), "hist": "h.svg"},
+         f"trials N^k = {16 * (MAX_MAP_ENTRIES // 16 + 1)} pooled eigenvalues"),
+    ],
+)
+def test_spectrum_guards_its_trials(capsys, tmp_path, changes, message):
+    if "hist" in changes:
+        changes["hist"] = str(tmp_path / changes["hist"])
+    line = usage_error(capsys, *spectrum_argv(**changes))
+    assert line == f"error: {message} exceed the guard of {MAX_MAP_ENTRIES}"
+    assert not (tmp_path / "h.svg").exists()
 
 
 @pytest.mark.parametrize(

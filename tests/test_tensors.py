@@ -25,6 +25,7 @@ from tensorflat.tensors import (
     phi_N,
     sample_tensor,
     trial_rng,
+    trial_states,
     tuple_index_map,
     word_eval,
 )
@@ -334,10 +335,83 @@ def test_samples_are_bit_identical_for_any_worker_count(monkeypatch, model, tria
             for cpus in (2, 3):
                 project, many = threaded_samples(monkeypatch, cpus, model, w, 3, 6, trials)
                 assert project.workers == min(cpus, trials)
-                assert set(project.timings) == {"sample_s", "estimate_s"}
+                assert set(project.timings) == {"seed_s", "sample_s", "estimate_s"}
                 assert np.array_equal(many, one)
     finally:
         sys.setswitchinterval(switch)
+
+
+def rng_state(seed, trial):
+    state = trial_rng(seed, trial).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128, 2**200 + 11])
+def test_trial_states_are_the_streams_of_trial_rng(seed):
+    for trials in (1, 2, 300):
+        assert trial_states(seed, range(trials)) == [rng_state(seed, t) for t in range(trials)]
+    # the last trial that the covariance guard lets through, at k = 1, and
+    # the last spawn key of one 32-bit word
+    for last in (tensors.MAX_MAP_ENTRIES - 1, 2**32 - 1):
+        assert trial_states(seed, range(last - 1, last + 1)) == [
+            rng_state(seed, last - 1), rng_state(seed, last)
+        ]
+    assert trial_states(seed, range(0)) == []
+
+
+@pytest.mark.parametrize("seed, trials", [(-1, range(2)), (0, range(2**32, 2**32 + 1)),
+                                          (0, range(-1, 1))])
+def test_trial_states_refuse_what_trial_rng_does_not_seed_by_one_word(seed, trials):
+    with pytest.raises(ValueError):
+        trial_states(seed, trials)
+
+
+def reference_samples(model, project, seed, trials):
+    """PairProjection.samples as a loop over a fresh trial_rng and fresh
+    arrays per trial, with the same arithmetic."""
+    size, side = project.N ** (2 * project.k), project.N**project.k
+    real = model.kind == "real_ginibre"
+    dot = {
+        ("1", "1"): np.dot,
+        ("*", "1"): np.vdot,
+        ("1", "*"): lambda met, z: np.vdot(z, met),
+        ("*", "*"): lambda met, z: np.dot(met, z).conjugate(),
+    }[project.eps]
+    out = np.empty((len(project.maps), trials), dtype=complex)
+    for trial in range(trials):
+        buf = draw_halves(model, size, trial_rng(seed, trial), np.empty(size if real else 2 * size))
+        z = buf if real else np.empty(size, dtype=complex)
+        if not real:
+            z.real, z.imag = buf[:size], buf[size:]
+        for row, q in enumerate(project.maps):
+            out[row, trial] = dot(z[q], z)
+    gain = 1.0 if real else model.base_scale / math.sqrt(2)
+    out *= gain**2 / (model.scale(project.N, project.k) ** 2 * side)
+    return out
+
+
+@pytest.mark.parametrize("model", LAWS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_samples_equal_the_loop_over_trial_rng(monkeypatch, model, cpus):
+    sigma = Permutation([3, 1, 4, 2])
+    for eps in itertools.product("1*", repeat=2):
+        w = Word(2, (Letter(sigma, eps[0]).followed_by(Permutation([2, 1])), Letter(sigma, eps[1])))
+        project, fast = threaded_samples(monkeypatch, cpus, model, w, 3, 12, 7)
+        assert project.workers == cpus
+        assert np.array_equal(fast, reference_samples(model, project, 12, 7))
+
+
+def test_samples_seed_each_worker_in_blocks(monkeypatch):
+    # blocks of 2 trials: 5 trials on 2 workers seed 0..1 | 2..3, 4..4 and
+    # still draw every trial's own stream
+    monkeypatch.setattr(tensors, "SEED_BLOCK", 2)
+    blocks = []
+    monkeypatch.setattr(tensors, "trial_states",
+                        lambda seed, block: blocks.append(block) or trial_states(seed, block))
+    w = Word(1, (Letter(Permutation([2, 1]), "1"), Letter(Permutation([1, 2]), "*")))
+    project, fast = threaded_samples(monkeypatch, 2, CG, w, 3, 8, 5)
+    assert sorted(blocks, key=lambda r: r.start) == [range(0, 2), range(2, 4), range(4, 5)]
+    assert np.array_equal(fast, reference_samples(CG, project, 8, 5))
 
 
 def test_samples_stay_on_one_thread_below_the_cutoff(monkeypatch):
@@ -396,7 +470,7 @@ def test_paired_projection_of_a_word_property(k, N, letters, model, seed):
                 for trial in range(2)]
     # the maps warn once, when they are built; the formed product once per trial
     assert len(caught) == (3 if N < k else 0)
-    assert set(project.timings) == {"sample_s", "estimate_s"}
+    assert set(project.timings) == {"seed_s", "sample_s", "estimate_s"}
     for trial in range(2):
         assert_same_projection(fast[:, trial], slow[trial])
 
