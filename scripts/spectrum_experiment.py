@@ -10,7 +10,7 @@ import pathlib
 import sys
 
 from tensorflat.cli import Parser, bounded, sizes
-from tensorflat.moments import Target
+from tensorflat.moments import MAX_MOMENT_ORDER, Target
 from tensorflat.spectra import histogram_svg, run_experiment
 from tensorflat.tensors import parse_model
 
@@ -22,7 +22,7 @@ def main():
     ap.add_argument("--model", default="complex_ginibre")
     ap.add_argument("--sizes", default="8,16,32")
     ap.add_argument("--trials", type=bounded(1), default=10)
-    ap.add_argument("--n-max", type=bounded(1, 12), default=4)
+    ap.add_argument("--n-max", type=bounded(1, MAX_MOMENT_ORDER), default=4)
     ap.add_argument("--seed", type=bounded(0), default=0)
     ap.add_argument("--out-dir", default="out")
     args = ap.parse_args()

@@ -19,6 +19,7 @@ from . import __version__
 from .characters import character_convolution_check, check_partition
 from .group_algebra import AlgebraElement, max_coeff_diff
 from .moments import (
+    MAX_MOMENT_ORDER,
     Letter,
     Target,
     Word,
@@ -199,11 +200,19 @@ def cmd_check(args):
 # --- covariance ------------------------------------------------------------
 
 
+def permutation(flag, text, name, degree):
+    """The permutation of flag's JSON image array, of the degree name = degree."""
+    perm = Permutation.from_json(text)
+    if perm.n != degree:
+        raise ValueError(f"{flag}: expected degree {name} = {degree}, got {perm.n}")
+    return perm
+
+
 def cmd_covariance(args):
     k, N, trials, seed = args.k, args.N, args.trials, args.seed
-    first = Letter(Permutation.from_json(args.sigma), args.eps)
-    second = Letter(Permutation.from_json(args.sigma2), args.eps2)
-    eta = Permutation.identity(k) if args.eta is None else Permutation.from_json(args.eta)
+    first = Letter(permutation("--sigma", args.sigma, "2k", 2 * k), args.eps)
+    second = Letter(permutation("--sigma2", args.sigma2, "2k", 2 * k), args.eps2)
+    eta = Permutation.identity(k) if args.eta is None else permutation("--eta", args.eta, "k", k)
     model = parse_model(args.model)
 
     w = Word(k, (first.followed_by(eta), second))
@@ -375,6 +384,9 @@ def cmd_freeness(args):
     if args.rho:
         rho = check_partition(json.loads(f"[{args.rho}]"))
         rho2 = check_partition(json.loads(f"[{args.rho if args.rho2 is None else args.rho2}]"))
+        for flag, parts in (("--rho", rho), ("--rho2", rho2)):
+            if sum(parts) != k:
+                raise ValueError(f"{flag}: expected a partition of k = {k}, got {list(parts)}")
         cross, a_scal, a2_scal = freeness_conditions(
             character_mixture(k, rho), character_mixture(k, rho2)
         )
@@ -388,6 +400,9 @@ def cmd_freeness(args):
     if args.letters:
         # the criterion tries both eps of every letter, so eps may be left out
         letters = letters_from_json(json.loads(args.letters), eps="1")
+        for l in letters:
+            if l.k != k:
+                raise ValueError(f"--letters: expected degree 2k = {2 * k}, got {l.sigma.n}")
         scalar = scalar_freeness_report([l.sigma for l in letters], model.c, model.c_prime)
         payload["scalar_circular"] = scalar
         lines.append(f"scalar circular family: {scalar}")
@@ -503,7 +518,7 @@ def build_parser():
     p.add_argument("--trials", type=bounded(1), default=20)
     p.add_argument("--tol", type=tolerance, default=0.10)
     p.add_argument("--target", default=Target.S1.name, choices=[t.name for t in Target])
-    p.add_argument("--n-max", dest="n_max", type=bounded(1, 12), default=4)
+    p.add_argument("--n-max", dest="n_max", type=bounded(1, MAX_MOMENT_ORDER), default=4)
     p.add_argument("--hist", help="write an SVG histogram to this path")
 
     p = command("freeness", cmd_freeness, "freeness criteria for combinations")

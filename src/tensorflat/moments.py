@@ -35,7 +35,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .group_algebra import AlgebraElement
-from .perms import Permutation, compose, embed_join, group, tau
+from .perms import Permutation, compose, embed_join, group, guard, tau
+
+MAX_PAIRING_POINTS = 20  # the enumerated cross-check lists Catalan(10) = 16,796 pairings
+MAX_MOMENT_ORDER = 12  # moment n needs block powers up to ceil(n/2): six matmuls at 12
 
 
 @dataclass(frozen=True)
@@ -227,8 +230,7 @@ def _nc_partner_table(n):
     entry i is the point paired with i.  Built once per n."""
     if n % 2:
         return ()
-    if n > 20:
-        raise ValueError(f"n={n} exceeds pairing enumeration bound 20")
+    guard("pairing points n", n, MAX_PAIRING_POINTS)
     table = []
     for pairing in _nc_pairings(tuple(range(n))):
         partner = dict(pairing) | {b: a for a, b in pairing}
@@ -445,8 +447,7 @@ class Target(enum.Enum):
     def predicted_moments(self, k, n_max):
         """The limiting moments for n = 1..n_max: those of (SS*)^n, or of
         S^n when Hermitian (the odd ones vanish)."""
-        if n_max > 12:
-            raise ValueError("n_max exceeds guard 12")
+        guard("moment order n_max", n_max, MAX_MOMENT_ORDER)
         kfact = math.factorial(k)
         if self.hermitian:
             return [0.0 if n % 2 else catalan(n // 2) / kfact for n in range(1, n_max + 1)]

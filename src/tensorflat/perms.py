@@ -33,6 +33,12 @@ MAX_TABLE_DEGREE = 6
 _INTERNED = {}
 
 
+def guard(what, value, bound):
+    """The one size check of the package: raises when value is past bound."""
+    if value > bound:
+        raise ValueError(f"{what} = {value} exceeds the guard of {bound}")
+
+
 class Permutation:
     """A bijection of [n], immutable and interned (equal means identical)."""
 
@@ -191,8 +197,7 @@ def tau(k):
 def group(n):
     """All n! permutations of [n] in lexicographic one-line order, built
     once per degree."""
-    if n > MAX_ENUM_DEGREE:
-        raise ValueError(f"degree {n} exceeds enumeration bound {MAX_ENUM_DEGREE}")
+    guard("enumerated degree n", n, MAX_ENUM_DEGREE)
     return tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
 
 

@@ -58,9 +58,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .moments import MAX_MOMENT_ORDER
+from .perms import guard
+
 # flatten is unused here but stays importable: the benchmark's tracer tests
 # check that it is patched in this namespace too
-from .tensors import MAX_MAP_ENTRIES, draw_halves, flatten, trial_rng  # noqa: F401
+from .tensors import MAX_EIGENSOLVE_SIDE, MAX_MAP_ENTRIES, draw_halves, flatten, trial_rng  # noqa: F401
 
 # Bound on the entries of each temporary that orbit_maps and build_target
 # make per chunk, and of the buffer that a Gaussian trial draws into: 2k
@@ -264,8 +267,7 @@ def trace_power_moments(base, n_max, side=None):
     eigendecomposition).  base is a spectral_operand; side defaults to its
     own, and the side of the full target makes a compressed block's traces
     those of its target."""
-    if n_max > 12:
-        raise ValueError("n_max exceeds guard 12")
+    guard("moment order n_max", n_max, MAX_MOMENT_ORDER)
     side = base.shape[0] if side is None else side
     if side == 0:
         raise ValueError("the empty 0x0 matrix has no normalized trace moments")
@@ -281,14 +283,10 @@ def trace_power_moments(base, n_max, side=None):
     return out
 
 
-def empirical_spectrum(base, side=None):
-    """Sorted eigenvalues of the Hermitian base, a spectral_operand, padded
-    with zeros to side (default its own)."""
-    if base.shape[0] > 4096:
-        raise ValueError("matrix side exceeds eigensolver guard 4096")
-    eigs = np.linalg.eigvalsh(base)
-    side = base.shape[0] if side is None else side
-    return np.sort(np.concatenate([eigs, np.zeros(side - eigs.size)]))
+def empirical_spectrum(base):
+    """The ascending eigenvalues of the Hermitian base, a spectral_operand."""
+    guard("eigensolver side", base.shape[0], MAX_EIGENSOLVE_SIDE)
+    return np.linalg.eigvalsh(base)
 
 
 def histogram(values, side):
@@ -364,18 +362,10 @@ def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
     with_hist) share one spectral_operand.  sample_s counts the drawing
     alone, and build_s the rest of build_target."""
     size = N ** (2 * k)
-    if size > MAX_MAP_ENTRIES:
-        raise ValueError(
-            f"a spectrum trial of N^(2k) = {size} draws exceeds the guard of {MAX_MAP_ENTRIES}"
-        )
-    if trials * n_max > MAX_MAP_ENTRIES:
-        raise ValueError(
-            f"trials n_max = {trials * n_max} moments exceed the guard of {MAX_MAP_ENTRIES}"
-        )
-    if with_hist and trials * N**k > MAX_MAP_ENTRIES:
-        raise ValueError(
-            f"trials N^k = {trials * N**k} pooled eigenvalues exceed the guard of {MAX_MAP_ENTRIES}"
-        )
+    guard("spectrum trial draws N^(2k)", size, MAX_MAP_ENTRIES)
+    guard("spectrum moments trials n_max", trials * n_max, MAX_MAP_ENTRIES)
+    if with_hist:
+        guard("pooled eigenvalues trials N^k", trials * N**k, MAX_MAP_ENTRIES)
     model.check_samplable()
     hermitian = target.hermitian
     start = time.perf_counter()
@@ -397,7 +387,7 @@ def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
         samples[trial] = [m.real for m in trace_power_moments(base, n_max, B.side)]
         done = time.perf_counter()
         if with_hist:
-            pooled.append(empirical_spectrum(base, B.side))
+            pooled.append(empirical_spectrum(base))
             timings["hist_s"] += time.perf_counter() - done
         timings["build_s"] += built - start - (timings["sample_s"] - sample_s)
         timings["moments_s"] += done - built
@@ -429,6 +419,7 @@ def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
     )
     if with_hist:
         start = time.perf_counter()
+        pooled.append(np.zeros(trials * (N**k - d)))  # each trial's N^k - d zeros
         report.hist = histogram(np.concatenate(pooled), N**k)
         timings["hist_s"] += time.perf_counter() - start  # the report holds this dict
     return report

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group_algebra import AlgebraElement
-from .perms import group
+from .perms import group, guard
 
 def double_factorial(n):
     return math.prod(range(n, 0, -2)) if n > 0 else 1
@@ -272,39 +272,27 @@ def _hashmix(value, const, mult=_MULT_A):
     return value ^ value >> 16, const_next
 
 
-def _mix(x, y):
-    out = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
-    return out ^ out >> 16
-
-
 def trial_states(seed, trials):
     """The PCG64 (state, inc) of trial_rng(seed, trial) for every trial of
     the range trials, as a list of ints.  SeedSequence(seed, spawn_key=(trial,))
-    hashes the seed's 32-bit words (at least four) before the trial's one
-    word, so that part is done once in ints, and only the trial word's mixing
-    and the pool's eight output words run over the trials in uint32 arrays.
-    PCG64 seeds with the output words as initstate and initseq:
-    inc = 2 initseq + 1, state = (inc + initstate) MULT + inc, mod 2^128."""
+    mixes the trial's word into SeedSequence(seed).pool, whose hash constant
+    has taken 16 + 4 max(0, words - 4) steps for a seed of that many 32-bit
+    words; that mixing and the eight output words run over the trials in
+    uint32 arrays.  PCG64 seeds with the output words as initstate and
+    initseq: inc = 2 initseq + 1, state = (inc + initstate) MULT + inc, mod 2^128."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed {seed} is negative")
     if trials and not (0 <= min(trials[0], trials[-1]) and max(trials[0], trials[-1]) < 2**32):
         raise ValueError(f"trials {trials} need spawn keys in 0..2^32-1")
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    const, pool = _INIT_A, []
-    for word in words[:4]:
+    words = max(1, -(-seed.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 2**32) & _MASK32
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    word = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint32)
+    for dst in range(4):  # numpy's mix(pool[dst], hashmix(word))
         value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[4:] + [np.arange(trials.start, trials.stop, trials.step, dtype=np.uint32)]:
-        for dst in range(4):
-            value, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], value)
+        mixed = (_MIX_L * pool[dst] & _MASK32) - (_MIX_R * value & _MASK32) & _MASK32
+        pool[dst] = mixed ^ mixed >> 16
     const, out = _INIT_B, []
     for i in range(8):
         value, const = _hashmix(pool[i % 4], const, _MULT_B)
@@ -412,13 +400,10 @@ def cond_expect_N(A, k):
     return AlgebraElement(k, coeffs)
 
 
-# Bound on the k! N^2k entries of a PairProjection's maps (8 bytes each) and
-# the k! trials estimates of its samples (16 bytes each), and on a spectrum's
-# N^2k draws a trial, trials n_max moments and trials N^k pooled eigenvalues,
-# checked before any of them is allocated.  It keeps the trials of samples
-# below 2^32, so that each spawn key is one 32-bit word (trial_states).
+# Bound on the entries of an array that grows like N^2k or with the trials (at
+# most 16 bytes each: 256 MB); it also keeps every spawn key one 32-bit word.
 MAX_MAP_ENTRIES = 2**24
-
+MAX_EIGENSOLVE_SIDE = 4096  # a dense eigensolve: side^2 entries (256 MB complex), side^3 time
 
 # A trial drawing fewer normals than this runs its chunk loop on the calling
 # thread alone (module docstring).
@@ -431,11 +416,8 @@ SEED_BLOCK = 4096
 
 
 def check_trials(k, trials):
-    """Raises unless the k! trials estimates of PairProjection.samples fit
-    the MAX_MAP_ENTRIES guard."""
-    estimates = math.factorial(k) * trials
-    if estimates > MAX_MAP_ENTRIES:
-        raise ValueError(f"k! trials = {estimates} estimates exceed the guard of {MAX_MAP_ENTRIES}")
+    """The guard on the k! trials estimates of PairProjection.samples."""
+    guard("covariance estimates k! trials", math.factorial(k) * trials, MAX_MAP_ENTRIES)
 
 
 def usable_cpus():
@@ -475,11 +457,7 @@ class PairProjection:
             raise ValueError(f"a pair projection needs a word of 2 letters, got {len(w)}")
         k = w.k
         size = N ** (2 * k)
-        if math.factorial(k) * size > MAX_MAP_ENTRIES:
-            raise ValueError(
-                f"pair maps of k! N^(2k) = {math.factorial(k) * size} entries "
-                f"exceed the guard of {MAX_MAP_ENTRIES}"
-            )
+        guard("pair map entries k! N^(2k)", math.factorial(k) * size, MAX_MAP_ENTRIES)
         _warn_if_dependent(N, k)
         index = RandomTensor(N, k, np.arange(size).reshape((N,) * (2 * k)))
         first, second = word_eval(index, w[:1]), word_eval(index, w[1:])
@@ -603,9 +581,8 @@ def choi_check(N, k):
     Builds C = sum_eta U_eta tensor conj(U_eta) and returns its smallest
     eigenvalue together with the max-norm defect of C^2 - k! C.
     """
-    if N ** (2 * k) > 4096:
-        raise ValueError(f"Choi matrix side N^(2k) = {N ** (2 * k)} exceeds guard 4096")
     side = N ** (2 * k)
+    guard("Choi matrix side N^(2k)", side, MAX_EIGENSOLVE_SIDE)
     C = np.zeros((side, side), dtype=complex)
     for eta in group(k):
         U = perm_matrix(eta, N)

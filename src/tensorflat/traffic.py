@@ -36,7 +36,7 @@ import itertools
 import math
 
 from .group_algebra import AlgebraElement
-from .perms import group
+from .perms import group, guard
 
 
 def strip_entries(w):
@@ -98,10 +98,8 @@ MAX_LETTERS = 12  # the letter partitions grow like Bell(L)
 
 
 def check_letters(L):
-    """The oracle's guard: a ValueError naming the bound when a word of L
-    letters is past MAX_LETTERS."""
-    if L > MAX_LETTERS:
-        raise ValueError(f"L = {L} letters exceeds the oracle guard of {MAX_LETTERS} letters")
+    """The oracle's guard on a word of L letters."""
+    guard("oracle letters L", L, MAX_LETTERS)
 
 
 def full_trace_expect(w, N, model):

@@ -325,7 +325,7 @@ def test_spectrum_guards_the_draws(capsys, k, N, draws):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == (
-        f"error: a spectrum trial of N^(2k) = {draws} draws exceeds the guard of 16777216\n"
+        f"error: spectrum trial draws N^(2k) = {draws} exceeds the guard of 16777216\n"
     )
 
 
@@ -346,7 +346,9 @@ def test_freeness_letters_do_not_read_eps(capsys, sigmas, scalar):
     outputs = []
     for eps in (None, "1", "*"):
         letters = [{"sigma": s} if eps is None else {"sigma": s, "eps": eps} for s in sigmas]
-        code, out = run(capsys, "freeness", "--letters", json.dumps(letters), "--format", "json")
+        k = str(len(sigmas[0]) // 2)
+        argv = ["freeness", "--k", k, "--letters", json.dumps(letters), "--format", "json"]
+        code, out = run(capsys, *argv)
         assert code == 0
         outputs.append(json.loads(out)["scalar_circular"])
     assert outputs == [scalar] * 3
@@ -465,7 +467,9 @@ def test_covariance_guards_the_size_of_its_maps(capsys):
     line = usage_error(
         capsys, "covariance", "--k", "3", "--N", "1000", "--sigma", identity, "--sigma2", identity
     )
-    assert f"= {6 * 1000**6} entries exceed the guard of {MAX_MAP_ENTRIES}" in line
+    assert line == (
+        f"error: pair map entries k! N^(2k) = {6 * 1000**6} exceeds the guard of {MAX_MAP_ENTRIES}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -481,24 +485,27 @@ def test_covariance_guards_its_trials(capsys, monkeypatch, k, trials):
         "--sigma2", identity,
     )
     estimates = math.factorial(int(k)) * trials
-    assert line == f"error: k! trials = {estimates} estimates exceed the guard of {MAX_MAP_ENTRIES}"
+    assert line == (
+        f"error: covariance estimates k! trials = {estimates} exceeds the guard of {MAX_MAP_ENTRIES}"
+    )
 
 
 @pytest.mark.parametrize(
     "changes, message",
     [
-        ({"trials": str(10**11)}, f"trials n_max = {2 * 10**11} moments"),
+        ({"trials": str(10**11)}, f"spectrum moments trials n_max = {2 * 10**11}"),
         ({"trials": str(MAX_MAP_ENTRIES // 12 + 1), "n_max": "12"},
-         f"trials n_max = {12 * (MAX_MAP_ENTRIES // 12 + 1)} moments"),
+         f"spectrum moments trials n_max = {12 * (MAX_MAP_ENTRIES // 12 + 1)}"),
         ({"trials": str(MAX_MAP_ENTRIES // 16 + 1), "hist": "h.svg"},
-         f"trials N^k = {16 * (MAX_MAP_ENTRIES // 16 + 1)} pooled eigenvalues"),
+         f"pooled eigenvalues trials N^k = {16 * (MAX_MAP_ENTRIES // 16 + 1)}"),
     ],
+    ids=["moments", "moments-at-n-max-12", "pooled-eigenvalues"],
 )
 def test_spectrum_guards_its_trials(capsys, tmp_path, changes, message):
     if "hist" in changes:
         changes["hist"] = str(tmp_path / changes["hist"])
     line = usage_error(capsys, *spectrum_argv(**changes))
-    assert line == f"error: {message} exceed the guard of {MAX_MAP_ENTRIES}"
+    assert line == f"error: {message} exceeds the guard of {MAX_MAP_ENTRIES}"
     assert not (tmp_path / "h.svg").exists()
 
 
@@ -589,7 +596,8 @@ def test_guard_errors_exit_2(capsys):
             "etas": [[1, 2]] * 13,
         }
     )
-    assert "guard of 12 letters" in usage_error(capsys, "oracle", "--word", word, "--N", "4")
+    message = usage_error(capsys, "oracle", "--word", word, "--N", "4")
+    assert message == "error: oracle letters L = 13 exceeds the guard of 12"
 
 
 def test_moments_checks_the_oracle_guard_before_the_limit(capsys, monkeypatch):
@@ -602,7 +610,7 @@ def test_moments_checks_the_oracle_guard_before_the_limit(capsys, monkeypatch):
     letters = [{"sigma": [1, 2, 3, 4], "eps": "1*"[i % 2]} for i in range(20)]
     word = json.dumps({"k": 2, "letters": letters})
     message = usage_error(capsys, "moments", "--word", word)
-    assert message == "error: L = 20 letters exceeds the oracle guard of 12 letters"
+    assert message == "error: oracle letters L = 20 exceeds the guard of 12"
 
 
 def test_model_spec_past_diluted_exits_2(capsys):
@@ -674,15 +682,17 @@ WRONG_DEGREE_WORD = {
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        COVARIANCE_K2 + ["--sigma", "[1,2,3,4]", "--eta", "[1,2,3]"],
-        ["oracle", "--word", json.dumps(WRONG_DEGREE_WORD), "--N", "2"],
+        (COVARIANCE_K2 + ["--sigma", "[1,2,3,4]", "--eta", "[1,2,3]"],
+         "error: --eta: expected degree k = 2, got 3"),
+        (["oracle", "--word", json.dumps(WRONG_DEGREE_WORD), "--N", "2"],
+         "error: degree mismatch: eta has degree 3, the letter k = 2"),
     ],
     ids=["covariance", "oracle"],
 )
-def test_an_identity_eta_of_the_wrong_degree_exits_2(capsys, argv):
-    assert "eta has degree 3, the letter k = 2" in usage_error(capsys, *argv)
+def test_an_identity_eta_of_the_wrong_degree_exits_2(capsys, argv, message):
+    assert usage_error(capsys, *argv) == message
 
 
 @pytest.mark.parametrize("sizes", ["0,-3", "4,0", "4,x"])
@@ -708,3 +718,25 @@ def test_out_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out_path.read_text())["failures"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["covariance", "--k", "1", "--sigma", "[1,2,3,4]", "--sigma2", "[1,2]"],
+         "error: --sigma: expected degree 2k = 2, got 4"),
+        (["covariance", "--k", "9", "--sigma", "[1,2]", "--sigma2", "[1,2]"],
+         "error: --sigma: expected degree 2k = 18, got 2"),
+        (["covariance", "--k", "1", "--sigma", "[1,2]", "--sigma2", "[1,2,3]"],
+         "error: --sigma2: expected degree 2k = 2, got 3"),
+        (["freeness", "--k", "2", "--letters", '[{"sigma": [2, 1]}]'],
+         "error: --letters: expected degree 2k = 4, got 2"),
+        (["freeness", "--k", "2", "--rho", "2", "--rho2", "1"],
+         "error: --rho2: expected a partition of k = 2, got [1]"),
+        (["freeness", "--k", "2", "--rho", "3"],
+         "error: --rho: expected a partition of k = 2, got [3]"),
+    ],
+    ids=["sigma-past-2k", "sigma-short-of-2k", "sigma2", "letters", "rho2", "rho"],
+)
+def test_a_permutation_or_partition_of_the_wrong_size_names_its_flag(capsys, argv, message):
+    assert usage_error(capsys, *argv) == message

@@ -361,8 +361,9 @@ def test_letter_partitions_summed_per_model(name, count):
 
 def test_guard():
     word = plain_word(2, [(group(4)[0], "1")] * (MAX_LETTERS + 1))
-    with pytest.raises(ValueError, match=f"guard of {MAX_LETTERS} letters"):
+    with pytest.raises(ValueError) as error:
         full_trace_expect(word, 3, CG)
+    assert str(error.value) == f"oracle letters L = {MAX_LETTERS + 1} exceeds the guard of 12"
 
 
 @pytest.mark.parametrize("name", ["complex", "real", "diluted-shifted"])
