@@ -1,7 +1,9 @@
 """Command-line harness.
 
 Subcommands: check, covariance, moments, oracle, spectrum, freeness.
-Exit codes: 0 pass, 1 tolerance failure, 2 usage or guard error.
+Exit codes: 0 pass, 1 tolerance failure, 2 usage or guard error.  Warnings
+raised by a command that completes are printed after it, one line each, as
+"warning: <message>"; a command that exits 2 prints only its error line.
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ import argparse
 import functools
 import json
 import math
+import resource
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -97,6 +101,11 @@ def resolved_config(args):
     cfg = {k: v for k, v in vars(args).items() if k not in ("func",) and v is not None}
     cfg["version"] = __version__
     return cfg
+
+
+def peak_rss_mb():
+    """The peak resident set size of this process so far (ru_maxrss), in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def emit(args, payload, table_lines):
@@ -261,7 +270,7 @@ def cmd_covariance(args):
         "map_entries": math.factorial(k) * N ** (2 * k),
         "workers": project.workers,
     }
-    timings = {"maps_s": maps_s, **project.timings}
+    timings = {"maps_s": maps_s, **project.timings, "peak_rss_mb": peak_rss_mb()}
     emit(args, {"rows": rows, "passed": passed, "counters": counters, "timings": timings}, lines)
     return 0 if passed else 1
 
@@ -333,7 +342,7 @@ def cmd_oracle(args):
         "exact": [value.real, value.imag],
         "per_partition_count": count,
         "pruned_count": pruned,
-        "timings": {"walk_s": time.perf_counter() - start},
+        "timings": {"walk_s": time.perf_counter() - start, "peak_rss_mb": peak_rss_mb()},
     }
     lines = [
         f"exact expected trace at N={N}: {value.real:+.8f}{value.imag:+.8f}j",
@@ -354,6 +363,7 @@ def cmd_spectrum(args):
     if args.hist:
         with open(args.hist, "w") as fh:
             fh.write(histogram_svg(report.hist))
+    report.timings["peak_rss_mb"] = peak_rss_mb()
     passed = True
     for n, emp, se, pred in report.rows:
         if pred == 0.0:
@@ -533,12 +543,16 @@ def build_parser():
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = build_parser().parse_args(with_config_flags(argv))
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = build_parser().parse_args(with_config_flags(argv))
+            code = args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

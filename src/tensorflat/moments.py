@@ -38,7 +38,9 @@ from .group_algebra import AlgebraElement
 from .perms import Permutation, compose, embed_join, group, guard, tau
 
 MAX_PAIRING_POINTS = 20  # the enumerated cross-check lists Catalan(10) = 16,796 pairings
-MAX_MOMENT_ORDER = 12  # moment n needs block powers up to ceil(n/2): six matmuls at 12
+# moment n needs the powers of B*B (or of a Hermitian B) up to ceil(n/2): at 12,
+# six products, each even power the Gram product of its half, 3 and 5 general
+MAX_MOMENT_ORDER = 12
 
 
 @dataclass(frozen=True)

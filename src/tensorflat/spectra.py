@@ -5,7 +5,7 @@ The targets S1, S2 and S3 are the members of moments.Target.  This module
 reads only a target's fields (signed, hermitian) and methods (scale,
 predicted_moments): the spectrum path never builds a target's Mixture.
 
-The pipeline forms no flattening and no N^k x N^k matrix.  It rests on three
+The pipeline forms no flattening and no N^k x N^k matrix.  It rests on four
 identities.
 
 * Orbit sums.  Summing a tensor x over all (2k)! flattenings puts at
@@ -26,11 +26,19 @@ identities.
     B[r, s] = sqrt(o_r o_s) sgn(r, s) bin[r u s]              (S2),
   with sgn(r, s) = sgn(I) at I = (r, s), divided by the target's scale, and
   B + B^H for S3.  Hence A A* (or A
-  itself when Hermitian) has the spectrum of B B* (or B) padded with
+  itself when Hermitian) has the spectrum of B*B (or B) padded with
   side - d zeros, where d = C(N+k-1, k) on Sym^k and C(N, k) on Lambda^k,
-  and tr (A A*)^n = tr (B B*)^n.
+  and tr (A A*)^n = tr (B*B)^n.
+* Stacked real form.  A block B = X + iY is held as one real array of
+  shape (2, d, d), its real part stacked on its imaginary part, or (1, d, d)
+  for the real law.  With F = [X; Y] the (2d, d) reshape of that array,
+    B*B = F^T F + i (X^T Y - (X^T Y)^T),
+  one syrk (numpy's path for F.T @ F) and one gemm, half the flops of a
+  complex product (gram).  For Hermitian C^a and C^b, tr C^a C^b is the dot
+  product of their stacked forms.
 * Half-power pairing.  tr C^(a+b) = sum_ij (C^a)_ij (C^b)_ji, so the
-  moments up to n_max need the powers of C up to ceil(n_max/2) only.
+  moments up to n_max need the powers of C up to ceil(n_max/2) only; an
+  even power is the Gram product of its half, C^2j = (C^j)* C^j.
 
 build_target takes the bins straight from a trial's unscaled normal draws,
 the stream of tensors.draw_halves, as chunks of rows in natural order
@@ -38,7 +46,8 @@ the stream of tensors.draw_halves, as chunks of rows in natural order
 orbit r' and column orbit s' into a d x d array H (each draw weighted by the
 signs of its row and column k-tuples for S2), over the row orbits that the
 chunk reaches; a second bincount folds H into one sum per multiset r' u s'
-(per set for S2, each pair weighted by the sign of its merge).  The index
+(per set for S2, each pair weighted by the sign of its merge), and a gather
+of those sums writes the block over H, in place.  The index
 maps and the per-chunk plan depend only on (N, k, signed), and orbit_maps
 builds them once.  The Gaussian laws draw each chunk just in time into one
 reused buffer of at most max(CHUNK_ENTRIES, N^k) draws, so a trial holds no
@@ -157,7 +166,8 @@ def orbit_maps(N, k, signed):
             stab[rank] = size
             pair_bin[start:start + pairs] = rank
     maps = OrbitMaps(orbit, sign, pair_bin, stab, np.sqrt(sizes), step, tuple(plan))
-    for array in (orbit, sign, pair_bin, stab, maps.root, *(a for p in plan for a in p)):
+    # pair_bin stays writeable: np.bincount and np.take copy a read-only index whole
+    for array in (orbit, sign, stab, maps.root, *(a for p in plan for a in p)):
         if isinstance(array, np.ndarray):
             array.flags.writeable = False
     return maps
@@ -165,8 +175,8 @@ def orbit_maps(N, k, signed):
 
 @dataclass(frozen=True)
 class Block:
-    """A spectral target's compressed block B and the side N^k of the target
-    (module docstring)."""
+    """A spectral target's compressed block B, in the stacked real form, and
+    the side N^k of the target (module docstring)."""
 
     data: np.ndarray
     side: int
@@ -210,7 +220,8 @@ def build_target(chunks, target, model, N, k):
     that chunks, a trial's draws as draw_chunks or chunk_views cut them,
     stands for.  Each chunk is binned before the next is taken.  The block
     reads only the target's signed and hermitian flags and its scale, and
-    builds no Mixture.  It is real for the real law, complex otherwise.
+    builds no Mixture.  It is in the stacked real form: one part for the
+    real law, two otherwise; no complex array is formed.
     """
     signed = target.signed
     maps = orbit_maps(N, k, signed)
@@ -236,73 +247,130 @@ def build_target(chunks, target, model, N, k):
         totals[half][reached] += counts.reshape(-1, d)
     if count != len(totals) * per_half:
         raise ValueError(f"{count} chunks given, the plan has {len(totals) * per_half}")
-    # bins of even merges, of odd merges (signed only) and of meeting pairs
-    sums = [
-        np.bincount(maps.pair_bin.ravel(), total.ravel(), minlength=2 * bins + 1)
-        for total in totals
-    ]
     gain = 1.0 if real else model.base_scale / math.sqrt(2)
     gain /= model.scale(N, k) * target.scale(k, model.c, model.c_prime)
-    per_bin = sums[0] if real else sums[0] + 1j * sums[1]
-    per_bin = (per_bin[:bins] - per_bin[bins:2 * bins]) * (maps.stab * gain)
-    block = np.concatenate([per_bin, -per_bin, [0.0]])[maps.pair_bin]
-    block *= np.multiply.outer(maps.root, maps.root)
-    if target.hermitian:
-        block += block.conj().T
-    return Block(block, side)
+    for total in totals:
+        # bins of even merges, of odd merges (signed only) and of meeting pairs
+        sums = np.bincount(maps.pair_bin.ravel(), total.ravel(), minlength=2 * bins + 1)
+        per_bin = (sums[:bins] - sums[bins:2 * bins]) * (maps.stab * gain)
+        table = np.concatenate([per_bin, -per_bin, [0.0]])
+        # every code is in range; mode "raise" would buffer the output
+        np.take(table, maps.pair_bin, out=total, mode="clip")
+    totals *= maps.root[:, None]
+    totals *= maps.root
+    if target.hermitian:  # B + B^H = (X + X^T) + i (Y - Y^T)
+        totals[0] += totals[0].T
+        if not real:
+            totals[1] -= totals[1].T
+    return Block(totals, side)
+
+
+def gram(A):
+    """A*A of the block A, both in the stacked real form (module
+    docstring): one syrk, and for a complex A one gemm.  It allocates its
+    output and nothing else."""
+    d = A.shape[-1]
+    flat = A.reshape(len(A) * d, d)
+    out = np.empty_like(A)
+    if len(A) == 2:
+        np.matmul(A[0].T, A[1], out=out[0])  # X^T Y, scratch
+        np.subtract(out[0], out[0].T, out=out[1])
+    np.matmul(flat.T, flat, out=out[0])
+    return out
+
+
+def product(P, Q):
+    """The product P Q of two blocks of one stacked real form, in that form."""
+    out = np.matmul(P, Q[0])
+    if len(Q) == 2:
+        out[0] -= P[1] @ Q[1]
+        out[1] += P[0] @ Q[1]
+    return out
 
 
 def spectral_operand(A, hermitian):
-    """A, checked to be Hermitian when declared so, or else A A*: the matrix
-    whose traces and eigenvalues the moments and the spectrum describe."""
+    """The block A in the stacked real form, checked to be Hermitian when
+    declared so, or else A*A: the operand whose traces and eigenvalues the
+    moments and the spectrum describe."""
     if not hermitian:
-        return A @ A.conj().T
-    if np.abs(A - A.conj().T).max(initial=0.0) > 1e-10:
+        return gram(A)
+    signs = np.array([1.0, -1.0])[:len(A), None, None]  # A^H = X^T - i Y^T
+    if np.abs(A - signs * A.transpose(0, 2, 1)).max(initial=0.0) > 1e-10:
         raise ValueError("matrix declared hermitian is not")
     return A
 
 
 def trace_power_moments(base, n_max, side=None):
     """tr(base^n) / side for n = 1..n_max by half-power pairing (no
-    eigendecomposition).  base is a spectral_operand; side defaults to its
-    own, and the side of the full target makes a compressed block's traces
-    those of its target."""
+    eigendecomposition).  base is a spectral_operand in the stacked real
+    form; side defaults to its own, and the side of the full target makes a
+    compressed block's traces those of its target."""
     guard("moment order n_max", n_max, MAX_MOMENT_ORDER)
-    side = base.shape[0] if side is None else side
+    side = base.shape[-1] if side is None else side
     if side == 0:
         raise ValueError("the empty 0x0 matrix has no normalized trace moments")
     powers = [None, base]  # powers[a] = base^a
     while len(powers) <= (n_max + 1) // 2:
-        powers.append(powers[-1] @ base)
+        a = len(powers)
+        powers.append(gram(powers[a // 2]) if a % 2 == 0 else product(powers[-1], base))
     out = []
     for n in range(1, n_max + 1):
         a = (n + 1) // 2
         b = n - a
-        tr = np.trace(base) if b == 0 else (powers[a] * powers[b].T).sum()
-        out.append(complex(tr) / side)
+        # tr P Q = <Re P, Re Q> + <Im P, Im Q> for Hermitian P and Q
+        tr = np.trace(base[0]) if b == 0 else np.vdot(powers[a].ravel(), powers[b].ravel())
+        out.append(float(tr) / side)
     return out
 
 
 def empirical_spectrum(base):
-    """The ascending eigenvalues of the Hermitian base, a spectral_operand."""
-    guard("eigensolver side", base.shape[0], MAX_EIGENSOLVE_SIDE)
-    return np.linalg.eigvalsh(base)
+    """The ascending eigenvalues of the Hermitian base, a spectral_operand
+    in the stacked real form, which a complex base is converted from."""
+    guard("eigensolver side", base.shape[-1], MAX_EIGENSOLVE_SIDE)
+    return np.linalg.eigvalsh(base[0] if len(base) == 1 else base[0] + 1j * base[1])
 
 
-def histogram(values, side):
-    """Freedman-Diaconis histogram plus the mass near zero reported apart."""
-    values = np.asarray(values)
-    q75, q25 = np.percentile(values, [75, 25])
+def percentiles(ascending, zeros, q):
+    """np.percentile(padded, q) of the ascending values padded with zeros
+    exact zeros, computed as numpy's default (linear) method computes it,
+    from the two order statistics around each point, without the padding."""
+    n = ascending.size + zeros
+    below = int(np.searchsorted(ascending, 0.0))  # the padding follows these
+
+    def order(i):
+        return ascending[i] if i < below else 0.0 if i < below + zeros else ascending[i - zeros]
+
+    out = []
+    for point in (n - 1) * np.true_divide(q, 100):
+        low = min(int(math.floor(point)), n - 1)
+        a, b = order(low), order(min(low + 1, n - 1))
+        t = point - low
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
+
+
+def histogram(values, side, zeros=0):
+    """Freedman-Diaconis histogram plus the mass near zero reported apart, of
+    values padded with zeros exact zeros: the same dictionary as that of the
+    padded array, whose padding is never formed."""
+    values = np.sort(values)
+    n = values.size + zeros
+    q75, q25 = percentiles(values, zeros, [75, 25])
     iqr = q75 - q25
-    width = 2 * iqr / len(values) ** (1 / 3) if iqr > 0 else None
+    lo, hi = values.min(initial=np.inf), values.max(initial=-np.inf)
+    if zeros:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    width = 2 * iqr / n ** (1 / 3) if iqr > 0 else None
     if width and width > 0:
-        nbins = max(1, int(math.ceil((values.max() - values.min()) / width)))
+        nbins = max(1, int(math.ceil((hi - lo) / width)))
         nbins = min(nbins, 512)
     else:
         nbins = 32
-    counts, edges = np.histogram(values, bins=nbins)
+    counts, edges = np.histogram(values, bins=nbins, range=(lo, hi))
+    if zeros:  # into the bin that np.histogram puts 0 in
+        counts += zeros * np.histogram([0.0], bins=nbins, range=(lo, hi))[0]
     delta = 3 * iqr / side if iqr > 0 else 1e-3
-    zero_mass = int(np.sum(np.abs(values) <= delta))
+    zero_mass = int(np.sum(np.abs(values) <= delta)) + zeros
     return {
         "edges": edges.tolist(),
         "counts": counts.tolist(),
@@ -359,13 +427,15 @@ def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
     """Trial-averaged moments of the moments.Target target with standard
     errors and the predicted limiting column.  Each trial draws its chunks
     into one reused buffer (draw_chunks), and its moments (and spectrum,
-    with_hist) share one spectral_operand.  sample_s counts the drawing
-    alone, and build_s the rest of build_target."""
+    with_hist) share one spectral_operand, the only array of the trial's
+    block size that outlives it.  sample_s counts the drawing alone, and
+    build_s the rest of build_target."""
     size = N ** (2 * k)
     guard("spectrum trial draws N^(2k)", size, MAX_MAP_ENTRIES)
     guard("spectrum moments trials n_max", trials * n_max, MAX_MAP_ENTRIES)
+    d = math.comb(N, k) if target.signed else math.comb(N + k - 1, k)
     if with_hist:
-        guard("pooled eigenvalues trials N^k", trials * N**k, MAX_MAP_ENTRIES)
+        guard("pooled eigenvalues trials d", trials * d, MAX_MAP_ENTRIES)
     model.check_samplable()
     hermitian = target.hermitian
     start = time.perf_counter()
@@ -380,15 +450,17 @@ def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
     for trial in range(trials):
         start, sample_s = time.perf_counter(), timings["sample_s"]
         chunks = draw_chunks(model, N**k, maps.step, trial_rng(seed, trial), out, timings)
-        B = build_target(chunks, target, model, N, k)
+        base = build_target(chunks, target, model, N, k).data
         built = time.perf_counter()
         # B + B^H is Hermitian by construction, so a Hermitian target skips the check
-        base = B.data if hermitian else spectral_operand(B.data, False)
-        samples[trial] = [m.real for m in trace_power_moments(base, n_max, B.side)]
+        if not hermitian:
+            base = gram(base)  # drops the block
+        samples[trial] = trace_power_moments(base, n_max, N**k)
         done = time.perf_counter()
         if with_hist:
             pooled.append(empirical_spectrum(base))
             timings["hist_s"] += time.perf_counter() - done
+        del base  # before the next trial builds its block
         timings["build_s"] += built - start - (timings["sample_s"] - sample_s)
         timings["moments_s"] += done - built
     means = samples.mean(axis=0)
@@ -396,8 +468,7 @@ def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
         samples.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(n_max)
     )
     predicted = target.predicted_moments(k, n_max)
-    d = maps.root.size
-    # B B* unless Hermitian, then the powers up to ceil(n_max/2)
+    # B*B unless Hermitian, then the powers up to ceil(n_max/2), one product each
     matmuls = (n_max + 1) // 2 - hermitian if d else 0
     report = SpectralReport(
         target=target.name,
@@ -419,8 +490,8 @@ def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
     )
     if with_hist:
         start = time.perf_counter()
-        pooled.append(np.zeros(trials * (N**k - d)))  # each trial's N^k - d zeros
-        report.hist = histogram(np.concatenate(pooled), N**k)
+        # each trial's N^k - d zeros counted, not pooled
+        report.hist = histogram(np.concatenate(pooled), N**k, trials * (N**k - d))
         timings["hist_s"] += time.perf_counter() - start  # the report holds this dict
     return report
 

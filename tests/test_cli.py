@@ -1,8 +1,12 @@
 import argparse
 import json
 import math
+import os
 import string
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,8 +93,9 @@ def test_covariance_command(capsys):
     assert payload["counters"] == {
         "side": 6, "trials": 40, "pairings": 1, "matmuls": 0, "map_entries": 36, "workers": 1
     }
-    assert set(payload["timings"]) == {"maps_s", "seed_s", "sample_s", "estimate_s"}
+    assert set(payload["timings"]) == {"maps_s", "seed_s", "sample_s", "estimate_s", "peak_rss_mb"}
     assert all(v >= 0 for v in payload["timings"].values())
+    assert payload["timings"]["peak_rss_mb"] > 1
 
 
 def test_covariance_counts_the_workers_it_used(capsys, monkeypatch):
@@ -215,7 +220,8 @@ def test_oracle_command(capsys):
     # letter partitions: {0, 1} summed, the singleton {0} pruned
     assert payload["per_partition_count"] == 1
     assert payload["pruned_count"] == 1
-    assert set(payload["timings"]) == {"walk_s"} and payload["timings"]["walk_s"] >= 0
+    assert set(payload["timings"]) == {"walk_s", "peak_rss_mb"} and payload["timings"]["walk_s"] >= 0
+    assert payload["timings"]["peak_rss_mb"] > 1
 
 
 def test_oracle_twisted_word_reports_counts(capsys):
@@ -294,13 +300,16 @@ def test_spectrum_json_counters(capsys):
     code, out = run(capsys, *spectrum_argv(k="2", format="json"))
     assert code in (0, 1)
     report = json.loads(out)["report"]
-    # side N^k = 256, Sym^2 of C^16 has dimension 136, n_max 2 needs B B*
+    # side N^k = 256, Sym^2 of C^16 has dimension 136, n_max 2 needs B*B
     # only, and C(19, 4) = 3876 multisets of 4 indices in [16] hold the bins
     assert report["counters"] == {
         "side": 256, "compressed_side": 136, "matmuls": 1, "orbit_bins": 3876,
     }
-    assert set(report["timings"]) == {"maps_s", "sample_s", "build_s", "moments_s", "hist_s"}
+    assert set(report["timings"]) == {
+        "maps_s", "sample_s", "build_s", "moments_s", "hist_s", "peak_rss_mb"
+    }
     assert all(v >= 0 for v in report["timings"].values())
+    assert report["timings"]["peak_rss_mb"] > 1
 
 
 def test_spectrum_rejects_an_unknown_target(capsys):
@@ -497,7 +506,7 @@ def test_covariance_guards_its_trials(capsys, monkeypatch, k, trials):
         ({"trials": str(MAX_MAP_ENTRIES // 12 + 1), "n_max": "12"},
          f"spectrum moments trials n_max = {12 * (MAX_MAP_ENTRIES // 12 + 1)}"),
         ({"trials": str(MAX_MAP_ENTRIES // 16 + 1), "hist": "h.svg"},
-         f"pooled eigenvalues trials N^k = {16 * (MAX_MAP_ENTRIES // 16 + 1)}"),
+         f"pooled eigenvalues trials d = {16 * (MAX_MAP_ENTRIES // 16 + 1)}"),
     ],
     ids=["moments", "moments-at-n-max-12", "pooled-eigenvalues"],
 )
@@ -611,6 +620,44 @@ def test_moments_checks_the_oracle_guard_before_the_limit(capsys, monkeypatch):
     word = json.dumps({"k": 2, "letters": letters})
     message = usage_error(capsys, "moments", "--word", word)
     assert message == "error: oracle letters L = 20 exceeds the guard of 12"
+
+
+DEPENDENT = (
+    "N={N} < k={k}: permutation operators are linearly dependent; "
+    "coefficients are not a unique decomposition"
+)
+
+
+def cli_process(*argv):
+    """The exit code, stdout and stderr of the command line in a fresh
+    interpreter, whose warnings reach stderr as they would in a shell."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "tensorflat.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_a_warning_of_a_completed_command_is_one_line():
+    sigma = "[1,2,3,4,5,6]"
+    code, out, err = cli_process(
+        "covariance", "--k", "3", "--N", "2", "--trials", "2", "--sigma", sigma, "--sigma2", sigma,
+    )
+    assert code == 0 and out
+    assert err == f"warning: {DEPENDENT.format(N=2, k=3)}\n"
+
+
+def test_an_error_after_a_warning_prints_the_error_alone():
+    # N = 1 < k = 9 warns before the degree guard refuses S_9
+    sigma = json.dumps(list(range(1, 19)))
+    code, out, err = cli_process(
+        "covariance", "--k", "9", "--N", "1", "--trials", "2", "--sigma", sigma, "--sigma2", sigma,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: enumerated degree n = 9 exceeds the guard of 8\n"
 
 
 def test_model_spec_past_diluted_exits_2(capsys):

@@ -44,7 +44,7 @@ def pair(N):
     return lambda: PairProjection(Word(1, (identity, identity)), N)
 
 
-EYE = np.eye(2)
+EYE = np.eye(2)[None]  # a block in the stacked real form
 SITES = [
     pytest.param(
         lambda: group(9), lambda: group(8),
@@ -63,7 +63,7 @@ SITES = [
         "moment order n_max = 13 exceeds the guard of 12", id="spectra.trace_power_moments",
     ),
     pytest.param(
-        lambda: empirical_spectrum(np.broadcast_to(0.0, (4097, 4097))), None,
+        lambda: empirical_spectrum(np.broadcast_to(0.0, (1, 4097, 4097))), None,
         "eigensolver side = 4097 exceeds the guard of 4096", id="spectra.empirical_spectrum",
     ),
     pytest.param(
@@ -77,9 +77,11 @@ SITES = [
         id="spectra.run_experiment-moments",
     ),
     pytest.param(
-        # 2^24 + 1 = 97 * 172961 pooled eigenvalues, at 172961 moments
-        spectrum(1, 97, 172961, 1, True), sampled(spectrum(1, 16, 2**20, 1, True)),
-        "pooled eigenvalues trials N^k = 16777217 exceeds the guard of 16777216",
+        # 2^24 + 1 = 97 * 172961 pooled eigenvalues, at 172961 moments; the
+        # bound is on the d = 136 eigenvalues of a trial at k = 2, N = 16,
+        # not on its N^k = 256 (123361 * 256 > 2^24)
+        spectrum(1, 97, 172961, 1, True), sampled(spectrum(2, 16, 2**24 // 136, 1, True)),
+        "pooled eigenvalues trials d = 16777217 exceeds the guard of 16777216",
         id="spectra.run_experiment-pooled",
     ),
     pytest.param(

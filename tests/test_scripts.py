@@ -103,3 +103,44 @@ def test_pool_digest_lists_every_pooled_op_the_same_way_twice(monkeypatch):
     assert [line.split()[0] for line in lines] == [op["id"] for op in workloads.pool("oracle")]
     assert all(len(line.split()) == 2 for line in lines)
     assert run_script("pool_digest.py", "--workload", "oracle") == first
+
+
+def bench_result(wall_s, rss_mb, failed=0):
+    """A bench/run.py last-line result with two metrics."""
+    return {
+        "correct": failed == 0, "attempted": 100, "failed": failed,
+        "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+                    "peak_rss_mb": {"value": rss_mb, "unit": "MB"}},
+    }
+
+
+def test_bench_pairs_summarizes_canned_results(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import bench_pairs
+
+    walls = [(1.0, 0.9), (1.2, 1.0), (0.8, 0.85), (1.1, 1.0), (1.0, 0.95)]
+    pairs = [{"parent": bench_result(p, 90.0), "change": bench_result(c, 80.0, failed=i == 2)}
+             for i, (p, c) in enumerate(walls)]
+    got = bench_pairs.summarize(pairs)
+    assert got["pairs"] == 5
+    assert got["failed"] == {"parent": 0, "change": 1}
+    assert got["attempted"] == {"parent": 500, "change": 500}
+    wall = got["metrics"]["wall_s"]
+    assert wall["unit"] == "s"
+    # inclusive quartiles of 0.8, 1.0, 1.0, 1.1, 1.2 and of 0.85, 0.9, 0.95, 1.0, 1.0
+    assert wall["parent"] == {"q1": 1.0, "median": 1.0, "q3": 1.1, "n": 5}
+    assert wall["change"] == pytest.approx({"q1": 0.9, "median": 0.95, "q3": 1.0, "n": 5})
+    assert wall["change_over_parent"] == pytest.approx(0.95)
+    assert wall["pairs_change_lower"] == 4
+    assert wall["runs"] == {"parent": [p for p, _ in walls], "change": [c for _, c in walls]}
+    rss = got["metrics"]["peak_rss_mb"]
+    assert rss["pairs_change_lower"] == 5 and rss["change_over_parent"] == pytest.approx(8 / 9)
+    one = bench_pairs.summarize(pairs[:1])["metrics"]["wall_s"]
+    assert one["parent"] == {"q1": 1.0, "median": 1.0, "q3": 1.0, "n": 1}
+
+
+@pytest.mark.parametrize("text", ["1", "1:0", "a:3", "1:2,x"])
+def test_bench_pairs_refuses_a_bad_seed_list(text):
+    err = run_script("bench_pairs.py", "--parent", str(ROOT), "--change", str(ROOT), "--workload", "limit",
+                     "--seeds", text, "--out", "unused.json", code=2)
+    assert err.count("\n") == 1 and err.startswith("error: --seeds")

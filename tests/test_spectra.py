@@ -18,9 +18,11 @@ from tensorflat.spectra import (
     chunk_views,
     draw_chunks,
     empirical_spectrum,
+    gram,
     histogram,
     histogram_svg,
     orbit_maps,
+    percentiles,
     run_experiment,
     spectral_operand,
     trace_power_moments,
@@ -96,6 +98,17 @@ def block(model, N, k, target, seed, trial=0):
     return build_target(chunks(model, N, k, seed, trial), target, model, N, k)
 
 
+def stacked(matrix, parts=2):
+    """A dense matrix in the stacked real form of Block.data: its real part
+    on its imaginary part, or its real part alone (parts = 1)."""
+    return np.stack([matrix.real, matrix.imag][:parts])
+
+
+def unstacked(A):
+    """The complex (or, with one part, real) matrix of a stacked form."""
+    return A[0] if len(A) == 1 else A[0] + 1j * A[1]
+
+
 def padded(eigs, side):
     """A block's eigenvalues with the side - d zeros of its target's
     spectrum, sorted."""
@@ -137,11 +150,11 @@ def test_fast_path_matches_dense(which, k, N, index):
     side = N**k
     B = block(model, N, k, target, 17, index)
     dense = dense_target(sample_tensor(model, N, k, 17, index), target, model)
-    want = compress(dense, target, N, k)
+    want = stacked(compress(dense, target, N, k), 1 if model.kind == "real_ginibre" else 2)
     assert B.side == side and B.data.shape == want.shape
     base = spectral_operand(B.data, herm)
     spec = empirical_spectrum(base)
-    assert spec.shape == (B.data.shape[0],)
+    assert spec.shape == (B.data.shape[-1],)
     spec = padded(spec, side)
     n_max = 12
     moms = trace_power_moments(base, n_max, side)
@@ -156,7 +169,7 @@ def test_fast_path_matches_dense(which, k, N, index):
     assert np.abs(spec - eigs).max() <= 1e-10 * np.abs(eigs).max()
     # moment n is pinned relative to the mean of |eigenvalue|^n
     scales = [np.mean(np.abs(eigs) ** n) for n in range(1, n_max + 1)]
-    dense_base = spectral_operand(dense, herm)
+    dense_base = spectral_operand(stacked(dense), herm)
     for got in (moms, trace_power_moments(dense_base, n_max)):
         for m, want_m, scale in zip(got, dense_moments(dense, herm, n_max), scales):
             assert abs(m - want_m) <= 1e-10 * scale
@@ -326,6 +339,94 @@ def test_build_target_checks_the_chunks():
         build_target(chunk_views(np.zeros(256), 16, step), Target.S1, CG, 4, 2)
 
 
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("d", [0, 1, 5, 40])
+def test_gram_is_the_complex_product(parts, d):
+    rng = np.random.default_rng(10 * d + parts)
+    A = rng.standard_normal((parts, d, d))
+    got = gram(A)
+    assert got.shape == A.shape
+    want = unstacked(A).conj().T @ unstacked(A)
+    assert np.abs(unstacked(got) - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+
+
+@pytest.mark.parametrize("target", [Target.S1, Target.S3])
+@pytest.mark.parametrize("index", range(3))
+def test_moments_of_the_stacked_operand_are_traces_of_complex_powers(target, index):
+    # n_max = 12 takes the powers up to 6, the odd ones 3 and 5 among them
+    N, k, n_max = 6, 2, 12
+    B = block(_models(N)[index], N, k, target, 21)
+    base = spectral_operand(B.data, target.hermitian)
+    got = trace_power_moments(base, n_max, B.side)
+    C = unstacked(base)
+    eigs = np.linalg.eigvalsh(C)
+    power = np.eye(C.shape[0])
+    for n in range(1, n_max + 1):
+        power = power @ C
+        # moment n relative to the normalized trace of |C|^n
+        scale = np.sum(np.abs(eigs) ** n) / B.side
+        assert abs(got[n - 1] - np.trace(power).real / B.side) <= 1e-12 * scale
+
+
+def test_a_complex_trial_holds_a_few_blocks():
+    # k = 2, N = 32: d = 528, so 5 d^2 doubles are 11.2 MB; the block and
+    # B*B take 4 d^2, the chunk buffer and its bincounts the rest
+    N, k = 32, 2
+    d = orbit_maps(N, k, False).root.size
+    run_experiment(CG, Target.S1, k, N, 1, 2, seed=0)  # builds the maps
+    tracemalloc.start()
+    try:
+        run_experiment(CG, Target.S1, k, N, 1, 2, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * d * d * 8
+
+
+def histogram_cases():
+    """(values, zeros) pairs: all positive, mixed signs, all negative, with
+    exact zeros among the values, no padding, and no values."""
+    rng = np.random.default_rng(31)
+    for case in range(120):
+        d, zeros = int(rng.integers(0, 40)), int(rng.integers(0, 60))
+        if case % 10 == 0:
+            zeros = 0
+        elif case % 10 == 1:
+            d = 0
+        if d + zeros == 0:
+            d = 3
+        values = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 3)
+        values = {0: np.abs(values), 1: values, 2: -np.abs(values)}[case % 3]
+        if case % 7 == 0:
+            values[: d // 3] = 0.0
+        yield values, zeros
+
+
+def padded_histogram(full, side):
+    """histogram of an array that holds its zeros, by np.percentile and
+    np.histogram over all of it."""
+    q75, q25 = np.percentile(full, [75, 25])
+    iqr = q75 - q25
+    width = 2 * iqr / len(full) ** (1 / 3) if iqr > 0 else None
+    nbins = min(512, max(1, math.ceil((full.max() - full.min()) / width))) if width else 32
+    counts, edges = np.histogram(full, bins=nbins)
+    delta = 3 * iqr / side if iqr > 0 else 1e-3
+    return {
+        "edges": edges.tolist(), "counts": counts.tolist(), "zero_band": delta,
+        "zero_mass": int(np.sum(np.abs(full) <= delta)),
+    }
+
+
+def test_padding_is_counted_not_formed():
+    for values, zeros in histogram_cases():
+        full = np.concatenate([values, np.zeros(zeros)])
+        q = [75, 25, 0, 50, 100, 33.3]
+        assert percentiles(np.sort(values), zeros, q) == list(np.percentile(full, q))
+        for side in (7, full.size):
+            want = padded_histogram(full, side)
+            assert histogram(values, side, zeros) == want == histogram(full, side)
+
+
 def test_symmetry_basis_dimensions():
     for N, k in ((40, 2), (64, 2), (6, 3), (2, 3)):
         index, weight = symmetry_basis(N, k, False)
@@ -344,7 +445,7 @@ def test_symmetry_basis_dimensions():
 def test_empty_exterior_power(k, N):
     # Lambda^k of C^N is empty for N < k: S2 vanishes identically
     B = block(CG, N, k, Target.S2, 9)
-    assert B.data.shape == (0, 0)
+    assert B.data.shape == (2, 0, 0)
     base = spectral_operand(B.data, False)
     assert trace_power_moments(base, 4, N**k) == [0, 0, 0, 0]
     assert empirical_spectrum(base).shape == (0,)
@@ -355,7 +456,7 @@ def test_empty_exterior_power(k, N):
 
 
 def test_empty_matrix():
-    empty = np.zeros((0, 0), dtype=complex)
+    empty = np.zeros((2, 0, 0))
     for hermitian in (False, True):
         base = spectral_operand(empty, hermitian)
         assert empirical_spectrum(base).shape == (0,)
@@ -367,7 +468,7 @@ def test_hermitian_target_is_hermitian():
     # N = 20, k = 2: chunks of 163 rows, three to a half
     assert len(orbit_maps(20, 2, False).plan) == 3
     for model in _models(20):
-        B = block(model, 20, 2, Target.S3, 0).data
+        B = unstacked(block(model, 20, 2, Target.S3, 0).data)
         assert np.array_equal(B, B.conj().T)
 
 
@@ -381,16 +482,16 @@ def test_target_invariant_under_permutation_operators():
 
 
 def test_trace_power_moments_basics():
-    eye = np.eye(3, dtype=complex)
+    eye = np.eye(3)[None]
     assert trace_power_moments(eye, 3) == [1, 1, 1]
-    zero = np.zeros((3, 3), dtype=complex)
+    zero = np.zeros((2, 3, 3))
     assert trace_power_moments(spectral_operand(zero, False), 3) == [0, 0, 0]
 
 
 def test_first_moment_is_frobenius_norm():
     rng = np.random.default_rng(2)
     data = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    m1 = trace_power_moments(spectral_operand(data, False), 1)[0]
+    m1 = trace_power_moments(spectral_operand(stacked(data), False), 1)[0]
     assert abs(m1 - (np.abs(data) ** 2).sum() / 9) <= 1e-12
 
 
@@ -405,11 +506,12 @@ def test_moment_spectrum_consistency():
 
 
 def test_empirical_spectrum_diag():
-    diag = np.diag([5.0, 3, 1, 4, 2]).astype(complex)
+    diag = stacked(np.diag([5.0, 3, 1, 4, 2]))
     assert np.allclose(empirical_spectrum(spectral_operand(diag, True)), [1, 2, 3, 4, 5])
-    nonh = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(ValueError):
-        spectral_operand(nonh, True)
+    for nonh in ([[0, 1], [0, 0]], [[0, 1j], [1j, 0]]):
+        for parts in (1, 2)[np.iscomplexobj(nonh):]:
+            with pytest.raises(ValueError):
+                spectral_operand(stacked(np.array(nonh), parts), True)
 
 
 def test_normalization_invariance():
@@ -436,7 +538,7 @@ def test_run_experiment_small():
     csv_text = report.to_csv()
     assert csv_text.splitlines()[0] == "n,predicted,empirical,stderr"
     assert report.hist["zero_mass"] >= 0
-    # B B* and its square for n_max 3; the spectrum reuses B B*
+    # B*B and its square for n_max 3; the spectrum reuses B*B
     assert report.counters == {"side": 16, "compressed_side": 16, "matmuls": 2, "orbit_bins": 136}
 
 
