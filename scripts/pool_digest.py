@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the id and an output hash of every op in a benchmark workload's pool.
 
-    PYTHONPATH=src python3 scripts/pool_digest.py --workload oracle
+    PYTHONPATH=src python3 scripts/pool_digest.py --workload oracle [--values]
 
 Runs every op any seed of the workload can pick (bench/workloads.pool) as
 the benchmark runs it (workloads.prepare), with BLAS on one thread, as
@@ -10,7 +10,10 @@ stdout with every "timings" key removed, and its --hist SVG; that of a word
 or mixture op covers the repr of the elements it returns, signed zeros and
 coefficient types included.  Running it under the PYTHONPATH of two
 checkouts and diffing the outputs shows whether a change leaves every
-pooled op's output byte-identical.
+pooled op's output byte-identical.  With --values it prints, in place of the
+hash, the op's record of the golden gate (workloads.reduce: exit code,
+integer outputs, exact and Monte Carlo values) as one JSON line, so that two
+checkouts can be compared number by number.
 """
 
 import os
@@ -55,13 +58,22 @@ def digest(op, raw, scratch):
     return h.hexdigest()[:16]
 
 
+def values(op, raw):
+    """The op's golden-gate record as one JSON line (floats by their repr,
+    so that the line gives back every value bit for bit)."""
+    return json.dumps(workloads.reduce(op, raw), sort_keys=True)
+
+
 def main():
     ap = Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
+    ap.add_argument("--values", action="store_true",
+                    help="print each op's golden-gate record in place of its hash")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as scratch:
         for op in workloads.pool(args.workload):
-            print(op["id"], digest(op, workloads.prepare(op, scratch)(), scratch))
+            raw = workloads.prepare(op, scratch)()
+            print(op["id"], values(op, raw) if args.values else digest(op, raw, scratch))
 
 
 if __name__ == "__main__":

@@ -137,6 +137,8 @@ def cmd_check(args):
     rng = np.random.default_rng(args.seed)
     model = TensorModel.complex_ginibre()
     results = []
+    matmuls = 0
+    stamps = [time.perf_counter()]
 
     def record(name, passed, detail=""):
         results.append({"name": name, "passed": bool(passed), "detail": detail})
@@ -154,6 +156,7 @@ def cmd_check(args):
                 for eta2 in group(k):
                     U2 = perm_matrix(eta2, t.N)
                     lhs = U @ M @ U2.conj().T
+                    matmuls += 2
                     rhs = flatten(t, compose(embed_join(eta, eta2), sigma))
                     worst = max(worst, float(np.abs(lhs - rhs).max()))
         record(f"intertwine k={k}", worst <= 1e-12, f"max defect {worst:.2e}")
@@ -174,19 +177,23 @@ def cmd_check(args):
         U = perm_matrix(eta, t.N)
         U2 = perm_matrix(eta2, t.N)
         lhs = cond_expect_N(U @ A @ U2, k)
+        matmuls += 2
         rhs = AlgebraElement.basis(eta) * cond_expect_N(A, k) * AlgebraElement.basis(eta2)
         diff = max_coeff_diff(lhs, rhs)
         record(f"bimodule k={k}", diff <= 1e-12, f"max defect {diff:.2e}")
         if N < k:
             record(f"uniqueness k={k}", True, f"warning: N={N} < k={k}, coefficients not unique")
+    stamps.append(time.perf_counter())
 
     for k in range(1, k_max + 1):
         skk = len({coset_key(s, "Skk") for s in group(2 * k)})
         skkt = len({coset_key(s, "SkkTau") for s in group(2 * k)})
         want = math.factorial(2 * k) // math.factorial(k) ** 2
         record(f"coset counts k={k}", skk == want and skkt == want // 2, f"{skk}/{skkt}")
+    stamps.append(time.perf_counter())
     for k in range(1, k_max + 1):
         record(f"character convolution k={k}", character_convolution_check(k))
+    stamps.append(time.perf_counter())
     kk = min(k_max, 2)
     mineig, defect = choi_check(N, kk)
     record(
@@ -194,6 +201,11 @@ def cmd_check(args):
         mineig >= -1e-10 and defect <= 1e-10,
         f"min eig {mineig:.2e}, defect {defect:.2e}",
     )
+    stamps.append(time.perf_counter())
+    stages = ("identities_s", "cosets_s", "characters_s", "choi_s")
+    timings = {name: b - a for name, a, b in zip(stages, stamps, stamps[1:])}
+    timings["peak_rss_mb"] = peak_rss_mb()
+    counters = {"checks": len(results), "side": N**k_max, "matmuls": matmuls}
 
     failures = [r for r in results if not r["passed"]]
     lines = [
@@ -202,7 +214,9 @@ def cmd_check(args):
         for r in results
     ]
     lines.append(f"{len(results) - len(failures)}/{len(results)} checks passed")
-    emit(args, {"results": results, "failures": len(failures)}, lines)
+    payload = {"results": results, "failures": len(failures), "counters": counters,
+               "timings": timings}
+    emit(args, payload, lines)
     return 1 if failures else 0
 
 
@@ -335,18 +349,35 @@ def cmd_moments(args):
 def cmd_oracle(args):
     w = load_word(args.word)
     model = parse_model(args.model)
-    N = args.N
+    N, L = args.N, len(w)
+    check_letters(L)  # before the law's table of that order is built
+    plain = sum(letter.eps == "1" for letter in w.letters)
     start = time.perf_counter()
+    table = model.cumulant_table(L)
+    cumulated = time.perf_counter()
     value, count, pruned = full_trace_expect_detailed(w, N, model)
+    coverable = (plain, L - plain) in table.coverable
     payload = {
         "exact": [value.real, value.imag],
         "per_partition_count": count,
         "pruned_count": pruned,
-        "timings": {"walk_s": time.perf_counter() - start, "peak_rss_mb": peak_rss_mb()},
+        "counters": {
+            "plain": plain,
+            "adjoint": L - plain,
+            "cumulant_support": sum(K != 0 for K in table.K.values()),
+            "coverable": coverable,
+        },
+        "timings": {
+            "cumulants_s": cumulated - start,
+            "walk_s": time.perf_counter() - cumulated,
+            "peak_rss_mb": peak_rss_mb(),
+        },
     }
     lines = [
         f"exact expected trace at N={N}: {value.real:+.8f}{value.imag:+.8f}j",
-        f"letter partitions: {count} summed, {pruned} candidate blocks with zero cumulant",
+        f"letter partitions: {count} summed, {pruned} candidate blocks pruned"
+        + ("" if coverable else f", the word rejected by its letter counts ({plain} plain,"
+           f" {L - plain} adjoint), which no blocks with nonzero cumulants cover"),
     ]
     emit(args, payload, lines)
     return 0
@@ -391,15 +422,18 @@ def cmd_freeness(args):
     model = parse_model(args.model)
     payload = {}
     lines = []
+    counters = {"mixture_terms": 0, "letters": 0}
+    timings = {"characters_s": 0.0, "letters_s": 0.0}
     if args.rho:
+        start = time.perf_counter()
         rho = check_partition(json.loads(f"[{args.rho}]"))
         rho2 = check_partition(json.loads(f"[{args.rho if args.rho2 is None else args.rho2}]"))
         for flag, parts in (("--rho", rho), ("--rho2", rho2)):
             if sum(parts) != k:
                 raise ValueError(f"{flag}: expected a partition of k = {k}, got {list(parts)}")
-        cross, a_scal, a2_scal = freeness_conditions(
-            character_mixture(k, rho), character_mixture(k, rho2)
-        )
+        mixtures = character_mixture(k, rho), character_mixture(k, rho2)
+        cross, a_scal, a2_scal = freeness_conditions(*mixtures)
+        counters["mixture_terms"] = sum(len(m.terms) for m in mixtures)
         payload.update(
             {"cross_free": cross, "a_scalar": a_scal, "a2_scalar": a2_scal}
         )
@@ -407,7 +441,9 @@ def cmd_freeness(args):
             f"character combos rho={list(rho)} rho2={list(rho2)}: "
             f"cross_free={cross} a_scalar={a_scal} a2_scalar={a2_scal}"
         )
+        timings["characters_s"] = time.perf_counter() - start
     if args.letters:
+        start = time.perf_counter()
         # the criterion tries both eps of every letter, so eps may be left out
         letters = letters_from_json(json.loads(args.letters), eps="1")
         for l in letters:
@@ -416,9 +452,12 @@ def cmd_freeness(args):
         scalar = scalar_freeness_report([l.sigma for l in letters], model.c, model.c_prime)
         payload["scalar_circular"] = scalar
         lines.append(f"scalar circular family: {scalar}")
+        counters["letters"] = len(letters)
+        timings["letters_s"] = time.perf_counter() - start
     if not payload:
         raise ValueError("freeness: provide --rho or --letters")
-    emit(args, payload, lines)
+    timings["peak_rss_mb"] = peak_rss_mb()
+    emit(args, {**payload, "counters": counters, "timings": timings}, lines)
     return 0
 
 

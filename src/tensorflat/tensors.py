@@ -48,13 +48,33 @@ import operator
 import os
 import threading
 import time
+import types
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .group_algebra import AlgebraElement
 from .perms import group, guard
+
+
+class CumulantTable(NamedTuple):
+    """A law's joint cumulants up to an order, free of N.
+
+    K[m, n], for 1 <= m + n <= order, is N^(k (m + n) / 2) times the joint
+    cumulant of m copies of an entry and n of its conjugate at any size N.
+    coverable holds the (plain, adjoint) counts P + A <= order, (0, 0)
+    included, that a union of blocks with K != 0 can make up: a word whose
+    letter counts lie outside it has no letter partition with a nonzero
+    weight, and its expected trace is 0 (traffic module docstring)."""
+
+    K: types.MappingProxyType
+    coverable: frozenset
+
+
+_CUMULANT_TABLES = {}  # TensorModel.cumulant_table's cache
+
 
 def double_factorial(n):
     return math.prod(range(n, 0, -2)) if n > 0 else 1
@@ -162,36 +182,66 @@ class TensorModel:
 
     def entry_cumulants(self, order, N, k):
         """Joint cumulants kappa[m, n] at size N of m copies of the entry and
-        n of its conjugate, for 1 <= m + n <= order.
+        n of its conjugate, for 1 <= m + n <= order: the law's N-free table
+        K[m, n] (cumulant_table) times N^(-k (m + n) / 2), since the entries
+        are raw / scale(N, k) and scale(N, k) is proportional to N^(k/2).
+        A zero of K is an exact zero; no other value is rounded to zero."""
+        powers = [float(N) ** (-k * s / 2) for s in range(order + 1)]
+        table = self.cumulant_table(order).K
+        return {key: K * powers[key[0] + key[1]] for key, K in table.items()}
 
-        The Gaussian laws have closed forms whose zeros are exact: only
-        kappa[1, 1] = N^-k (complex), or the three second-order cumulants
-        (real).  The diluted law runs the moment-cumulant recursion over
-        entry_moment, splitting off the block of one plain copy (of one
-        conjugate copy when m = 0):
-          mu[m, n] = sum_{a, b} C(m-1, a) C(n, b) kappa[a+1, b] mu[m-1-a, n-b].
-        No value is rounded to zero.
+    def cumulant_table(self, order):
+        """The law's CumulantTable up to order, built once per process for
+        each (kind, p, base_scale, base moments, order): a TensorModel with a
+        base_moments dict is unhashable, so the key holds its parameters.
+
+        The Gaussian laws have K = 1 on their support, (1, 1) (complex) or
+        the three keys of order 2 (real), and exact zeros elsewhere.  The
+        diluted law runs the moment-cumulant recursion once, over the
+        unscaled centred moments mu = _diluted_moment, splitting off the
+        block of one plain copy (of one conjugate copy when m = 0):
+          mu[m, n] = sum_{a, b} C(m-1, a) C(n, b) kappa[a+1, b] mu[m-1-a, n-b],
+        and divides kappa[m, n] by scale(1, 1)^(m + n), since scale(N, k) =
+        scale(1, 1) N^(k/2), so that K[1, 1] = c and K[2, 0] = c'.
         """
+        moments = None if self.base_moments is None else tuple(sorted(self.base_moments.items()))
+        key = (self.kind, self.p, self.base_scale, moments, order)
+        table = _CUMULANT_TABLES.get(key)
+        if table is None:
+            table = _CUMULANT_TABLES[key] = self._build_cumulant_table(order)
+        return table
+
+    def _build_cumulant_table(self, order):
         keys = [(m, s - m) for s in range(1, order + 1) for m in range(s + 1)]
         if self.kind != "diluted":
             support = {(1, 1)} if self.kind == "complex_ginibre" else {(2, 0), (1, 1), (0, 2)}
-            return {key: float(N) ** -k if key in support else 0.0 for key in keys}
-        mu = {key: self.entry_moment(*key, N, k) for key in keys}
-        mu[(0, 0)] = 1.0
-        kappa = {}
-        for m, n in keys:
-            if m:
-                rest = sum(
-                    math.comb(m - 1, a) * math.comb(n, b) * kappa[(a + 1, b)] * mu[(m - 1 - a, n - b)]
-                    for a in range(m) for b in range(n + 1) if (a, b) != (m - 1, n)
-                )
-            else:
-                rest = sum(
-                    math.comb(n - 1, b) * kappa[(0, b + 1)] * mu[(0, n - 1 - b)]
-                    for b in range(n - 1)
-                )
-            kappa[(m, n)] = mu[(m, n)] - rest
-        return kappa
+            K = {key: 1.0 if key in support else 0.0 for key in keys}
+        else:
+            mu = {key: self._diluted_moment(*key) for key in keys}
+            mu[(0, 0)] = 1.0
+            kappa = {}
+            for m, n in keys:
+                if m:
+                    rest = sum(
+                        math.comb(m - 1, a) * math.comb(n, b)
+                        * kappa[(a + 1, b)] * mu[(m - 1 - a, n - b)]
+                        for a in range(m) for b in range(n + 1) if (a, b) != (m - 1, n)
+                    )
+                else:
+                    rest = sum(
+                        math.comb(n - 1, b) * kappa[(0, b + 1)] * mu[(0, n - 1 - b)]
+                        for b in range(n - 1)
+                    )
+                kappa[(m, n)] = mu[(m, n)] - rest
+            unit = self.scale(1, 1)
+            K = {key: value / unit ** sum(key) for key, value in kappa.items()}
+        support = [key for key in keys if K[key] != 0]
+        coverable = {(0, 0)}
+        for m, n in keys:  # by increasing m + n, so every smaller count is decided
+            if any((m - a, n - b) in coverable for a, b in support if a <= m and b <= n):
+                coverable.add((m, n))
+        # read-only, since every caller shares the cached table
+        return CumulantTable(types.MappingProxyType(K), frozenset(coverable))
 
     def _diluted_moment(self, m, n):
         # E[(x - alpha p)^m (conj(x) - conj(alpha) p)^n] by binomial expansion,

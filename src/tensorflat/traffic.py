@@ -20,8 +20,16 @@ formula (Nica-Speicher, Lectures on the Combinatorics of Free Probability,
 where block B holds m_B plain and n_B adjoint letters, kappa is the joint
 cumulant of the entry law (TensorModel.entry_cumulants), and the components
 are those of the vertices once the tuples of the letters in each block are
-identified coordinatewise.  full_trace_expect_detailed evaluates this sum,
-enumerating only blocks with a nonzero cumulant.
+identified coordinatewise.  Every law here has kappa[m, n] = K[m, n]
+N^(-k (m + n) / 2) with K free of N (TensorModel.cumulant_table, built once
+per law and order).  full_trace_expect_detailed evaluates this sum,
+enumerating only blocks with a nonzero cumulant, and only while the letters
+left can still be covered: a block partition with nonzero weights exists
+only for (plain, adjoint) letter counts that are sums of the (m, n) with
+K[m, n] != 0 (CumulantTable.coverable).  A word outside that set, such as
+an odd word under any law with balanced or even support, or one with
+unequal plain and adjoint counts under complex Ginibre, is 0 at once, with
+no partition summed.
 
 The vertex-partition picture stays as well: summing the injective trace of
 every vertex-partition quotient (inj_trace_expect) gives the same value,
@@ -110,15 +118,21 @@ def full_trace_expect(w, N, model):
 
 def full_trace_expect_detailed(w, N, model):
     """full_trace_expect, together with the number of letter partitions
-    summed and the number of candidate blocks pruned for a zero cumulant.
+    summed and the number of candidate blocks pruned, for a zero cumulant or
+    for leaving letters that no blocks with nonzero cumulants can cover.  A
+    word whose own letter counts cannot be covered returns (0j, 0, 0).
 
     The partitions are built block by block: the block of the lowest letter
     left, then the letters after it.  Components are tracked by relabeling
     the vertices of one side of every merge."""
     L, k = len(w), w.k
     check_letters(L)
-    entries = strip_entries(w)
     plain = [int(letter.eps == "1") for letter in w.letters]
+    P = sum(plain)
+    coverable = model.cumulant_table(L).coverable
+    if (P, L - P) not in coverable:
+        return 0j, 0, 0
+    entries = strip_entries(w)
     kappa = model.entry_cumulants(L, N, k)
     powers = [float(N) ** c for c in range(k * L + 1)]
     total = 0.0 + 0.0j
@@ -136,7 +150,7 @@ def full_trace_expect_detailed(w, N, model):
         for a in range(len(plains) + 1):
             for b in range(len(adjoints) + 1):
                 kap = kappa[(a + plain[first], b + 1 - plain[first])]
-                if kap == 0:
+                if kap == 0 or (len(plains) - a, len(adjoints) - b) not in coverable:
                     pruned += math.comb(len(plains), a) * math.comb(len(adjoints), b)
                     continue
                 for with_plain, with_adjoint in itertools.product(

@@ -3,12 +3,15 @@ the direct and injective traces of a word's strip on a fixed tensor,
 the set partitions that the vertex-partition sums run over, the branch
 rule of the pair covariance (the reference for moments.covariance, which
 reads one half-swap-twisted product instead of four branches and an
-adjoint recursion), and the pairing sum of a word expectation
-without its early exit.  The library's fast paths are checked against
-these (acceptance criteria 1 and 6, tests/test_tensors.py,
-tests/test_traffic.py, tests/test_perms.py and tests/test_moments.py)."""
+adjoint recursion), the pairing sum of a word expectation
+without its early exit, and the entry cumulants at one size N (the
+reference for TensorModel's N-free cumulant table).  The library's fast
+paths are checked against these (acceptance criteria 1 and 6,
+tests/test_tensors.py, tests/test_traffic.py, tests/test_perms.py and
+tests/test_moments.py)."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -157,3 +160,35 @@ def word_expectation_every_pairing(w, c, cp):
     for pairing in _nc_pairings(tuple(range(len(w)))):
         total = total + walk(sorted(pairing))
     return total
+
+
+def entry_cumulants_per_N(model, order, N, k):
+    """The reference for TensorModel.entry_cumulants: the joint cumulants
+    kappa[m, n] at size N, for 1 <= m + n <= order, from the moments at that
+    size.  The Gaussian laws have closed forms whose zeros are exact: only
+    kappa[1, 1] = N^-k (complex), or the three second-order cumulants
+    (real).  The diluted law runs the moment-cumulant recursion over
+    entry_moment at size N, splitting off the block of one plain copy (of
+    one conjugate copy when m = 0):
+      mu[m, n] = sum_{a, b} C(m-1, a) C(n, b) kappa[a+1, b] mu[m-1-a, n-b].
+    No value is rounded to zero."""
+    keys = [(m, s - m) for s in range(1, order + 1) for m in range(s + 1)]
+    if model.kind != "diluted":
+        support = {(1, 1)} if model.kind == "complex_ginibre" else {(2, 0), (1, 1), (0, 2)}
+        return {key: float(N) ** -k if key in support else 0.0 for key in keys}
+    mu = {key: model.entry_moment(*key, N, k) for key in keys}
+    mu[(0, 0)] = 1.0
+    kappa = {}
+    for m, n in keys:
+        if m:
+            rest = sum(
+                math.comb(m - 1, a) * math.comb(n, b) * kappa[(a + 1, b)] * mu[(m - 1 - a, n - b)]
+                for a in range(m) for b in range(n + 1) if (a, b) != (m - 1, n)
+            )
+        else:
+            rest = sum(
+                math.comb(n - 1, b) * kappa[(0, b + 1)] * mu[(0, n - 1 - b)]
+                for b in range(n - 1)
+            )
+        kappa[(m, n)] = mu[(m, n)] - rest
+    return kappa

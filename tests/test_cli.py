@@ -56,10 +56,27 @@ def test_check_json_reproducible(capsys):
     code1, out1 = run(capsys, *args)
     code2, out2 = run(capsys, *args)
     assert code1 == code2 == 0
-    assert out1 == out2
-    payload = json.loads(out1)
+    # everything but the stage timings and the peak RSS is reproducible
+    first, second = json.loads(out1), json.loads(out2)
+    assert set(first.pop("timings")) == set(second.pop("timings"))
+    assert first == second
+    payload = first
     assert payload["failures"] == 0
     assert payload["config"]["version"]
+
+
+def test_check_reports_counters_and_timings(capsys):
+    code, out = run(capsys, "check", "--k", "2", "--N", "2", "--seed", "1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    # intertwining: 5 flattenings x 2! x 2! pairs of operators, two
+    # products each, per k; the bimodule identity: two more per k
+    matmuls = sum(2 * 5 * math.factorial(k) ** 2 + 2 for k in (1, 2))
+    assert payload["counters"] == {"checks": len(payload["results"]), "side": 4, "matmuls": matmuls}
+    stages = {"identities_s", "cosets_s", "characters_s", "choi_s"}
+    assert set(payload["timings"]) == stages | {"peak_rss_mb"}
+    assert all(payload["timings"][name] >= 0 for name in stages)
+    assert payload["timings"]["peak_rss_mb"] > 1
 
 
 def test_covariance_command(capsys):
@@ -220,8 +237,37 @@ def test_oracle_command(capsys):
     # letter partitions: {0, 1} summed, the singleton {0} pruned
     assert payload["per_partition_count"] == 1
     assert payload["pruned_count"] == 1
-    assert set(payload["timings"]) == {"walk_s", "peak_rss_mb"} and payload["timings"]["walk_s"] >= 0
+    # complex Ginibre's only nonzero cumulant is kappa[1, 1]
+    assert payload["counters"] == {
+        "plain": 1, "adjoint": 1, "cumulant_support": 1, "coverable": True,
+    }
+    assert set(payload["timings"]) == {"cumulants_s", "walk_s", "peak_rss_mb"}
+    assert payload["timings"]["cumulants_s"] >= 0 and payload["timings"]["walk_s"] >= 0
     assert payload["timings"]["peak_rss_mb"] > 1
+
+
+@pytest.mark.parametrize("model, support", [("complex_ginibre", 1), ("real_ginibre", 3),
+                                            ("diluted:p=0.5", 1)])
+def test_oracle_rejects_a_word_by_its_letter_counts(capsys, model, support):
+    # three letters, two plain: odd, so no blocks with a nonzero cumulant of
+    # these laws (balanced or of even order) cover them
+    letters = [{"sigma": [1, 2], "eps": e} for e in "1*1"]
+    word = json.dumps({"k": 1, "letters": letters})
+    code, out = run(capsys, "oracle", "--word", word, "--model", model, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exact"] == [0.0, 0.0]
+    assert (payload["per_partition_count"], payload["pruned_count"]) == (0, 0)
+    # the nonzero cumulants of order at most 3: kappa[1, 1] of the complex
+    # and diluted laws, and the three of order 2 of the real law
+    assert payload["counters"] == {
+        "plain": 2, "adjoint": 1, "cumulant_support": support, "coverable": False,
+    }
+    code, out = run(capsys, "oracle", "--word", word, "--model", model)
+    assert out.splitlines()[1] == (
+        "letter partitions: 0 summed, 0 candidate blocks pruned, the word rejected by its"
+        " letter counts (2 plain, 1 adjoint), which no blocks with nonzero cumulants cover"
+    )
 
 
 def test_oracle_twisted_word_reports_counts(capsys):
@@ -344,6 +390,27 @@ def test_freeness_command(capsys):
     assert "cross_free=True" in out
     code, _ = run(capsys, "freeness", "--k", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, counters",
+    [
+        # each character mixture has one term per element of S_2
+        (["--rho", "2", "--rho2", "1,1"], {"mixture_terms": 4, "letters": 0}),
+        (["--letters", '[{"sigma": [1, 2, 3, 4]}, {"sigma": [2, 1, 3, 4]}]'],
+         {"mixture_terms": 0, "letters": 2}),
+    ],
+)
+def test_freeness_reports_counters_and_timings(capsys, argv, counters):
+    code, out = run(capsys, "freeness", "--k", "2", *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["counters"] == counters
+    assert set(payload["timings"]) == {"characters_s", "letters_s", "peak_rss_mb"}
+    # a stage that does not run takes no time
+    ran = "characters_s" if counters["mixture_terms"] else "letters_s"
+    assert all(t == 0 for name, t in payload["timings"].items() if name not in (ran, "peak_rss_mb"))
+    assert payload["timings"][ran] >= 0 and payload["timings"]["peak_rss_mb"] > 1
 
 
 @pytest.mark.parametrize(

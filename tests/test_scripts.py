@@ -105,6 +105,23 @@ def test_pool_digest_lists_every_pooled_op_the_same_way_twice(monkeypatch):
     assert run_script("pool_digest.py", "--workload", "oracle") == first
 
 
+def test_pool_digest_values_prints_the_golden_gate_record(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # the script sets them on import
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import pool_digest
+
+    # one canned oracle op and its CLI output: the record keeps the exit
+    # code and the exact value, bit for bit, and drops the counts
+    op = {"id": "k1-L4/0", "kind": "oracle", "spec": {"N": 3, "model": "complex_ginibre", "word": {}}}
+    text = json.dumps({"exact": [0.1 + 0.2, -0.0], "per_partition_count": 2, "pruned_count": 5,
+                       "timings": {"walk_s": 0.001}})
+    line = pool_digest.values(op, (0, text, None))
+    assert "\n" not in line
+    assert json.loads(line) == {"code": 0, "ints": [], "exact": [0.30000000000000004, -0.0], "mc": []}
+    assert line == '{"code": 0, "exact": [0.30000000000000004, -0.0], "ints": [], "mc": []}'
+
+
 def bench_result(wall_s, rss_mb, failed=0):
     """A bench/run.py last-line result with two metrics."""
     return {

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import inj_trace_of_graph, set_partitions, trace_of_graph
+from references import entry_cumulants_per_N, inj_trace_of_graph, set_partitions, trace_of_graph
 from tensorflat.group_algebra import max_coeff_diff
 from tensorflat.moments import Letter, Word, plain_word, word_expectation
 from tensorflat.perms import Permutation, compose, embed_join, group, tau
@@ -52,14 +52,49 @@ def shifted_real_base_moments(a=0.6 + 0.3j, s=0.8, max_order=12):
     }
 
 
+def cube_root_base_moments(max_order=12):
+    """E[y^m conj(y)^n] of y uniform on the three cube roots of unity: 1 when
+    3 divides m - n, else 0.  The diluted law on it is centred, and its joint
+    cumulants vanish unless 3 divides m - n, so its support is sparse and
+    neither balanced nor even: three plain letters can make a block."""
+    return {
+        (m, n): float((m - n) % 3 == 0)
+        for m in range(max_order + 1) for n in range(max_order + 1 - m) if m + n
+    }
+
+
+def roots_base_moments(s=0.5, max_order=12):
+    """E[y^m conj(y)^n] of y = u + s v, with u uniform on the cube roots of
+    unity and v on the fifth roots, independent: E y = E y^2 = E y^4 = 0 and
+    E y^3, E y^5 != 0.  Every value is a dyadic rational, so the cumulant
+    recursion over them is exact."""
+
+    def roots(order, i, j):
+        return float((i - j) % order == 0)
+
+    return {
+        (m, n): sum(
+            math.comb(m, i) * math.comb(n, j) * roots(3, i, j)
+            * s ** (m - i + n - j) * roots(5, m - i, n - j)
+            for i in range(m + 1) for j in range(n + 1)
+        )
+        for m in range(max_order + 1) for n in range(max_order + 1 - m) if m + n
+    }
+
+
 def models(N):
-    """complex, real, diluted at p = 1/N, and a diluted law whose base is
-    neither centred nor circular, so every mixed cumulant is in play."""
+    """complex, real, diluted at p = 1/N, a diluted law whose base is
+    neither centred nor circular, so every mixed cumulant is in play, and
+    two diluted laws with sparse cumulant supports: that of
+    cube_root_base_moments, and that of roots_base_moments, under which a
+    block can leave letters that no blocks cover."""
     return {
         "complex": CG,
         "real": RG,
         "diluted": TensorModel.diluted(1 / N),
         "diluted-shifted": TensorModel.diluted(0.3, base_moments=shifted_real_base_moments()),
+        "diluted-sparse": TensorModel.diluted(0.4, base_moments=cube_root_base_moments()),
+        "diluted-roots": TensorModel.diluted(0.5, base_moments=roots_base_moments()),
     }
 
 
@@ -419,18 +454,23 @@ def test_letter_partitions_match_vertex_partitions(k, L, N, twisted):
         assert_pinned(value, vertex_partition_reference(word, N, model))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     k=st.integers(1, 2),
     letters=st.lists(
         st.tuples(st.integers(0, 23), st.sampled_from("1*")), min_size=1, max_size=4
     ),
+    plain_only=st.booleans(),
     N=st.integers(1, 5),
-    name=st.sampled_from(["complex", "real", "diluted", "diluted-shifted"]),
+    name=st.sampled_from(list(models(1))),
 )
-def test_letter_partitions_match_vertex_partitions_property(k, letters, N, name):
+def test_letter_partitions_match_vertex_partitions_property(k, letters, plain_only, N, name):
+    # plain_only draws the most unbalanced words, which the sparse law keeps
+    # when 3 divides their length; the walk skips every block that leaves a
+    # single letter under the shifted law, and two plain letters under the
+    # roots law
     perms = group(2 * k)
-    word = plain_word(k, [(perms[i % len(perms)], e) for i, e in letters])
+    word = plain_word(k, [(perms[i % len(perms)], "1" if plain_only else e) for i, e in letters])
     model = models(N)[name]
     assert_pinned(full_trace_expect(word, N, model), vertex_partition_reference(word, N, model))
 
@@ -453,7 +493,7 @@ def test_diluted_cumulant_zeros_are_exact():
     assert all(value != 0 for key, value in shifted.items() if sum(key) > 1)
 
 
-@pytest.mark.parametrize("name", ["complex", "real", "diluted", "diluted-shifted"])
+@pytest.mark.parametrize("name", list(models(1)))
 def test_cumulants_reproduce_entry_moments(name):
     # moment-cumulant formula over the partitions of m plain and n conjugate
     # copies of one entry
@@ -473,7 +513,7 @@ def test_cumulants_reproduce_entry_moments(name):
             assert abs(total - moment) <= 1e-12 * max(abs(moment), N ** (-k * (m + n) / 2))
 
 
-@pytest.mark.parametrize("name", ["complex", "real", "diluted", "diluted-shifted"])
+@pytest.mark.parametrize("name", list(models(1)))
 def test_c_and_c_prime_are_the_exact_second_moments(name):
     # the limit reads c = N^k E|x|^2 and c' = N^k E x^2, which for these
     # laws hold exactly at every N
@@ -481,3 +521,104 @@ def test_c_and_c_prime_are_the_exact_second_moments(name):
         model = models(N)[name]
         assert abs(N**k * model.entry_moment(1, 1, N, k) - model.c) <= 1e-12
         assert abs(N**k * model.entry_moment(2, 0, N, k) - model.c_prime) <= 1e-12
+
+
+CUMULANT_LAWS = {
+    "complex": CG,
+    "real": RG,
+    "diluted-1/3": TensorModel.diluted(1 / 3),
+    "diluted-1/16": TensorModel.diluted(1 / 16),
+    "diluted-1": TensorModel.diluted(1.0),
+    "diluted-shifted": models(3)["diluted-shifted"],
+    "diluted-sparse": models(3)["diluted-sparse"],
+    "diluted-roots": models(3)["diluted-roots"],
+}
+
+
+@pytest.mark.parametrize("name", list(CUMULANT_LAWS))
+def test_cumulant_table_matches_the_per_N_recursion(name):
+    # entry_cumulants scales the law's N-free table; the reference reruns the
+    # moment-cumulant recursion on the moments at each N
+    model = CUMULANT_LAWS[name]
+    for N in (1, 2, 3, 5, 16):
+        for k in (1, 2, 3):
+            for order in (1, 2, 5, 10):
+                kappa = model.entry_cumulants(order, N, k)
+                ref = entry_cumulants_per_N(model, order, N, k)
+                assert kappa.keys() == ref.keys()
+                if model.kind != "diluted":
+                    assert kappa == ref
+                    continue
+                for key, value in kappa.items():
+                    if ref[key] == 0 or name != "diluted-1":
+                        assert (value == 0) == (ref[key] == 0), (N, k, key)
+                    # at p = 1 the law is complex Ginibre: the reference leaves
+                    # rounding noise where the cumulant cancels to 0 against
+                    # the moment, and the table holds the exact 0
+                    floor = abs(model.entry_moment(*key, N, k)) if name == "diluted-1" else 0
+                    assert abs(value - ref[key]) <= 1e-12 * max(abs(ref[key]), floor), (N, k, key)
+
+
+def test_cumulant_table_is_free_of_N_and_cached_per_law():
+    for model in CUMULANT_LAWS.values():
+        K = model.cumulant_table(6).K
+        assert abs(K[(1, 1)] - model.c) <= 1e-12 and abs(K[(2, 0)] - model.c_prime) <= 1e-12
+    # at p = 1 the diluted law is complex Ginibre, cumulant for cumulant
+    assert {key for key, K in CUMULANT_LAWS["diluted-1"].cumulant_table(10).K.items() if K} == {(1, 1)}
+    # equal laws share one table; laws differing only in p, or in one base
+    # moment, do not
+    assert TensorModel.diluted(0.3).cumulant_table(6) is TensorModel.diluted(0.3).cumulant_table(6)
+    assert TensorModel.diluted(0.3).cumulant_table(6).K != TensorModel.diluted(0.4).cumulant_table(6).K
+    base = shifted_real_base_moments()
+    moved = dict(base)
+    moved[(3, 0)] += 0.5
+    one, other = (TensorModel.diluted(0.3, base_moments=b).cumulant_table(6).K for b in (base, moved))
+    assert one != other and one[(3, 0)] != other[(3, 0)] and one[(2, 1)] == other[(2, 1)]
+
+
+@pytest.mark.parametrize("name", list(models(1)))
+def test_coverable_counts_are_the_sums_of_the_support(name):
+    order = 8
+    table = models(3)[name].cumulant_table(order)
+    support = [key for key, K in table.K.items() if K != 0]
+    sums = {(0, 0)}
+    for _ in range(order):
+        sums |= {(m + a, n + b) for m, n in sums for a, b in support if m + a + n + b <= order}
+    assert table.coverable == sums
+
+
+@pytest.mark.parametrize(
+    "name, eps",
+    [
+        # 11 letters, 6 plain: odd, so no pairs or balanced blocks cover them
+        ("complex", "1*1*1*1*1*1"),
+        ("real", "1*1*1*1*1*1"),
+        ("diluted", "1*1*1*1*1*1"),
+        # one letter: every law here is centred
+        ("diluted-shifted", "*"),
+        # 3 does not divide 4 - 0
+        ("diluted-sparse", "1111"),
+    ],
+)
+def test_uncoverable_word_is_zero_without_a_walk(name, eps):
+    word = plain_word(1, [(group(2)[i % 2], e) for i, e in enumerate(eps)])
+    value, count, pruned = full_trace_expect_detailed(word, 3, models(3)[name])
+    assert isinstance(value, complex) and value == 0
+    assert (count, pruned) == (0, 0)
+
+
+def test_walk_skips_blocks_that_leave_uncoverable_letters():
+    # five plain letters under a law with K[m, 0] != 0 exactly for m = 3, 5:
+    # after the first letter, the candidate blocks take 0, 1, 2, 3 or 4 of
+    # the other four; those of 1, 2 and 4 letters have a zero cumulant, and
+    # the 6 blocks of three leave two plain letters, which no block covers,
+    # so they are skipped before the walk enters them
+    model = models(3)["diluted-roots"]
+    K = model.cumulant_table(5).K
+    assert [m for m in range(1, 6) if K[(m, 0)] != 0] == [3, 5]
+    word = plain_word(1, [(group(2)[0], "1")] * 5)
+    value, count, pruned = full_trace_expect_detailed(word, 3, model)
+    assert count == 1
+    assert pruned == 1 + 4 + 6 + 4
+    assert value != 0
+    assert_pinned(value, vertex_partition_reference(word, 3, model))
