@@ -117,7 +117,8 @@ def emit(args, payload, table_lines):
             "streams": payload["config"].get("trials", 1),
         }
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True, default=str)
+        # one line: an indent would route the dump through the pure-Python encoder
+        text = json.dumps(payload, sort_keys=True, default=str)
     elif args.format == "csv":
         text = payload["csv"]
     else:
@@ -406,11 +407,10 @@ def cmd_spectrum(args):
     for n, emp, se, pred in report.rows:
         lines.append(f"{n:3d} {pred:12.6f} {emp:12.6f} {se:10.2e}")
     lines.append("PASS" if passed else "FAIL")
-    emit(
-        args,
-        {"report": report.to_dict(), "csv": report.to_csv(), "passed": passed},
-        lines,
-    )
+    payload = {"report": report.to_dict(), "passed": passed}
+    if args.format == "csv":
+        payload["csv"] = report.to_csv()
+    emit(args, payload, lines)
     return 0 if passed else 1
 
 
@@ -512,6 +512,7 @@ def build_parser():
     parser = Parser(prog="tensorflat", description="random tensor flattening toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its subparser
 
     def command(name, func, summary, formats=("table", "json")):
         # no abbreviations: a config key must name its flag in full
@@ -580,11 +581,29 @@ def build_parser():
     return parser
 
 
+def parse_command_line(argv):
+    """argv, its --config lines merged in, parsed as the top-level parser
+    would, at about half the cost: the subparser of the command argv starts
+    with parses the rest alone.  Any other first token (none, --version, -h,
+    an unknown command) and any unrecognized argument meet the top-level
+    parser, so messages and exit codes stay its own."""
+    parser = build_parser()
+    argv = with_config_flags(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     with warnings.catch_warnings(record=True) as caught:
         try:
-            args = build_parser().parse_args(with_config_flags(argv))
+            args = parse_command_line(argv)
             code = args.func(args)
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -45,9 +45,12 @@ class Permutation:
     __slots__ = ("image", "_inverse", "_products")
 
     def __new__(cls, image):
-        image = tuple(int(v) for v in image)
+        # equal numbers hash alike, so an interned image is found before
+        # its entries are converted: (1.0, 2) finds (1, 2)
+        image = tuple(image)
         perm = _INTERNED.get(image)
         if perm is None:
+            image = tuple(int(v) for v in image)
             n = len(image)
             if sorted(image) != list(range(1, n + 1)):
                 raise ValueError(f"not a bijection of [{n}]: {image}")
@@ -121,7 +124,7 @@ class Permutation:
         return inv
 
     def is_identity(self):
-        return all(v == i for i, v in enumerate(self.image, start=1))
+        return self is Permutation.identity(self.n)  # exact: permutations are interned
 
     def cycles(self):
         """Orbits of the action on [n], fixed points included."""

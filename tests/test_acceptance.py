@@ -87,6 +87,7 @@ def _worst_share(gaps, bars):
 
 def test_criterion_1_exact_identities(capsys):
     rng = np.random.default_rng(101)
+    intertwining, bimodule = [], []
     for k in (1, 2):
         for N in (3, 4):
             sigmas = [
@@ -101,7 +102,7 @@ def test_criterion_1_exact_identities(capsys):
                         moved = apply_perm_right(
                             apply_perm_left(eta, M), eta2.inverse()
                         )
-                        assert np.abs(moved - twisted).max() <= 1e-12
+                        intertwining.append(np.abs(moved - twisted).max())
                 # transpose equals the half-swap twist, bit for bit
                 assert np.array_equal(flatten(t, compose(tau(k), sigma)), M.T)
             # trace of a permutation operator counts its cycles exactly
@@ -123,11 +124,17 @@ def test_criterion_1_exact_identities(capsys):
                         * cond_expect_N(A, k)
                         * AlgebraElement.basis(eta2)
                     )
-                    assert max_coeff_diff(lhs, rhs) <= 1e-12
+                    bimodule.append(max_coeff_diff(lhs, rhs))
+    worst = {
+        "intertwining": _worst_share(intertwining, 1e-12),
+        "bimodule": _worst_share(bimodule, 1e-12),
+    }
     report(
         capsys,
         "[PASS] criterion 1: twist intertwining, permutation traces, "
-        "bimodule property, transpose identity (k in {1,2}, N in {3,4})",
+        "bimodule property, transpose identity (k in {1,2}, N in {3,4}); "
+        "worst gap as a share of its bar: "
+        + ", ".join(f"{name} {share:.2g}" for name, share in worst.items()),
     )
 
 
@@ -316,6 +323,7 @@ def test_criterion_5_limiting_spectral_moments(capsys):
 
 def test_criterion_6_graph_combinatorics(capsys):
     rng = np.random.default_rng(606)
+    gaps, bars = [], []
     # partition decomposition of the trace is exact on fixed tensors
     for k, L, N in ((1, 8, 3), (2, 4, 2), (2, 2, 3), (1, 6, 2)):
         word = plain_word(k, [
@@ -328,12 +336,14 @@ def test_criterion_6_graph_combinatorics(capsys):
         t = sample_tensor(CG, N, k, 61 + k * L)
         direct = trace_of_graph(word, t)
         total = sum(inj_trace_of_graph(word, lab, t) for lab in set_partitions(k * L))
-        assert abs(direct - total) <= 1e-10 * max(1.0, abs(direct))
+        gaps.append(abs(direct - total))
+        bars.append(1e-10 * max(1.0, abs(direct)))
         # the exponent profile never increases along the word, exhaustively
         for lab in set_partitions(k * L):
             seq, final = q_profile(word, lab)
             assert all(a >= b for a, b in zip(seq, seq[1:]))
             assert final <= 0
+    worst = _worst_share(gaps, bars)
     # closed-form value of the glued four-letter example
     k = 3
     g = group(6)
@@ -364,18 +374,25 @@ def test_criterion_6_graph_combinatorics(capsys):
     report(
         capsys,
         "[PASS] criterion 6: exact trace decomposition, monotone exponent "
-        "profiles, glued-example value 0.0036288, twisted three-class split",
+        "profiles, glued-example value 0.0036288, twisted three-class split; "
+        f"worst decomposition gap as a share of its bar: {worst:.2g}",
     )
 
 
 def test_criterion_7_choi_positivity(capsys):
     k = 2
+    negativity, defects = [], []
     for N in (2, 3):
         min_eig, defect = choi_check(N, k)
         assert min_eig >= -1e-10
         assert defect <= 1e-10
+        negativity.append(max(0.0, -min_eig))
+        defects.append(defect)
+    worst = {"min eig": max(negativity) / 1e-10, "defect": max(defects) / 1e-10}
     report(
         capsys,
         "[PASS] criterion 7: projection certificate positive with "
-        "idempotency defect below 1e-10 (k=2, N in {2,3})",
+        "idempotency defect below 1e-10 (k=2, N in {2,3}); "
+        "worst gap as a share of its bar: "
+        + ", ".join(f"{name} {share:.2g}" for name, share in worst.items()),
     )

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorflat import cli, tensors
-from tensorflat.cli import build_parser, main, tolerance, with_config_flags
+from tensorflat.cli import build_parser, main, parse_command_line, tolerance, with_config_flags
 from tensorflat.moments import Word
 from tensorflat.perms import Permutation, group
 from tensorflat.tensors import (
@@ -233,6 +233,8 @@ def test_oracle_command(capsys):
     code, out = run(capsys, "oracle", "--word", word, "--N", "5", "--format", "json")
     assert code == 0
     payload = json.loads(out)
+    # one line of sorted-key JSON
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
     assert payload["exact"][0] == pytest.approx(1.0)
     # letter partitions: {0, 1} summed, the singleton {0} pruned
     assert payload["per_partition_count"] == 1
@@ -498,6 +500,23 @@ def test_flags_survive_a_round_trip_through_config(tmp_path_factory, data):
     cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
     cfg.write_text("".join(lines))
     assert parsed([command, "--config", str(cfg)]) == parsed(argv)
+    # the command's own subparser parses as the top-level parser does
+    assert parse_outcome(parse_command_line, argv) == parse_outcome(top_level_parse, argv)
+
+
+def top_level_parse(argv):
+    return build_parser().parse_args(with_config_flags(argv))
+
+
+def parse_outcome(parse, argv):
+    """The namespace of a parse (command included), or its error message, or
+    the code of the exit it asks for."""
+    try:
+        return vars(parse(argv))
+    except ValueError as exc:
+        return str(exc)
+    except SystemExit as exc:
+        return f"exit {exc.code}"
 
 
 def usage_error(capsys, *argv):
@@ -528,6 +547,34 @@ WORD_K1 = json.dumps({"k": 1, "letters": [{"sigma": [1, 2], "eps": "1"}] * 2})
 def test_a_tolerance_no_check_can_use_exits_2(capsys, argv):
     line = usage_error(capsys, *argv)
     assert f"argument --tol: must be a finite number >= 0, got {argv[-1]}" in line
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], 2),
+        (["--version"], 0),
+        (["-h"], 0),
+        (["spectra"], 2),
+        (["oracle", "-h"], 0),
+        (["oracle", "--word", WORD_K1, "--bogus", "1"], 2),
+        (["oracle", "--word", WORD_K1, "--N", "0"], 2),
+    ],
+    ids=["empty", "version", "help", "unknown-command", "command-help", "bad-flag", "bad-value"],
+)
+def test_a_command_line_parses_the_same_on_either_route(capsys, argv, code):
+    routes = []
+    for parse in (top_level_parse, parse_command_line):
+        routes.append((parse_outcome(parse, argv), capsys.readouterr()))
+    assert routes[0] == routes[1]
+    outcome, printed = routes[0]
+    if code == 0:  # help and version print to stdout and exit 0
+        assert outcome == "exit 0" and printed.out and not printed.err
+        with pytest.raises(SystemExit, match="0"):
+            main(argv)
+        assert capsys.readouterr() == printed
+    else:  # a rejected command line: main prints its one error line
+        assert usage_error(capsys, *argv) == f"error: {outcome}"
 
 
 @pytest.mark.parametrize(
@@ -617,6 +664,11 @@ def test_csv_format_only_for_spectrum(capsys, argv):
 def test_spectrum_csv(capsys):
     code, out = run(capsys, *spectrum_argv(format="csv"))
     assert code == 0 and out.startswith("n,predicted,empirical,stderr")
+
+
+def test_spectrum_json_report_carries_no_csv(capsys):
+    code, out = run(capsys, *spectrum_argv(format="json"))
+    assert code == 0 and "csv" not in json.loads(out)
 
 
 @pytest.mark.parametrize("flag, value, bound", [("k", "4", "1..3"), ("k", "0", "1..3"), ("N", "5", "1..4")])

@@ -160,15 +160,32 @@ def test_every_extended_coset_splits_into_two_plain_cosets():
 
 def test_json_roundtrip():
     p = cyc(4, (1, 3, 2))
-    assert Permutation.from_json(p.to_json()) == p
+    assert Permutation.from_json(p.to_json()) is p
 
 
+# (1, 2) is interned first: [true, 2] and [1.0, 2] read as lists that equal
+# (1, 2) and hash alike, so only the type check refuses them
 @pytest.mark.parametrize(
-    "text", ["5", "null", "[1.5, 2, 3, 4]", "[2.0, 1.0]", "[true]", '["1"]', '{"sigma": [1, 2]}']
+    "text, message",
+    [
+        pytest.param(text, "is not a list of integers", id=text)
+        for text in (
+            "5", "null", "[1.5, 2, 3, 4]", "[2.0, 1.0]", "[true]", '["1"]',
+            '{"sigma": [1, 2]}', "[true, 2]", "[1.0, 2]",
+        )
+    ]
+    + [pytest.param("[1, 1]", "not a bijection", id="[1, 1]")],
 )
-def test_from_json_reads_a_list_of_integers_only(text):
-    with pytest.raises(ValueError, match="is not a list of integers"):
+def test_from_json_reads_a_list_of_integers_only(text, message):
+    Permutation.identity(2)
+    with pytest.raises(ValueError, match=message):
         Permutation.from_json(text)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_is_identity_is_the_image_test(n):
+    for p in group(n):
+        assert p.is_identity() == (p.image == tuple(range(1, n + 1)))
 
 
 def same_as_validated(got, image):

@@ -122,6 +122,25 @@ def test_pool_digest_values_prints_the_golden_gate_record(monkeypatch):
     assert line == '{"code": 0, "exact": [0.30000000000000004, -0.0], "ints": [], "mc": []}'
 
 
+def test_pool_digest_hashes_indented_and_one_line_json_alike(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # the script sets them on import
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import pool_digest
+
+    # the hash reads the payload, not its layout, so that a checkout printing
+    # indented JSON compares with one printing one line
+    op = {"id": "k1-L4/0", "kind": "oracle", "spec": {}}
+    payload = {"exact": [0.1 + 0.2, -0.0], "counters": {"plain": 2, "adjoint": 2},
+               "per_partition_count": 2, "timings": {"walk_s": 0.001}}
+    indented = json.dumps(payload, indent=2, sort_keys=True, default=str)
+    one_line = json.dumps(payload, sort_keys=True, default=str)
+    assert "\n" in indented and "\n" not in one_line
+    digests = {pool_digest.digest(op, (0, text, None), "/scratch") for text in (indented, one_line)}
+    assert len(digests) == 1
+    assert digests != {pool_digest.digest(op, (1, one_line, None), "/scratch")}
+
+
 def bench_result(wall_s, rss_mb, failed=0):
     """A bench/run.py last-line result with two metrics."""
     return {
