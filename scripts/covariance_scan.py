@@ -13,7 +13,7 @@ from tensorflat.cli import Parser, bounded
 from tensorflat.moments import plain_word, word_phi
 from tensorflat.perms import group
 from tensorflat.tensors import parse_model
-from tensorflat.traffic import full_trace_expect
+from tensorflat.traffic import full_trace_expect_detailed
 
 
 def main():
@@ -33,8 +33,9 @@ def main():
             for eps2 in ("1", "*"):
                 word = plain_word(k, [(sigma, "1"), (sigma2, eps2)])
                 limit = complex(word_phi(word, model.c, model.c_prime))
-                g1 = abs(full_trace_expect(word, args.N, model) - limit)
-                g2 = abs(full_trace_expect(word, args.N2, model) - limit)
+                polynomial = full_trace_expect_detailed(word, model)
+                g1 = abs(polynomial.at(args.N) - limit)
+                g2 = abs(polynomial.at(args.N2) - limit)
                 rows.append((args.N * g1, g2, sigma, sigma2, eps2))
     rows.sort(reverse=True, key=lambda r: r[0])
     total = len(rows)

@@ -17,7 +17,7 @@ import numpy as np
 from tensorflat.cli import Parser, bounded, load_word, sizes
 from tensorflat.moments import word_phi
 from tensorflat.tensors import parse_model, phi_N, sample_tensor, word_eval
-from tensorflat.traffic import full_trace_expect
+from tensorflat.traffic import full_trace_expect_detailed
 
 
 def main():
@@ -40,8 +40,9 @@ def main():
     if args.trials:
         header += f" {'monte carlo':>22} {'3 SE':>10}"
     print(header)
+    polynomial = full_trace_expect_detailed(w, model)  # one walk for every size
     for N in n_list:
-        exact = full_trace_expect(w, N, model)
+        exact = polynomial.at(N)
         line = (
             f"{N:5d} {exact.real:+.8f}{exact.imag:+.8f}j {abs(exact - limit):12.3e}"
         )

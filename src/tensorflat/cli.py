@@ -51,12 +51,7 @@ from .tensors import (
     sample_tensor,
     word_eval,
 )
-from .traffic import (
-    check_letters,
-    full_trace_expect,
-    full_trace_expect_detailed,
-    word_cond_expect_exact,
-)
+from .traffic import check_letters, full_trace_expect_detailed, word_cond_expect_exact
 
 
 def load_word(spec):
@@ -306,9 +301,10 @@ def cmd_moments(args):
     enumerated = time.perf_counter()
     agreement = max_coeff_diff(limit, enum)
     phi_lim = complex(limit.phi())
+    polynomial = full_trace_expect_detailed(w, model)  # one walk for every size
     trend = []
     for N in n_list:
-        phi = full_trace_expect(w, N, model)
+        phi = polynomial.at(N)
         trend.append({"N": N, "oracle_phi": [phi.real, phi.imag], "gap": abs(phi - phi_lim)})
     counters = {"letters": len(w), "nc_pairings": 0 if len(w) % 2 else catalan(len(w) // 2)}
     timings = {
@@ -347,6 +343,14 @@ def cmd_moments(args):
 # --- oracle ----------------------------------------------------------------
 
 
+def polynomial_text(terms):
+    """The [power, re, im] terms of TracePolynomial.to_json on one line, such
+    as "+5 N^0 +1 N^-2"; a coefficient with an imaginary part is bracketed."""
+    parts = [f"{re:+.10g} N^{power}" if im == 0 else f"({re:+.10g}{im:+.10g}j) N^{power}"
+             for power, re, im in terms]
+    return " ".join(parts) or "0"
+
+
 def cmd_oracle(args):
     w = load_word(args.word)
     model = parse_model(args.model)
@@ -356,16 +360,19 @@ def cmd_oracle(args):
     start = time.perf_counter()
     table = model.cumulant_table(L)
     cumulated = time.perf_counter()
-    value, count, pruned = full_trace_expect_detailed(w, N, model)
+    polynomial = full_trace_expect_detailed(w, model)
+    value, count, pruned = polynomial.at(N), polynomial.count, polynomial.pruned
+    terms = polynomial.to_json()
     coverable = (plain, L - plain) in table.coverable
     payload = {
         "exact": [value.real, value.imag],
+        "polynomial": terms,
         "per_partition_count": count,
         "pruned_count": pruned,
         "counters": {
             "plain": plain,
             "adjoint": L - plain,
-            "cumulant_support": sum(K != 0 for K in table.K.values()),
+            "cumulant_support": len(table.support),
             "coverable": coverable,
         },
         "timings": {
@@ -376,6 +383,7 @@ def cmd_oracle(args):
     }
     lines = [
         f"exact expected trace at N={N}: {value.real:+.8f}{value.imag:+.8f}j",
+        f"as a polynomial in N: {polynomial_text(terms)}",
         f"letter partitions: {count} summed, {pruned} candidate blocks pruned"
         + ("" if coverable else f", the word rejected by its letter counts ({plain} plain,"
            f" {L - plain} adjoint), which no blocks with nonzero cumulants cover"),

@@ -142,6 +142,8 @@ class Word:
             raise ValueError(f"word JSON lacks the key {exc.args[0]!r}") from None
         if type(k) is not int:  # not isinstance: a bool is an int too
             raise ValueError(f"word JSON: k must be an integer, got {k!r}")
+        if k < 1:  # as every --k flag
+            raise ValueError(f"word JSON: k must be at least 1, got {k}")
         letters = letters_from_json(items)
         etas = data.get("etas")
         if etas is not None:  # absent or null: every operator is the identity

@@ -64,12 +64,14 @@ class CumulantTable(NamedTuple):
 
     K[m, n], for 1 <= m + n <= order, is N^(k (m + n) / 2) times the joint
     cumulant of m copies of an entry and n of its conjugate at any size N.
-    coverable holds the (plain, adjoint) counts P + A <= order, (0, 0)
-    included, that a union of blocks with K != 0 can make up: a word whose
-    letter counts lie outside it has no letter partition with a nonzero
-    weight, and its expected trace is 0 (traffic module docstring)."""
+    support holds the (m, n) with K != 0, by increasing m + n.  coverable
+    holds the (plain, adjoint) counts P + A <= order, (0, 0) included, that
+    a union of blocks with K != 0 can make up: a word whose letter counts
+    lie outside it has no letter partition with a nonzero weight, and its
+    expected trace is 0 (traffic module docstring)."""
 
     K: types.MappingProxyType
+    support: tuple
     coverable: frozenset
 
 
@@ -180,16 +182,6 @@ class TensorModel:
             return double_factorial(m + n - 1) * float(N) ** (-k * (m + n) / 2.0)
         return self._diluted_moment(m, n) / self.scale(N, k) ** (m + n)
 
-    def entry_cumulants(self, order, N, k):
-        """Joint cumulants kappa[m, n] at size N of m copies of the entry and
-        n of its conjugate, for 1 <= m + n <= order: the law's N-free table
-        K[m, n] (cumulant_table) times N^(-k (m + n) / 2), since the entries
-        are raw / scale(N, k) and scale(N, k) is proportional to N^(k/2).
-        A zero of K is an exact zero; no other value is rounded to zero."""
-        powers = [float(N) ** (-k * s / 2) for s in range(order + 1)]
-        table = self.cumulant_table(order).K
-        return {key: K * powers[key[0] + key[1]] for key, K in table.items()}
-
     def cumulant_table(self, order):
         """The law's CumulantTable up to order, built once per process for
         each (kind, p, base_scale, base moments, order): a TensorModel with a
@@ -235,13 +227,13 @@ class TensorModel:
                 kappa[(m, n)] = mu[(m, n)] - rest
             unit = self.scale(1, 1)
             K = {key: value / unit ** sum(key) for key, value in kappa.items()}
-        support = [key for key in keys if K[key] != 0]
+        support = tuple(key for key in keys if K[key] != 0)
         coverable = {(0, 0)}
         for m, n in keys:  # by increasing m + n, so every smaller count is decided
             if any((m - a, n - b) in coverable for a, b in support if a <= m and b <= n):
                 coverable.add((m, n))
         # read-only, since every caller shares the cached table
-        return CumulantTable(types.MappingProxyType(K), frozenset(coverable))
+        return CumulantTable(types.MappingProxyType(K), support, frozenset(coverable))
 
     def _diluted_moment(self, m, n):
         # E[(x - alpha p)^m (conj(x) - conj(alpha) p)^n] by binomial expansion,

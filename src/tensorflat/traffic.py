@@ -13,23 +13,28 @@ normalized trace is
 
 and since entries at distinct tuples are independent, the moment-cumulant
 formula (Nica-Speicher, Lectures on the Combinatorics of Free Probability,
-2006) turns it into a sum over partitions pi of the L letters:
+2006) turns it into a sum over partitions pi of the L letters.  Block B of
+pi holds m_B plain and n_B adjoint letters, and the joint cumulant of the
+entry law is kappa[m, n] = K[m, n] N^(-k (m + n) / 2), with K free of N
+(TensorModel.cumulant_table, built once per law and order).  The block
+sizes add up to L, so
 
-    N^-k * sum_pi prod_{B in pi} kappa[m_B, n_B] * N^(#components of pi),
+    E tr W = N^(-k - kL/2) * sum_pi N^comps(pi) * prod_{B in pi} K[m_B, n_B],
 
-where block B holds m_B plain and n_B adjoint letters, kappa is the joint
-cumulant of the entry law (TensorModel.entry_cumulants), and the components
-are those of the vertices once the tuples of the letters in each block are
-identified coordinatewise.  Every law here has kappa[m, n] = K[m, n]
-N^(-k (m + n) / 2) with K free of N (TensorModel.cumulant_table, built once
-per law and order).  full_trace_expect_detailed evaluates this sum,
-enumerating only blocks with a nonzero cumulant, and only while the letters
-left can still be covered: a block partition with nonzero weights exists
-only for (plain, adjoint) letter counts that are sums of the (m, n) with
-K[m, n] != 0 (CumulantTable.coverable).  A word outside that set, such as
-an odd word under any law with balanced or even support, or one with
-unequal plain and adjoint counts under complex Ginibre, is 0 at once, with
-no partition summed.
+where comps(pi) counts the components of the vertices once the tuples of
+the letters in each block are identified coordinatewise.  N enters only
+through the powers, so a word's value at every size is one sum of powers
+of N, the coefficient of N^(comps - k - kL/2) being the sum of prod K over
+the partitions with comps components (TracePolynomial).
+full_trace_expect_detailed walks the partitions once, enumerating only
+blocks with a nonzero cumulant, and only while the letters left can still
+be covered: a block partition with nonzero weights exists only for (plain,
+adjoint) letter counts that are sums of the (m, n) with K[m, n] != 0
+(CumulantTable.coverable).  A word outside that set, such as an odd word
+under any law with balanced or even support, or one with unequal plain and
+adjoint counts under complex Ginibre, is 0 at once, with no partition
+summed.  The Gaussian laws have K = 1 on their support, so their
+coefficients are integers: partition counts.
 
 The vertex-partition picture stays as well: summing the injective trace of
 every vertex-partition quotient (inj_trace_expect) gives the same value,
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 from .group_algebra import AlgebraElement
 from .perms import group, guard
@@ -110,17 +116,37 @@ def check_letters(L):
     guard("oracle letters L", L, MAX_LETTERS)
 
 
+class TracePolynomial(NamedTuple):
+    """A word's exact expected normalized trace at every N: terms holds the
+    nonzero (power, coefficient) pairs of the polynomial in N, in descending
+    power (module docstring), count the letter partitions summed and pruned
+    the candidate blocks skipped."""
+
+    terms: tuple
+    count: int
+    pruned: int
+
+    def at(self, N):
+        """The expected trace at size N."""
+        return sum((coeff * float(N) ** power for power, coeff in self.terms), 0j)
+
+    def to_json(self):
+        """The terms as [power, re, im] lists (the oracle's JSON report)."""
+        return [[power, complex(c).real, complex(c).imag] for power, c in self.terms]
+
+
 def full_trace_expect(w, N, model):
-    """Exact expected normalized trace of the Word: the letter-partition
-    cumulant sum of the module docstring."""
-    return full_trace_expect_detailed(w, N, model)[0]
+    """Exact expected normalized trace of the Word at size N."""
+    return full_trace_expect_detailed(w, model).at(N)
 
 
-def full_trace_expect_detailed(w, N, model):
-    """full_trace_expect, together with the number of letter partitions
-    summed and the number of candidate blocks pruned, for a zero cumulant or
-    for leaving letters that no blocks with nonzero cumulants can cover.  A
-    word whose own letter counts cannot be covered returns (0j, 0, 0).
+def full_trace_expect_detailed(w, model):
+    """The TracePolynomial of the Word: the letter-partition cumulant sum of
+    the module docstring, by power of N, with the number of letter
+    partitions summed and the number of candidate blocks pruned, for a zero
+    cumulant or for leaving letters that no blocks with nonzero cumulants
+    can cover.  A word whose own letter counts cannot be covered has no
+    terms and counts (0, 0).
 
     The partitions are built block by block: the block of the lowest letter
     left, then the letters after it.  Components are tracked by relabeling
@@ -129,19 +155,18 @@ def full_trace_expect_detailed(w, N, model):
     check_letters(L)
     plain = [int(letter.eps == "1") for letter in w.letters]
     P = sum(plain)
-    coverable = model.cumulant_table(L).coverable
+    table = model.cumulant_table(L)
+    K, coverable = table.K, table.coverable
     if (P, L - P) not in coverable:
-        return 0j, 0, 0
+        return TracePolynomial((), 0, 0)
     entries = strip_entries(w)
-    kappa = model.entry_cumulants(L, N, k)
-    powers = [float(N) ** c for c in range(k * L + 1)]
-    total = 0.0 + 0.0j
+    coeffs = [0.0] * (k * L + 1)  # by component count
     count = pruned = 0
 
     def extend(left, labels, comps, weight):
-        nonlocal total, count, pruned
+        nonlocal count, pruned
         if not left:
-            total += weight * powers[comps]
+            coeffs[comps] += weight
             count += 1
             return
         first, rest = left[0], left[1:]
@@ -149,7 +174,7 @@ def full_trace_expect_detailed(w, N, model):
         adjoints = [l for l in rest if not plain[l]]
         for a in range(len(plains) + 1):
             for b in range(len(adjoints) + 1):
-                kap = kappa[(a + plain[first], b + 1 - plain[first])]
+                kap = K[(a + plain[first], b + 1 - plain[first])]
                 if kap == 0 or (len(plains) - a, len(adjoints) - b) not in coverable:
                     pruned += math.comb(len(plains), a) * math.comb(len(adjoints), b)
                     continue
@@ -167,7 +192,9 @@ def full_trace_expect_detailed(w, N, model):
                     extend(tuple(l for l in rest if l not in block), lab, c, weight * kap)
 
     extend(tuple(range(L)), list(range(k * L)), k * L, 1.0)
-    return total * float(N) ** -k, count, pruned
+    shift = k + (k * L // 2 if k * L % 2 == 0 else k * L / 2)  # an int when it can be
+    terms = tuple((c - shift, coeffs[c]) for c in range(k * L, -1, -1) if coeffs[c] != 0)
+    return TracePolynomial(terms, count, pruned)
 
 
 def word_cond_expect_exact(w, N, model):

@@ -163,9 +163,10 @@ def word_expectation_every_pairing(w, c, cp):
 
 
 def entry_cumulants_per_N(model, order, N, k):
-    """The reference for TensorModel.entry_cumulants: the joint cumulants
-    kappa[m, n] at size N, for 1 <= m + n <= order, from the moments at that
-    size.  The Gaussian laws have closed forms whose zeros are exact: only
+    """The reference for TensorModel.cumulant_table at size N, whose
+    K[m, n] N^(-k (m + n) / 2) should be the joint cumulant kappa[m, n]: the
+    kappa[m, n], for 1 <= m + n <= order, from the moments at that size.
+    The Gaussian laws have closed forms whose zeros are exact: only
     kappa[1, 1] = N^-k (complex), or the three second-order cumulants
     (real).  The diluted law runs the moment-cumulant recursion over
     entry_moment at size N, splitting off the block of one plain copy (of

@@ -25,7 +25,7 @@ from tensorflat.tensors import (
     perm_matrix,
     sample_tensor,
 )
-from tensorflat.traffic import word_cond_expect_exact
+from tensorflat.traffic import full_trace_expect, word_cond_expect_exact
 
 
 def run(capsys, *argv):
@@ -219,6 +219,24 @@ def test_moments_reports_counters_and_timings(capsys, L, pairings):
     assert all(t >= 0 for t in payload["timings"].values())
 
 
+def test_moments_walks_the_word_once_for_every_size(capsys, monkeypatch):
+    walks, walk = [], cli.full_trace_expect_detailed
+
+    def counted(w, model):
+        walks.append(w)
+        return walk(w, model)
+
+    monkeypatch.setattr(cli, "full_trace_expect_detailed", counted)
+    letters = [{"sigma": [2, 1], "eps": e} for e in "1*1*1*"]
+    word = json.dumps({"k": 1, "letters": letters})
+    argv = ["moments", "--word", word, "--N-list", "4,6,8", "--model", "real_ginibre"]
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0 and len(walks) == 1
+    for row in json.loads(out)["trend"]:
+        want = full_trace_expect(Word.from_json(word), row["N"], parse_model("real_ginibre"))
+        assert abs(complex(*row["oracle_phi"]) - want) <= 1e-12 * abs(want)
+
+
 def test_oracle_command(capsys):
     word = json.dumps(
         {
@@ -236,6 +254,8 @@ def test_oracle_command(capsys):
     # one line of sorted-key JSON
     assert out == json.dumps(payload, sort_keys=True) + "\n"
     assert payload["exact"][0] == pytest.approx(1.0)
+    # the trace of X X^* is 1 at every N
+    assert payload["polynomial"] == [[0, 1.0, 0.0]]
     # letter partitions: {0, 1} summed, the singleton {0} pruned
     assert payload["per_partition_count"] == 1
     assert payload["pruned_count"] == 1
@@ -258,7 +278,7 @@ def test_oracle_rejects_a_word_by_its_letter_counts(capsys, model, support):
     code, out = run(capsys, "oracle", "--word", word, "--model", model, "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["exact"] == [0.0, 0.0]
+    assert payload["exact"] == [0.0, 0.0] and payload["polynomial"] == []
     assert (payload["per_partition_count"], payload["pruned_count"]) == (0, 0)
     # the nonzero cumulants of order at most 3: kappa[1, 1] of the complex
     # and diluted laws, and the three of order 2 of the real law
@@ -266,10 +286,31 @@ def test_oracle_rejects_a_word_by_its_letter_counts(capsys, model, support):
         "plain": 2, "adjoint": 1, "cumulant_support": support, "coverable": False,
     }
     code, out = run(capsys, "oracle", "--word", word, "--model", model)
-    assert out.splitlines()[1] == (
+    assert out.splitlines()[1] == "as a polynomial in N: 0"
+    assert out.splitlines()[2] == (
         "letter partitions: 0 summed, 0 candidate blocks pruned, the word rejected by its"
         " letter counts (2 plain, 1 adjoint), which no blocks with nonzero cumulants cover"
     )
+
+
+@pytest.mark.parametrize(
+    "model, polynomial, line",
+    [
+        ("complex_ginibre", [[0, 5, 0], [-2, 1, 0]], "+5 N^0 +1 N^-2"),
+        ("real_ginibre", [[0, 5, 0], [-1, 6, 0], [-2, 4, 0]], "+5 N^0 +6 N^-1 +4 N^-2"),
+    ],
+)
+def test_oracle_reports_the_polynomial_in_N(capsys, model, polynomial, line):
+    # (m_tau m_tau^*)^3 at k = 1: exactly 5 + N^-2 under complex Ginibre
+    letters = [{"sigma": [2, 1], "eps": e} for e in "1*1*1*"]
+    word = json.dumps({"k": 1, "letters": letters})
+    argv = ["oracle", "--word", word, "--model", model, "--N", "2"]
+    code, out = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["polynomial"] == polynomial
+    assert payload["exact"] == [sum(c * 2.0**p for p, c, _ in polynomial), 0.0]
+    code, out = run(capsys, *argv)
+    assert out.splitlines()[1] == f"as a polynomial in N: {line}"
 
 
 def test_oracle_twisted_word_reports_counts(capsys):
@@ -805,6 +846,9 @@ def test_word_missing_a_key_exits_2(capsys, command, word, key):
         ("[1, 2]", "word JSON must be an object, got list"),
         ('{"k": 1, "letters": [1]}', "letters must be a list of {sigma, eps} objects"),
         ('{"k": "a", "letters": []}', "k must be an integer, got 'a'"),
+        ('{"k": 0, "letters": [{"sigma": [], "eps": "1"}, {"sigma": [], "eps": "*"}]}',
+         "word JSON: k must be at least 1, got 0"),
+        ('{"k": -1, "letters": []}', "word JSON: k must be at least 1, got -1"),
         ('{"k": 1, "letters": [{"sigma": 5, "eps": "1"}]}', "not a list of integers"),
         ('{"k": 1, "letters": [{"sigma": [2.0, 1], "eps": "1"}]}', "not a list of integers"),
         ('{"k": 1, "letters": [{"sigma": [2, 1], "eps": "1"}], "etas": [[1], [1]]}',

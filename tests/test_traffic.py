@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from references import entry_cumulants_per_N, inj_trace_of_graph, set_partitions, trace_of_graph
+from test_moments import paired_word
 from tensorflat.group_algebra import max_coeff_diff
-from tensorflat.moments import Letter, Word, plain_word, word_expectation
+from tensorflat.moments import Letter, Word, plain_word, word_expectation, word_phi
 from tensorflat.perms import Permutation, compose, embed_join, group, tau
 from tensorflat.tensors import (
     TensorModel,
@@ -373,11 +375,57 @@ def test_detailed_counts():
     # for its zero cumulant kappa[1, 0]
     k = 1
     sigma = group(2)[0]
-    val, count, pruned = full_trace_expect_detailed(
-        plain_word(k, [(sigma, "1"), (sigma, "*")]), 4, CG
-    )
-    assert (count, pruned) == (1, 1)
-    assert val == pytest.approx(1.0)
+    polynomial = full_trace_expect_detailed(plain_word(k, [(sigma, "1"), (sigma, "*")]), CG)
+    assert (polynomial.count, polynomial.pruned) == (1, 1)
+    assert polynomial.at(4) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "model, terms",
+    [
+        # the 5 non-crossing pairings give the limit Catalan(3); the one
+        # crossing plain/adjoint pairing of complex Ginibre loses two
+        # components
+        (CG, ((0, 5), (-2, 1))),
+        # the real law pairs any two letters: 15 perfect matchings
+        (RG, ((0, 5), (-1, 6), (-2, 4))),
+    ],
+    ids=["complex", "real"],
+)
+def test_polynomial_of_three_alternating_pairs(model, terms):
+    # the k = 1 word (m_tau m_tau^*)^3, tau the transpose flattening
+    word = plain_word(1, [(Permutation([2, 1]), e) for e in "1*1*1*"])
+    polynomial = full_trace_expect_detailed(word, model)
+    assert polynomial.terms == terms
+    assert polynomial.to_json() == [[power, coeff, 0] for power, coeff in terms]
+    assert polynomial.count == sum(coeff for _, coeff in terms)
+    for N in (1, 2, 5):
+        assert polynomial.at(N) == sum(coeff * N**power for power, coeff in terms)
+
+
+def test_polynomial_of_a_paired_word_starts_at_its_limit():
+    # no power of N is positive, and the N^0 coefficient is the limit:
+    # exactly, in int mode, for the Gaussian laws, whose coefficients count
+    # partitions, and to rounding for the diluted laws, the shifted one with
+    # every mixed cumulant in play
+    rng = random.Random(26)
+    laws = [(CG, 1, 0), (RG, 1, 1)] + [
+        (model, model.c, model.c_prime)
+        for model in (TensorModel.diluted(0.3), models(3)["diluted-shifted"])
+    ]
+    worst = 0.0
+    for _ in range(150):
+        k, L = rng.randint(1, 3), rng.choice((2, 4, 6, 8))
+        word = paired_word(rng, k, L, same_eps=rng.random() < 0.5)
+        for model, c, cp in laws:
+            terms = dict(full_trace_expect_detailed(word, model).terms)
+            assert all(power <= 0 for power in terms), terms
+            limit = word_phi(word, c, cp)
+            if model.kind == "diluted":
+                worst = max(worst, abs(terms.get(0, 0) - limit) / max(1.0, abs(limit)))
+            else:
+                assert terms.get(0, 0) == limit, (word.to_json(), terms, limit)
+    assert worst <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -391,7 +439,7 @@ def test_detailed_counts():
 )
 def test_letter_partitions_summed_per_model(name, count):
     word = plain_word(1, [(group(2)[0], e) for e in "1*1*1*"])
-    assert full_trace_expect_detailed(word, 3, models(3)[name])[1] == count
+    assert full_trace_expect_detailed(word, models(3)[name]).count == count
 
 
 def test_guard():
@@ -475,10 +523,17 @@ def test_letter_partitions_match_vertex_partitions_property(k, letters, plain_on
     assert_pinned(full_trace_expect(word, N, model), vertex_partition_reference(word, N, model))
 
 
+def cumulants_at(model, order, N, k):
+    """The joint cumulants kappa[m, n] at size N that the walk's polynomial
+    stands for: the law's N-free table K[m, n] times N^(-k (m + n) / 2)."""
+    K = model.cumulant_table(order).K
+    return {key: value * float(N) ** (-k * sum(key) / 2) for key, value in K.items()}
+
+
 def test_gaussian_cumulants_closed_form():
     N, k = 4, 2
     for model, support in ((CG, {(1, 1)}), (RG, {(2, 0), (1, 1), (0, 2)})):
-        kappa = model.entry_cumulants(8, N, k)
+        kappa = cumulants_at(model, 8, N, k)
         assert set(kappa) == {(m, n) for m in range(9) for n in range(9) if 1 <= m + n <= 8}
         assert {key for key, value in kappa.items() if value != 0} == support
         assert all(kappa[key] == N**-k for key in support)
@@ -486,9 +541,9 @@ def test_gaussian_cumulants_closed_form():
 
 def test_diluted_cumulant_zeros_are_exact():
     N, k = 3, 2
-    circular = models(N)["diluted"].entry_cumulants(8, N, k)
+    circular = cumulants_at(models(N)["diluted"], 8, N, k)
     assert all((value == 0) == (m != n) for (m, n), value in circular.items())
-    shifted = models(N)["diluted-shifted"].entry_cumulants(8, N, k)
+    shifted = cumulants_at(models(N)["diluted-shifted"], 8, N, k)
     assert shifted[(1, 0)] == shifted[(0, 1)] == 0
     assert all(value != 0 for key, value in shifted.items() if sum(key) > 1)
 
@@ -499,7 +554,7 @@ def test_cumulants_reproduce_entry_moments(name):
     # copies of one entry
     N, k, order = 3, 2, 6
     model = models(N)[name]
-    kappa = model.entry_cumulants(order, N, k)
+    kappa = cumulants_at(model, order, N, k)
     for m in range(order + 1):
         for n in range(order + 1 - m):
             if m + n == 0:
@@ -537,13 +592,13 @@ CUMULANT_LAWS = {
 
 @pytest.mark.parametrize("name", list(CUMULANT_LAWS))
 def test_cumulant_table_matches_the_per_N_recursion(name):
-    # entry_cumulants scales the law's N-free table; the reference reruns the
+    # the law's N-free table, scaled to size N; the reference reruns the
     # moment-cumulant recursion on the moments at each N
     model = CUMULANT_LAWS[name]
     for N in (1, 2, 3, 5, 16):
         for k in (1, 2, 3):
             for order in (1, 2, 5, 10):
-                kappa = model.entry_cumulants(order, N, k)
+                kappa = cumulants_at(model, order, N, k)
                 ref = entry_cumulants_per_N(model, order, N, k)
                 assert kappa.keys() == ref.keys()
                 if model.kind != "diluted":
@@ -581,6 +636,7 @@ def test_coverable_counts_are_the_sums_of_the_support(name):
     order = 8
     table = models(3)[name].cumulant_table(order)
     support = [key for key, K in table.K.items() if K != 0]
+    assert table.support == tuple(support)
     sums = {(0, 0)}
     for _ in range(order):
         sums |= {(m + a, n + b) for m, n in sums for a, b in support if m + a + n + b <= order}
@@ -602,9 +658,10 @@ def test_coverable_counts_are_the_sums_of_the_support(name):
 )
 def test_uncoverable_word_is_zero_without_a_walk(name, eps):
     word = plain_word(1, [(group(2)[i % 2], e) for i, e in enumerate(eps)])
-    value, count, pruned = full_trace_expect_detailed(word, 3, models(3)[name])
+    polynomial = full_trace_expect_detailed(word, models(3)[name])
+    value = polynomial.at(3)
     assert isinstance(value, complex) and value == 0
-    assert (count, pruned) == (0, 0)
+    assert (polynomial.terms, polynomial.count, polynomial.pruned) == ((), 0, 0)
 
 
 def test_walk_skips_blocks_that_leave_uncoverable_letters():
@@ -617,8 +674,9 @@ def test_walk_skips_blocks_that_leave_uncoverable_letters():
     K = model.cumulant_table(5).K
     assert [m for m in range(1, 6) if K[(m, 0)] != 0] == [3, 5]
     word = plain_word(1, [(group(2)[0], "1")] * 5)
-    value, count, pruned = full_trace_expect_detailed(word, 3, model)
-    assert count == 1
-    assert pruned == 1 + 4 + 6 + 4
+    polynomial = full_trace_expect_detailed(word, model)
+    value = polynomial.at(3)
+    assert polynomial.count == 1
+    assert polynomial.pruned == 1 + 4 + 6 + 4
     assert value != 0
     assert_pinned(value, vertex_partition_reference(word, 3, model))
