@@ -311,6 +311,7 @@ def cmd_moments(args):
         "recursion_s": recursed - start,
         "enumeration_s": enumerated - recursed,
         "oracle_s": time.perf_counter() - enumerated,
+        "peak_rss_mb": peak_rss_mb(),
     }
     passed = agreement <= args.tol
     lines = [
@@ -381,7 +382,7 @@ def cmd_oracle(args):
             "peak_rss_mb": peak_rss_mb(),
         },
     }
-    lines = [
+    lines = [] if args.format == "json" else [  # emit prints no table as JSON
         f"exact expected trace at N={N}: {value.real:+.8f}{value.imag:+.8f}j",
         f"as a polynomial in N: {polynomial_text(terms)}",
         f"letter partitions: {count} summed, {pruned} candidate blocks pruned"

@@ -41,18 +41,16 @@ identities.
   even power is the Gram product of its half, C^2j = (C^j)* C^j.
 
 build_target takes the bins straight from a trial's unscaled normal draws,
-the stream of tensors.draw_halves, as chunks of rows in natural order
-(draw_chunks).  A bincount per chunk sums its draws over each pair of row
-orbit r' and column orbit s' into a d x d array H (each draw weighted by the
-signs of its row and column k-tuples for S2), over the row orbits that the
-chunk reaches; a second bincount folds H into one sum per multiset r' u s'
-(per set for S2, each pair weighted by the sign of its merge), and a gather
-of those sums writes the block over H, in place.  The index
-maps and the per-chunk plan depend only on (N, k, signed), and orbit_maps
-builds them once.  The Gaussian laws draw each chunk just in time into one
-reused buffer of at most max(CHUNK_ENTRIES, N^k) draws, so a trial holds no
-N^2k draws.  The diluted law draws its Bernoulli mask after all its normals,
-so its trial fills the whole buffer first and bins views of it.
+as chunks of rows in natural order (tensors.draw_chunks, which describes
+how each law draws them).  A bincount per chunk sums its draws over each
+pair of row orbit r' and column orbit s' into a d x d array H (each draw
+weighted by the signs of its row and column k-tuples for S2), over the row
+orbits that the chunk reaches; a second bincount folds H into one sum per
+multiset r' u s' (per set for S2, each pair weighted by the sign of its
+merge), and a gather of those sums writes the block over H, in place.  The
+index maps and the per-chunk plan depend only on (N, k, signed), and
+orbit_maps builds them once.  A chunk holds at most max(CHUNK_ENTRIES, N^k)
+draws.
 """
 
 from __future__ import annotations
@@ -69,10 +67,11 @@ import numpy as np
 
 from .moments import MAX_MOMENT_ORDER
 from .perms import guard
+from .tensors import MAX_EIGENSOLVE_SIDE, MAX_MAP_ENTRIES, draw_buffer, draw_chunks, trial_rng
 
 # flatten is unused here but stays importable: the benchmark's tracer tests
 # check that it is patched in this namespace too
-from .tensors import MAX_EIGENSOLVE_SIDE, MAX_MAP_ENTRIES, draw_halves, flatten, trial_rng  # noqa: F401
+from .tensors import flatten  # noqa: F401
 
 # Bound on the entries of each temporary that orbit_maps and build_target
 # make per chunk, and of the buffer that a Gaussian trial draws into: 2k
@@ -182,52 +181,18 @@ class Block:
     side: int
 
 
-def chunk_views(draws, side, step):
-    """draws, a trial's whole draw_halves buffer, as build_target's chunks:
-    views of step rows of side draws (the last of each half shorter), the
-    real half's rows before the imaginary half's."""
-    for half in draws.reshape(-1, side, side):
-        for start in range(0, side, step):
-            yield half[start:start + step]
-
-
-def draw_chunks(model, side, step, rng, out, timings):
-    """A trial's unscaled draws from rng, the stream of tensors.draw_halves, as
-    the chunks of chunk_views.  The Gaussian laws draw each chunk just in time
-    into the first rows of out, which needs step * side entries, so every
-    chunk is a view of that one buffer.  The diluted law draws its Bernoulli
-    mask after all its normals: out holds the trial's 2 side^2 draws, filled
-    by draw_halves before the first chunk.  The drawing time is added to
-    timings["sample_s"]."""
-    size = side * side
-    if model.kind == "diluted":
-        start = time.perf_counter()
-        draw_halves(model, size, rng, out)
-        timings["sample_s"] += time.perf_counter() - start
-        yield from chunk_views(out, side, step)
-        return
-    for _ in range(1 if model.kind == "real_ginibre" else 2):
-        for row in range(0, side, step):
-            chunk = out[:min(step, side - row) * side]
-            start = time.perf_counter()
-            rng.standard_normal(out=chunk)
-            timings["sample_s"] += time.perf_counter() - start
-            yield chunk.reshape(-1, side)
-
-
 def build_target(chunks, target, model, N, k):
     """The compressed block of the moments.Target target for the tensor
-    that chunks, a trial's draws as draw_chunks or chunk_views cut them,
-    stands for.  Each chunk is binned before the next is taken.  The block
-    reads only the target's signed and hermitian flags and its scale, and
-    builds no Mixture.  It is in the stacked real form: one part for the
-    real law, two otherwise; no complex array is formed.
+    that chunks, a trial's draws as tensors.draw_chunks or
+    tensors.chunk_views cut them, stands for.  Each chunk is binned before
+    the next is taken.  The block reads only the target's signed and
+    hermitian flags and its scale, and builds no Mixture.  It is in the
+    stacked real form, with model.parts parts; no complex array is formed.
     """
     signed = target.signed
     maps = orbit_maps(N, k, signed)
     side, d, bins = N**k, maps.root.size, maps.stab.size
-    real = model.kind == "real_ginibre"
-    totals = np.zeros((1 if real else 2, d, d))
+    totals = np.zeros((model.parts, d, d))
     per_half = len(maps.plan)
     count, indexed = 0, None
     for count, chunk in enumerate(chunks, 1):
@@ -247,8 +212,7 @@ def build_target(chunks, target, model, N, k):
         totals[half][reached] += counts.reshape(-1, d)
     if count != len(totals) * per_half:
         raise ValueError(f"{count} chunks given, the plan has {len(totals) * per_half}")
-    gain = 1.0 if real else model.base_scale / math.sqrt(2)
-    gain /= model.scale(N, k) * target.scale(k, model.c, model.c_prime)
+    gain = model.gain / (model.scale(N, k) * target.scale(k, model.c, model.c_prime))
     for total in totals:
         # bins of even merges, of odd merges (signed only) and of meeting pairs
         sums = np.bincount(maps.pair_bin.ravel(), total.ravel(), minlength=2 * bins + 1)
@@ -260,7 +224,7 @@ def build_target(chunks, target, model, N, k):
     totals *= maps.root
     if target.hermitian:  # B + B^H = (X + X^T) + i (Y - Y^T)
         totals[0] += totals[0].T
-        if not real:
+        if len(totals) == 2:
             totals[1] -= totals[1].T
     return Block(totals, side)
 
@@ -426,10 +390,10 @@ class SpectralReport:
 def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
     """Trial-averaged moments of the moments.Target target with standard
     errors and the predicted limiting column.  Each trial draws its chunks
-    into one reused buffer (draw_chunks), and its moments (and spectrum,
-    with_hist) share one spectral_operand, the only array of the trial's
-    block size that outlives it.  sample_s counts the drawing alone, and
-    build_s the rest of build_target."""
+    into one reused buffer (tensors.draw_chunks), and its moments (and
+    spectrum, with_hist) share one spectral_operand, the only array of the
+    trial's block size that outlives it.  sample_s counts the drawing alone,
+    and build_s the rest of build_target."""
     size = N ** (2 * k)
     guard("spectrum trial draws N^(2k)", size, MAX_MAP_ENTRIES)
     guard("spectrum moments trials n_max", trials * n_max, MAX_MAP_ENTRIES)
@@ -444,7 +408,7 @@ def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
         "maps_s": time.perf_counter() - start,
         **dict.fromkeys(("sample_s", "build_s", "moments_s", "hist_s"), 0.0),
     }
-    out = np.empty(2 * size if model.kind == "diluted" else maps.step * N**k)
+    out = draw_buffer(model, N**k, maps.step)
     samples = np.zeros((trials, n_max))
     pooled = [] if with_hist else None
     for trial in range(trials):

@@ -38,6 +38,15 @@ passes between their short numpy calls.  Each worker holds its own buffers:
 48 N^2k bytes for the complex laws, 16 N^2k for the real law.  The seeding,
 sampling and estimating timings are summed over every worker's trials, so
 they can exceed the wall time of the call.
+
+TensorModel fixes the draw layout.  A trial's stream (draw_halves) is parts
+N^2k standard normals, the real parts then the imaginary parts, and for the
+diluted law N^2k uniforms after them, one Bernoulli(p) mask for both halves.
+An entry is gain (z_re + i z_im), or z for the real law, over scale(N, k).
+The spectrum trials take the stream as chunks of rows (draw_chunks): the
+Gaussian laws draw each chunk just in time into one reused buffer
+(draw_buffer), so a trial holds no N^2k draws, while the diluted law's mask
+follows all its normals, so its buffer holds the whole trial.
 """
 
 from __future__ import annotations
@@ -75,33 +84,31 @@ class CumulantTable(NamedTuple):
     coverable: frozenset
 
 
-_CUMULANT_TABLES = {}  # TensorModel.cumulant_table's cache
-
-
-def double_factorial(n):
-    return math.prod(range(n, 0, -2)) if n > 0 else 1
-
-
 @dataclass(frozen=True)
 class TensorModel:
-    """Entry law of the random tensor.
+    """Entry law of the random tensor, the one record that knows its
+    statistics, all derived from moment(m, n), and its draw layout (module
+    docstring).
 
     kind is one of "complex_ginibre", "real_ginibre", "diluted".  The diluted
     model multiplies a base variable y by an independent Bernoulli(p) mask,
     recenters, and rescales so the squared-entry normalization is exact at
     every N.  The base is base_scale * (standard complex Gaussian), which the
-    samplers draw, or else the law whose moments E[y^m conj(y)^n] the dict
-    base_moments holds by (m, n), which only the oracle and the limit read.
+    samplers draw, or else the law whose moments E[y^m conj(y)^n] base_moments
+    holds by (m, n), which only the oracle and the limit read.  A dict given
+    as base_moments is held as its sorted items, so the record is hashable.
     """
 
     kind: str
     p: float = 1.0
     base_scale: float = 1.0
-    base_moments: dict | None = None
+    base_moments: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in ("complex_ginibre", "real_ginibre", "diluted"):
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.base_moments is not None:
+            object.__setattr__(self, "base_moments", tuple(sorted(dict(self.base_moments).items())))
         if self.kind == "diluted":
             if not (0 < self.p <= 1):
                 raise ValueError(f"dilution probability {self.p} outside (0, 1]")
@@ -120,16 +127,16 @@ class TensorModel:
 
     @classmethod
     def diluted(cls, p, base_moments=None, base_scale=1.0):
-        return cls("diluted", p=p, base_scale=base_scale,
-                   base_moments=None if base_moments is None else dict(base_moments))
+        return cls("diluted", p=p, base_scale=base_scale, base_moments=base_moments)
 
     def base_moment(self, m, n):
         """E[y^m conj(y)^n] of the diluted law's base variable y."""
         if self.base_moments is None:
             return float(math.factorial(m)) * self.base_scale ** (2 * m) if m == n else 0.0
-        if (m, n) not in self.base_moments:
+        moments = dict(self.base_moments)
+        if (m, n) not in moments:
             raise ValueError(f"base moment {(m, n)} not provided")
-        return self.base_moments[(m, n)]
+        return moments[(m, n)]
 
     @property
     def alpha(self):
@@ -148,20 +155,23 @@ class TensorModel:
 
     @property
     def c(self):
-        """Limit of N^k E|entry|^2."""
-        if self.kind in ("complex_ginibre", "real_ginibre"):
-            return 1.0
-        return self.beta2
+        """Limit of N^k E|entry|^2: the cumulant K[1, 1]."""
+        return self.cumulant_table(2).K[(1, 1)].real
 
     @property
     def c_prime(self):
-        """Limit of N^k E[entry^2]."""
-        if self.kind == "complex_ginibre":
-            return 0.0
-        if self.kind == "real_ginibre":
-            return 1.0
-        al, b2, p = self.alpha, self.beta2, self.p
-        return b2 * (complex(self.base_moment(2, 0)) - al**2 * p) / (b2 - abs(al) ** 2 * p)
+        """Limit of N^k E[entry^2]: the cumulant K[2, 0]."""
+        return self.cumulant_table(2).K[(2, 0)]
+
+    @property
+    def parts(self):
+        """The standard normals drawn per entry (module docstring)."""
+        return 1 if self.kind == "real_ginibre" else 2
+
+    @property
+    def gain(self):
+        """An entry's factor on its normals, before scale (module docstring)."""
+        return 1.0 if self.parts == 1 else self.base_scale / math.sqrt(2)
 
     def scale(self, N, k):
         """Per-entry normalization factor (entries are raw / scale)."""
@@ -170,63 +180,50 @@ class TensorModel:
         s2 = N**k * self.p * (self.beta2 - abs(self.alpha) ** 2 * self.p)
         return math.sqrt(s2 / self.beta2)
 
+    def moment(self, m, n):
+        """The N-free M[m, n] = N^(k (m + n) / 2) E[entry^m conj(entry)^n]:
+        m! delta_mn (complex Ginibre), (m + n - 1)!! for even m + n (real
+        Ginibre), or the diluted law's centred moment over the squared unit
+        scale(1, 1)^2 = p (beta2 - |alpha|^2 p) / beta2 to the (m + n) / 2."""
+        if self.kind == "complex_ginibre":
+            return float(math.factorial(m)) if m == n else 0.0
+        if self.kind == "real_ginibre":
+            return 0.0 if (m + n) % 2 else float(math.prod(range(m + n - 1, 0, -2)))
+        unit2 = self.p * (self.beta2 - abs(self.alpha) ** 2 * self.p) / self.beta2
+        return self._diluted_moment(m, n) / unit2 ** ((m + n) / 2)
+
     def entry_moment(self, m, n, N, k):
         """Exact joint moment E[entry^m conj(entry)^n] at size N."""
-        if m == 0 and n == 0:
-            return 1.0
-        if self.kind == "complex_ginibre":
-            return math.factorial(m) * float(N) ** (-k * m) if m == n else 0.0
-        if self.kind == "real_ginibre":
-            if (m + n) % 2:
-                return 0.0
-            return double_factorial(m + n - 1) * float(N) ** (-k * (m + n) / 2.0)
-        return self._diluted_moment(m, n) / self.scale(N, k) ** (m + n)
+        return self.moment(m, n) * float(N) ** (-k * (m + n) / 2.0)
 
+    @functools.cache
     def cumulant_table(self, order):
         """The law's CumulantTable up to order, built once per process for
-        each (kind, p, base_scale, base moments, order): a TensorModel with a
-        base_moments dict is unhashable, so the key holds its parameters.
+        each law and order: the record is hashable, so equal laws share one.
 
-        The Gaussian laws have K = 1 on their support, (1, 1) (complex) or
-        the three keys of order 2 (real), and exact zeros elsewhere.  The
-        diluted law runs the moment-cumulant recursion once, over the
-        unscaled centred moments mu = _diluted_moment, splitting off the
-        block of one plain copy (of one conjugate copy when m = 0):
-          mu[m, n] = sum_{a, b} C(m-1, a) C(n, b) kappa[a+1, b] mu[m-1-a, n-b],
-        and divides kappa[m, n] by scale(1, 1)^(m + n), since scale(N, k) =
-        scale(1, 1) N^(k/2), so that K[1, 1] = c and K[2, 0] = c'.
+        One moment-cumulant recursion over M = moment serves every law,
+        splitting off the block of one plain copy (of one conjugate copy
+        when m = 0):
+          M[m, n] = sum_{a, b} C(m-1, a) C(n, b) K[a+1, b] M[m-1-a, n-b].
+        The Gaussian moments are integers, so their K is exact: 1 on the
+        support, (1, 1) (complex) or the three keys of order 2 (real), and
+        exact zeros elsewhere.  K[1, 1] = c and K[2, 0] = c' by definition.
         """
-        moments = None if self.base_moments is None else tuple(sorted(self.base_moments.items()))
-        key = (self.kind, self.p, self.base_scale, moments, order)
-        table = _CUMULANT_TABLES.get(key)
-        if table is None:
-            table = _CUMULANT_TABLES[key] = self._build_cumulant_table(order)
-        return table
-
-    def _build_cumulant_table(self, order):
         keys = [(m, s - m) for s in range(1, order + 1) for m in range(s + 1)]
-        if self.kind != "diluted":
-            support = {(1, 1)} if self.kind == "complex_ginibre" else {(2, 0), (1, 1), (0, 2)}
-            K = {key: 1.0 if key in support else 0.0 for key in keys}
-        else:
-            mu = {key: self._diluted_moment(*key) for key in keys}
-            mu[(0, 0)] = 1.0
-            kappa = {}
-            for m, n in keys:
-                if m:
-                    rest = sum(
-                        math.comb(m - 1, a) * math.comb(n, b)
-                        * kappa[(a + 1, b)] * mu[(m - 1 - a, n - b)]
-                        for a in range(m) for b in range(n + 1) if (a, b) != (m - 1, n)
-                    )
-                else:
-                    rest = sum(
-                        math.comb(n - 1, b) * kappa[(0, b + 1)] * mu[(0, n - 1 - b)]
-                        for b in range(n - 1)
-                    )
-                kappa[(m, n)] = mu[(m, n)] - rest
-            unit = self.scale(1, 1)
-            K = {key: value / unit ** sum(key) for key, value in kappa.items()}
+        M = {key: self.moment(*key) for key in [(0, 0), *keys]}
+        K = {}
+        for m, n in keys:
+            if m:
+                rest = sum(
+                    math.comb(m - 1, a) * math.comb(n, b) * K[(a + 1, b)] * M[(m - 1 - a, n - b)]
+                    for a in range(m) for b in range(n + 1) if (a, b) != (m - 1, n)
+                )
+            else:
+                rest = sum(
+                    math.comb(n - 1, b) * K[(0, b + 1)] * M[(0, n - 1 - b)]
+                    for b in range(n - 1)
+                )
+            K[(m, n)] = M[(m, n)] - rest
         support = tuple(key for key in keys if K[key] != 0)
         coverable = {(0, 0)}
         for m, n in keys:  # by increasing m + n, so every smaller count is decided
@@ -355,9 +352,8 @@ def sample_tensor(model, N, k, seed, trial=0):
     by model.scale(N, k)."""
     model.check_samplable()
     size = N ** (2 * k)
-    real = model.kind == "real_ginibre"
-    z = draw_halves(model, size, trial_rng(seed, trial), np.empty(size if real else 2 * size))
-    if real:
+    z = draw_halves(model, size, trial_rng(seed, trial), np.empty(model.parts * size))
+    if model.parts == 1:
         raw = z.astype(complex)
     else:
         raw = model.base_scale * (z[:size] + 1j * z[size:]) / math.sqrt(2)
@@ -472,15 +468,49 @@ def usable_cpus():
 
 
 def draw_halves(model, size, rng, out):
-    """One trial's unscaled draws into out: 2 size standard normals, the real
-    then the imaginary halves (size for the real law), both halves masked
-    by the same Bernoulli(p) draw for the diluted law.  sample_tensor,
-    PairProjection.samples and the spectrum trials all draw this stream."""
+    """One trial's unscaled draws into out: model.parts size standard
+    normals, the real then the imaginary halves, both halves masked by the
+    same Bernoulli(p) draw for the diluted law.  sample_tensor,
+    PairProjection.samples and the spectrum trials (draw_chunks) all draw
+    this stream."""
     rng.standard_normal(out=out)
     if model.kind == "diluted":
         halves = out.reshape(2, size)
         halves *= rng.random(size) < model.p
     return out
+
+
+def draw_buffer(model, side, step):
+    """The buffer that draw_chunks reuses for every trial (module docstring)."""
+    return np.empty(2 * side * side if model.kind == "diluted" else step * side)
+
+
+def chunk_views(draws, side, step):
+    """draws, a trial's whole draw_halves buffer, as chunks: views of step
+    rows of side draws (the last of each half shorter), the real half's
+    rows before the imaginary half's."""
+    for half in draws.reshape(-1, side, side):
+        for start in range(0, side, step):
+            yield half[start:start + step]
+
+
+def draw_chunks(model, side, step, rng, out, timings):
+    """A trial's unscaled draws from rng, the stream of draw_halves, as the
+    chunks of chunk_views, drawn into out = draw_buffer(model, side, step)
+    (module docstring).  The drawing time is added to timings["sample_s"]."""
+    if model.kind == "diluted":
+        start = time.perf_counter()
+        draw_halves(model, side * side, rng, out)
+        timings["sample_s"] += time.perf_counter() - start
+        yield from chunk_views(out, side, step)
+        return
+    for _ in range(model.parts):
+        for row in range(0, side, step):
+            chunk = out[:min(step, side - row) * side]
+            start = time.perf_counter()
+            rng.standard_normal(out=chunk)
+            timings["sample_s"] += time.perf_counter() - start
+            yield chunk.reshape(-1, side)
 
 
 class PairProjection:
@@ -531,9 +561,8 @@ class PairProjection:
         check_trials(self.k, trials)
         model.check_samplable()
         size, side = self.N ** (2 * self.k), self.N**self.k
-        real = model.kind == "real_ginibre"
-        draws = size if real else 2 * size
-        gain = 1.0 if real else model.base_scale / math.sqrt(2)
+        real = model.parts == 1
+        draws = model.parts * size
         dot = {
             ("1", "1"): np.dot,
             ("*", "1"): np.vdot,
@@ -589,7 +618,7 @@ class PairProjection:
         for exc in errors:
             if exc is not None:
                 raise exc
-        out *= gain**2 / (model.scale(self.N, self.k) ** 2 * side)
+        out *= model.gain**2 / (model.scale(self.N, self.k) ** 2 * side)
         self.workers = workers
         self.timings = dict(zip(("seed_s", "sample_s", "estimate_s"), map(sum, zip(*spent))))
         return out

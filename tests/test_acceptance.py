@@ -32,7 +32,6 @@ from tensorflat.moments import (
 from tensorflat.perms import Permutation, compose, coset_key, embed_join, group, tau
 from tensorflat.spectra import (
     build_target,
-    chunk_views,
     orbit_maps,
     spectral_operand,
     trace_power_moments,
@@ -40,6 +39,7 @@ from tensorflat.spectra import (
 from tensorflat.tensors import (
     TensorModel,
     choi_check,
+    chunk_views,
     cond_expect_N,
     draw_halves,
     flatten,

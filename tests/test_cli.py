@@ -215,7 +215,7 @@ def test_moments_reports_counters_and_timings(capsys, L, pairings):
     assert code == 0
     payload = json.loads(out)
     assert payload["counters"] == {"letters": L, "nc_pairings": pairings}
-    assert set(payload["timings"]) == {"recursion_s", "enumeration_s", "oracle_s"}
+    assert set(payload["timings"]) == {"recursion_s", "enumeration_s", "oracle_s", "peak_rss_mb"}
     assert all(t >= 0 for t in payload["timings"].values())
 
 
@@ -235,6 +235,16 @@ def test_moments_walks_the_word_once_for_every_size(capsys, monkeypatch):
     for row in json.loads(out)["trend"]:
         want = full_trace_expect(Word.from_json(word), row["N"], parse_model("real_ginibre"))
         assert abs(complex(*row["oracle_phi"]) - want) <= 1e-12 * abs(want)
+
+
+def test_oracle_json_builds_no_table_lines(capsys, monkeypatch):
+    def refuse(terms):
+        raise AssertionError("table lines built for a JSON report")
+
+    monkeypatch.setattr(cli, "polynomial_text", refuse)
+    word = json.dumps({"k": 1, "letters": [{"sigma": [1, 2], "eps": eps} for eps in "1*"]})
+    code, out = run(capsys, "oracle", "--word", word, "--format", "json")
+    assert code == 0 and json.loads(out)["polynomial"] == [[0, 1.0, 0.0]]
 
 
 def test_oracle_command(capsys):

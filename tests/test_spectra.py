@@ -15,8 +15,6 @@ from tensorflat.perms import Permutation, group
 from tensorflat.spectra import (
     CHUNK_ENTRIES,
     build_target,
-    chunk_views,
-    draw_chunks,
     empirical_spectrum,
     gram,
     histogram,
@@ -29,6 +27,9 @@ from tensorflat.spectra import (
 )
 from tensorflat.tensors import (
     TensorModel,
+    chunk_views,
+    draw_buffer,
+    draw_chunks,
     draw_halves,
     flatten,
     perm_matrix,
@@ -81,16 +82,15 @@ def compress(dense, target, N, k):
 def draws(model, N, k, seed, trial=0):
     """The unscaled draws that sample_tensor(model, N, k, seed, trial) scales."""
     size = N ** (2 * k)
-    out = np.empty(size if model.kind == "real_ginibre" else 2 * size)
-    return draw_halves(model, size, trial_rng(seed, trial), out)
+    return draw_halves(model, size, trial_rng(seed, trial), np.empty(model.parts * size))
 
 
 def chunks(model, N, k, seed, trial=0, timings=None):
     """A trial's draws as a spectrum trial draws them: draw_chunks into a
     buffer of the size run_experiment gives it."""
     step = orbit_maps(N, k, False).step
-    out = np.empty(2 * N ** (2 * k) if model.kind == "diluted" else step * N**k)
     timings = {"sample_s": 0.0} if timings is None else timings
+    out = draw_buffer(model, N**k, step)
     return draw_chunks(model, N**k, step, trial_rng(seed, trial), out, timings)
 
 
@@ -150,7 +150,7 @@ def test_fast_path_matches_dense(which, k, N, index):
     side = N**k
     B = block(model, N, k, target, 17, index)
     dense = dense_target(sample_tensor(model, N, k, 17, index), target, model)
-    want = stacked(compress(dense, target, N, k), 1 if model.kind == "real_ginibre" else 2)
+    want = stacked(compress(dense, target, N, k), model.parts)
     assert B.side == side and B.data.shape == want.shape
     base = spectral_operand(B.data, herm)
     spec = empirical_spectrum(base)

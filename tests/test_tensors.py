@@ -1,8 +1,10 @@
+import ast
 import itertools
 import math
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +200,18 @@ def test_diluted_model_normalization():
         for values, want in ((x, 0), (N**k * np.abs(x) ** 2, model.c), (N**k * x**2, model.c_prime)):
             se = math.hypot(values.real.std(), values.imag.std()) / math.sqrt(x.size)
             assert abs(values.mean() - want) <= 5 * se, (model, want)
+
+
+def test_only_the_tensors_module_reads_a_law_kind():
+    # the entry law is one record: every other module reads what TensorModel
+    # derives from its kind (moments, cumulants, parts, gain, buffers)
+    readers = []
+    for path in sorted(Path(tensors.__file__).parent.glob("*.py")):
+        if path.name != "tensors.py":
+            tree = ast.parse(path.read_text(), str(path))
+            readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    assert readers == []
 
 
 def test_diluted_validation():

@@ -537,6 +537,25 @@ def test_gaussian_cumulants_closed_form():
         assert set(kappa) == {(m, n) for m in range(9) for n in range(9) if 1 <= m + n <= 8}
         assert {key for key, value in kappa.items() if value != 0} == support
         assert all(kappa[key] == N**-k for key in support)
+        # the one recursion over the integer moments gives the closed form
+        # exactly, as floats, up to the oracle's order
+        keys = [(m, n) for m in range(13) for n in range(13) if 1 <= m + n <= 12]
+        K = model.cumulant_table(12).K
+        assert dict(K) == {key: 1.0 if key in support else 0.0 for key in keys}
+        assert all(type(value) is float for value in K.values())
+
+
+def test_second_cumulants_are_c_and_c_prime_exactly():
+    # c = N^k E|x|^2 and c' = N^k E x^2 in closed form: 1 and 0 (1 for the
+    # real law), and E|y|^2 = 1 and E y^2 = 0 for the diluted law of a
+    # standard Gaussian base, at every p; the spectral scales read c and c'
+    # off K, so the table must not round them
+    grid = sorted({j / 2000 for j in range(1, 2001)} | {1 / N for N in range(1, 65)})
+    laws = [(CG, 1.0, 0.0), (RG, 1.0, 1.0)] + [(TensorModel.diluted(p), 1.0, 0.0) for p in grid]
+    for model, c, c_prime in laws:
+        K = model.cumulant_table(2).K
+        assert (K[(1, 1)], K[(2, 0)]) == (c, c_prime), model
+        assert (model.c, model.c_prime) == (c, c_prime), model
 
 
 def test_diluted_cumulant_zeros_are_exact():
@@ -620,9 +639,13 @@ def test_cumulant_table_is_free_of_N_and_cached_per_law():
         assert abs(K[(1, 1)] - model.c) <= 1e-12 and abs(K[(2, 0)] - model.c_prime) <= 1e-12
     # at p = 1 the diluted law is complex Ginibre, cumulant for cumulant
     assert {key for key, K in CUMULANT_LAWS["diluted-1"].cumulant_table(10).K.items() if K} == {(1, 1)}
-    # equal laws share one table; laws differing only in p, or in one base
-    # moment, do not
+    # equal laws share one table, however their base moments are listed;
+    # laws differing only in p, or in one base moment, do not
     assert TensorModel.diluted(0.3).cumulant_table(6) is TensorModel.diluted(0.3).cumulant_table(6)
+    listed = shifted_real_base_moments()
+    backwards = dict(reversed(listed.items()))
+    assert (TensorModel.diluted(0.3, base_moments=listed).cumulant_table(6)
+            is TensorModel.diluted(0.3, base_moments=backwards).cumulant_table(6))
     assert TensorModel.diluted(0.3).cumulant_table(6).K != TensorModel.diluted(0.4).cumulant_table(6).K
     base = shifted_real_base_moments()
     moved = dict(base)
