@@ -6,10 +6,11 @@ Example:
         --sizes 8,16,32 --trials 10 --out-dir out/
 """
 
+import json
 import pathlib
 import sys
 
-from tensorflat.cli import Parser, bounded, sizes
+from tensorflat.cli import Parser, bounded, sizes, spectrum_csv
 from tensorflat.moments import MAX_MOMENT_ORDER, Target
 from tensorflat.spectra import histogram_svg, run_experiment
 from tensorflat.tensors import parse_model
@@ -37,13 +38,12 @@ def main():
             seed=args.seed, with_hist=True,
         )
         stem = f"{args.target}_k{args.k}_N{N}"
-        (out_dir / f"{stem}.json").write_text(report.to_json())
-        (out_dir / f"{stem}.csv").write_text(report.to_csv())
-        if report.hist is not None:
-            (out_dir / f"{stem}.svg").write_text(histogram_svg(report.hist))
+        (out_dir / f"{stem}.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+        (out_dir / f"{stem}.csv").write_text(spectrum_csv(report["moments"]))
+        (out_dir / f"{stem}.svg").write_text(histogram_svg(report["histogram"]))
         worst = max(
-            abs(emp - pred) / (abs(pred) if pred else 1.0)
-            for _, emp, _, pred in report.rows
+            abs(r["empirical"] - r["predicted"]) / (abs(r["predicted"]) or 1.0)
+            for r in report["moments"]
         )
         print(f"N={N:4d}  worst relative moment gap {worst:.3f}  -> {stem}.*")
 

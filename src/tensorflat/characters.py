@@ -15,16 +15,12 @@ from functools import lru_cache
 from .perms import group
 
 
-def is_partition(parts):
-    parts = tuple(parts)
-    return all(
-        isinstance(p, int) and p >= 1 for p in parts
-    ) and all(a >= b for a, b in zip(parts, parts[1:]))
-
-
 def check_partition(parts):
-    parts = tuple(int(p) for p in parts)
-    if not is_partition(parts):
+    """parts as a tuple, if weakly decreasing positive ints (no bool or float)."""
+    parts = tuple(parts)
+    if not all(type(p) is int and p >= 1 for p in parts) or any(
+        a < b for a, b in zip(parts, parts[1:])
+    ):
         raise ValueError(f"not a weakly decreasing positive partition: {parts}")
     return parts
 

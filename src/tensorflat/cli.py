@@ -9,7 +9,9 @@ raised by a command that completes are printed after it, one line each, as
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import resource
@@ -92,32 +94,23 @@ def with_config_flags(argv):
     return argv[:1] + tokens + argv[1:]
 
 
-def resolved_config(args):
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func",) and v is not None}
-    cfg["version"] = __version__
-    return cfg
-
-
 def peak_rss_mb():
     """The peak resident set size of this process so far (ru_maxrss), in MB."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def emit(args, payload, table_lines):
-    payload = dict(payload)
-    payload["config"] = resolved_config(args)
-    if "seed" in payload["config"]:
-        payload["config"]["rng"] = {
-            "seed": payload["config"]["seed"],
-            "streams": payload["config"].get("trials", 1),
-        }
+def emit(args, payload, lines):
+    """Prints the payload and its config as JSON, else the lines, to stdout or --out."""
+    config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    config["version"] = __version__
+    if "seed" in config:
+        config["rng"] = {"seed": config["seed"], "streams": config.get("trials", 1)}
+    payload = {**payload, "config": config}
     if args.format == "json":
         # one line: an indent would route the dump through the pure-Python encoder
         text = json.dumps(payload, sort_keys=True, default=str)
-    elif args.format == "csv":
-        text = payload["csv"]
     else:
-        text = "\n".join(table_lines)
+        text = "\n".join(lines)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -396,6 +389,15 @@ def cmd_oracle(args):
 # --- spectrum ---------------------------------------------------------------
 
 
+def spectrum_csv(moments):
+    """The CSV of a spectrum report's moment rows (spectra.run_experiment)."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, ["n", "predicted", "empirical", "stderr"])
+    writer.writeheader()
+    writer.writerows(moments)
+    return buf.getvalue()
+
+
 def cmd_spectrum(args):
     report = run_experiment(
         parse_model(args.model), Target[args.target], args.k, args.N, args.trials, args.n_max,
@@ -403,27 +405,36 @@ def cmd_spectrum(args):
     )
     if args.hist:
         with open(args.hist, "w") as fh:
-            fh.write(histogram_svg(report.hist))
-    report.timings["peak_rss_mb"] = peak_rss_mb()
-    passed = True
-    for n, emp, se, pred in report.rows:
-        if pred == 0.0:
-            if abs(emp) > max(3 * se, 1e-12):
-                passed = False
-        elif abs(emp - pred) > args.tol * abs(pred):
-            passed = False
-    lines = [f"{'n':>3} {'predicted':>12} {'empirical':>12} {'stderr':>10}"]
-    for n, emp, se, pred in report.rows:
-        lines.append(f"{n:3d} {pred:12.6f} {emp:12.6f} {se:10.2e}")
-    lines.append("PASS" if passed else "FAIL")
-    payload = {"report": report.to_dict(), "passed": passed}
-    if args.format == "csv":
-        payload["csv"] = report.to_csv()
-    emit(args, payload, lines)
+            fh.write(histogram_svg(report["histogram"]))
+    report["timings"]["peak_rss_mb"] = peak_rss_mb()
+    rows = report["moments"]
+    passed = not any(
+        abs(r["empirical"]) > max(3 * r["stderr"], 1e-12) if r["predicted"] == 0.0
+        else abs(r["empirical"] - r["predicted"]) > args.tol * abs(r["predicted"])
+        for r in rows
+    )
+    lines = [spectrum_csv(rows)] if args.format == "csv" else [
+        f"{'n':>3} {'predicted':>12} {'empirical':>12} {'stderr':>10}",
+        *(f"{r['n']:3d} {r['predicted']:12.6f} {r['empirical']:12.6f} {r['stderr']:10.2e}"
+          for r in rows),
+        "PASS" if passed else "FAIL",
+    ]
+    emit(args, {"report": report, "passed": passed}, lines)
     return 0 if passed else 1
 
 
 # --- freeness ----------------------------------------------------------------
+
+
+def partition(flag, text, k):
+    """The partition of k that flag's text, comma-separated JSON integers, gives."""
+    try:
+        parts = check_partition(json.loads(f"[{text}]"))
+    except ValueError:  # no JSON, or no weakly decreasing positive integers
+        raise ValueError(f"{flag}: expected a partition of k = {k}, got {text!r}") from None
+    if sum(parts) != k:
+        raise ValueError(f"{flag}: expected a partition of k = {k}, got {list(parts)}")
+    return parts
 
 
 def cmd_freeness(args):
@@ -435,11 +446,8 @@ def cmd_freeness(args):
     timings = {"characters_s": 0.0, "letters_s": 0.0}
     if args.rho:
         start = time.perf_counter()
-        rho = check_partition(json.loads(f"[{args.rho}]"))
-        rho2 = check_partition(json.loads(f"[{args.rho if args.rho2 is None else args.rho2}]"))
-        for flag, parts in (("--rho", rho), ("--rho2", rho2)):
-            if sum(parts) != k:
-                raise ValueError(f"{flag}: expected a partition of k = {k}, got {list(parts)}")
+        rho = partition("--rho", args.rho, k)
+        rho2 = rho if args.rho2 is None else partition("--rho2", args.rho2, k)
         mixtures = character_mixture(k, rho), character_mixture(k, rho2)
         cross, a_scal, a2_scal = freeness_conditions(*mixtures)
         counters["mixture_terms"] = sum(len(m.terms) for m in mixtures)

@@ -51,17 +51,18 @@ merge), and a gather of those sums writes the block over H, in place.  The
 index maps and the per-chunk plan depend only on (N, k, signed), and
 orbit_maps builds them once.  A chunk holds at most max(CHUNK_ENTRIES, N^k)
 draws.
+
+run_experiment returns its report as one plain dict, the record that the
+spectrum command prints as JSON, with a dict {n, empirical, stderr,
+predicted} per moment order, the rows of the CLI's table and CSV.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
-import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,23 +173,14 @@ def orbit_maps(N, k, signed):
     return maps
 
 
-@dataclass(frozen=True)
-class Block:
-    """A spectral target's compressed block B, in the stacked real form, and
-    the side N^k of the target (module docstring)."""
-
-    data: np.ndarray
-    side: int
-
-
 def build_target(chunks, target, model, N, k):
     """The compressed block of the moments.Target target for the tensor
     that chunks, a trial's draws as tensors.draw_chunks or
     tensors.chunk_views cut them, stands for.  Each chunk is binned before
     the next is taken.  The block reads only the target's signed and
-    hermitian flags and its scale, and builds no Mixture.  It is in the
-    stacked real form, with model.parts parts; no complex array is formed.
-    """
+    hermitian flags and its scale, and builds no Mixture.  It is the array
+    of shape (model.parts, d, d) of the stacked real form; no complex array
+    is formed."""
     signed = target.signed
     maps = orbit_maps(N, k, signed)
     side, d, bins = N**k, maps.root.size, maps.stab.size
@@ -226,7 +218,7 @@ def build_target(chunks, target, model, N, k):
         totals[0] += totals[0].T
         if len(totals) == 2:
             totals[1] -= totals[1].T
-    return Block(totals, side)
+    return totals
 
 
 def gram(A):
@@ -343,59 +335,16 @@ def histogram(values, side, zeros=0):
     }
 
 
-@dataclass
-class SpectralReport:
-    target: str
-    model: dict
-    N: int
-    k: int
-    trials: int
-    n_max: int
-    seed: int
-    rows: list = field(default_factory=list)  # (n, empirical, stderr, predicted)
-    hist: dict = None
-    counters: dict = None  # side, compressed_side, matmuls per trial, orbit_bins
-    timings: dict = None  # seconds: maps once, sample, build, moments, hist summed over trials
-
-    def to_dict(self):
-        return {
-            "target": self.target,
-            "model": self.model,
-            "N": self.N,
-            "k": self.k,
-            "trials": self.trials,
-            "n_max": self.n_max,
-            "seed": self.seed,
-            "moments": [
-                {"n": n, "empirical": emp, "stderr": se, "predicted": pred}
-                for n, emp, se, pred in self.rows
-            ],
-            "histogram": self.hist,
-            "counters": self.counters,
-            "timings": self.timings,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "predicted", "empirical", "stderr"])
-        for n, emp, se, pred in self.rows:
-            writer.writerow([n, pred, emp, se])
-        return buf.getvalue()
-
-
 def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
-    """Trial-averaged moments of the moments.Target target with standard
-    errors and the predicted limiting column.  Each trial draws its chunks
-    into one reused buffer (tensors.draw_chunks), and its moments (and
-    spectrum, with_hist) share one spectral_operand, the only array of the
-    trial's block size that outlives it.  sample_s counts the drawing alone,
-    and build_s the rest of build_target."""
-    size = N ** (2 * k)
-    guard("spectrum trial draws N^(2k)", size, MAX_MAP_ENTRIES)
+    """The spectrum report of the moments.Target target (module docstring):
+    the inputs, the trial-averaged "moments" with their standard errors and
+    predicted limits, the pooled "histogram" with_hist (else None), and
+    "counters" and "timings".  Each trial draws its chunks into one reused
+    buffer (tensors.draw_chunks), and its moments (and spectrum, with_hist)
+    share one spectral_operand, the only array of the trial's block size
+    that outlives it.  sample_s counts the drawing alone, and build_s the
+    rest of build_target."""
+    guard("spectrum trial draws N^(2k)", N ** (2 * k), MAX_MAP_ENTRIES)
     guard("spectrum moments trials n_max", trials * n_max, MAX_MAP_ENTRIES)
     d = math.comb(N, k) if target.signed else math.comb(N + k - 1, k)
     if with_hist:
@@ -414,7 +363,7 @@ def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
     for trial in range(trials):
         start, sample_s = time.perf_counter(), timings["sample_s"]
         chunks = draw_chunks(model, N**k, maps.step, trial_rng(seed, trial), out, timings)
-        base = build_target(chunks, target, model, N, k).data
+        base = build_target(chunks, target, model, N, k)
         built = time.perf_counter()
         # B + B^H is Hermitian by construction, so a Hermitian target skips the check
         if not hermitian:
@@ -434,30 +383,27 @@ def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
     predicted = target.predicted_moments(k, n_max)
     # B*B unless Hermitian, then the powers up to ceil(n_max/2), one product each
     matmuls = (n_max + 1) // 2 - hermitian if d else 0
-    report = SpectralReport(
-        target=target.name,
-        model=model.describe(),
-        N=N,
-        k=k,
-        trials=trials,
-        n_max=n_max,
-        seed=seed,
-        rows=[
-            (n + 1, float(means[n]), float(stderr[n]), float(predicted[n]))
-            for n in range(n_max)
-        ],
-        counters={
-            "side": N**k, "compressed_side": d, "matmuls": int(matmuls),
-            "orbit_bins": maps.stab.size,
-        },
-        timings=timings,
-    )
+    hist = None
     if with_hist:
         start = time.perf_counter()
         # each trial's N^k - d zeros counted, not pooled
-        report.hist = histogram(np.concatenate(pooled), N**k, trials * (N**k - d))
-        timings["hist_s"] += time.perf_counter() - start  # the report holds this dict
-    return report
+        hist = histogram(np.concatenate(pooled), N**k, trials * (N**k - d))
+        timings["hist_s"] += time.perf_counter() - start
+    return {
+        "target": target.name, "model": model.describe(), "N": N, "k": k, "trials": trials,
+        "n_max": n_max, "seed": seed,
+        "moments": [
+            {"n": n + 1, "empirical": float(means[n]), "stderr": float(stderr[n]),
+             "predicted": float(predicted[n])}
+            for n in range(n_max)
+        ],
+        "histogram": hist,
+        "counters": {
+            "side": N**k, "compressed_side": d, "matmuls": int(matmuls),
+            "orbit_bins": maps.stab.size,
+        },
+        "timings": timings,
+    }
 
 
 def histogram_svg(hist, width=640, height=360):

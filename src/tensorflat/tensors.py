@@ -43,6 +43,10 @@ TensorModel fixes the draw layout.  A trial's stream (draw_halves) is parts
 N^2k standard normals, the real parts then the imaginary parts, and for the
 diluted law N^2k uniforms after them, one Bernoulli(p) mask for both halves.
 An entry is gain (z_re + i z_im), or z for the real law, over scale(N, k).
+The gain is base_scale / sqrt(2) (1 for the real law), and scale(N, k) is
+sqrt(N^k unit2) with the squared unit unit2 of TensorModel, 1 for the
+Gaussian laws; sample_tensor, PairProjection.samples and build_target share
+this rule.
 The spectrum trials take the stream as chunks of rows (draw_chunks): the
 Gaussian laws draw each chunk just in time into one reused buffer
 (draw_buffer), so a trial holds no N^2k draws, while the diluted law's mask
@@ -173,24 +177,28 @@ class TensorModel:
         """An entry's factor on its normals, before scale (module docstring)."""
         return 1.0 if self.parts == 1 else self.base_scale / math.sqrt(2)
 
+    @property
+    def unit2(self):
+        """The squared unit scale(1, 1)^2, by which moment divides too: 1 for
+        the Gaussian laws, p (beta2 - |alpha|^2 p) / beta2 for the diluted law."""
+        if self.kind != "diluted":
+            return 1.0
+        return self.p * (self.beta2 - abs(self.alpha) ** 2 * self.p) / self.beta2
+
     def scale(self, N, k):
-        """Per-entry normalization factor (entries are raw / scale)."""
-        if self.kind in ("complex_ginibre", "real_ginibre"):
-            return float(N) ** (k / 2.0)
-        s2 = N**k * self.p * (self.beta2 - abs(self.alpha) ** 2 * self.p)
-        return math.sqrt(s2 / self.beta2)
+        """Per-entry normalization factor sqrt(N^k unit2): entries are raw / scale."""
+        return math.sqrt(N**k * self.unit2)
 
     def moment(self, m, n):
         """The N-free M[m, n] = N^(k (m + n) / 2) E[entry^m conj(entry)^n]:
         m! delta_mn (complex Ginibre), (m + n - 1)!! for even m + n (real
-        Ginibre), or the diluted law's centred moment over the squared unit
-        scale(1, 1)^2 = p (beta2 - |alpha|^2 p) / beta2 to the (m + n) / 2."""
+        Ginibre), or the diluted law's centred moment over unit2 to the
+        (m + n) / 2."""
         if self.kind == "complex_ginibre":
             return float(math.factorial(m)) if m == n else 0.0
         if self.kind == "real_ginibre":
             return 0.0 if (m + n) % 2 else float(math.prod(range(m + n - 1, 0, -2)))
-        unit2 = self.p * (self.beta2 - abs(self.alpha) ** 2 * self.p) / self.beta2
-        return self._diluted_moment(m, n) / unit2 ** ((m + n) / 2)
+        return self._diluted_moment(m, n) / self.unit2 ** ((m + n) / 2)
 
     def entry_moment(self, m, n, N, k):
         """Exact joint moment E[entry^m conj(entry)^n] at size N."""
@@ -347,16 +355,16 @@ def trial_states(seed, trials):
 
 
 def sample_tensor(model, N, k, seed, trial=0):
-    """The tensor of trial_rng(seed, trial): draw_halves' unscaled draws z,
-    base_scale (z_re + i z_im) / sqrt(2) (z itself for the real law), divided
-    by model.scale(N, k)."""
+    """The tensor of trial_rng(seed, trial): draw_halves' unscaled draws z as
+    entries by the rule of the module docstring, gain (z_re + i z_im) (z
+    itself for the real law) over model.scale(N, k)."""
     model.check_samplable()
     size = N ** (2 * k)
     z = draw_halves(model, size, trial_rng(seed, trial), np.empty(model.parts * size))
     if model.parts == 1:
         raw = z.astype(complex)
     else:
-        raw = model.base_scale * (z[:size] + 1j * z[size:]) / math.sqrt(2)
+        raw = model.gain * (z[:size] + 1j * z[size:])
     return RandomTensor(N, k, (raw / model.scale(N, k)).reshape((N,) * (2 * k)))
 
 

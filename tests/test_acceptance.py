@@ -283,8 +283,8 @@ def _extrapolated_moments(model_fn, targets, seed):
             draw_halves(model, N**4, trial_rng(seed, trial), draws)
             for target in targets:
                 B = build_target(chunk_views(draws, N**2, step), target, model, N, 2)
-                base = spectral_operand(B.data, target.hermitian)
-                moments = trace_power_moments(base, 4, B.side)
+                base = spectral_operand(B, target.hermitian)
+                moments = trace_power_moments(base, 4, N**2)
                 rows[target][size].append([m.real for m in moments])
     out = {}
     for target, per_size in rows.items():

@@ -955,8 +955,15 @@ def test_out_file(capsys, tmp_path):
          "error: --rho2: expected a partition of k = 2, got [1]"),
         (["freeness", "--k", "2", "--rho", "3"],
          "error: --rho: expected a partition of k = 2, got [3]"),
+        (["freeness", "--k", "2", "--rho", "1.9,1.2"],
+         "error: --rho: expected a partition of k = 2, got '1.9,1.2'"),
+        (["freeness", "--k", "1", "--rho", "true"],
+         "error: --rho: expected a partition of k = 1, got 'true'"),
+        (["freeness", "--k", "2", "--rho", "2", "--rho2", "1.5,0.9"],
+         "error: --rho2: expected a partition of k = 2, got '1.5,0.9'"),
     ],
-    ids=["sigma-past-2k", "sigma-short-of-2k", "sigma2", "letters", "rho2", "rho"],
+    ids=["sigma-past-2k", "sigma-short-of-2k", "sigma2", "letters", "rho2", "rho", "rho-floats",
+         "rho-bool", "rho2-floats"],
 )
 def test_a_permutation_or_partition_of_the_wrong_size_names_its_flag(capsys, argv, message):
     assert usage_error(capsys, *argv) == message

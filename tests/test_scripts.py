@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from tensorflat.cli import main
 from tensorflat.moments import Word
 from tensorflat.tensors import parse_model
 from tensorflat.traffic import word_cond_expect_exact
@@ -77,6 +78,24 @@ def test_bad_input_exits_2_in_one_line(tmp_path, name, argv, message):
         argv = argv + ["--out-dir", str(tmp_path)]
     err = run_script(name, *argv, code=2)
     assert err.count("\n") == 1 and err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("target, model", [("S1", "complex_ginibre"), ("S3", "diluted:p=0.25")])
+def test_spectrum_script_and_command_write_one_report(tmp_path, target, model):
+    common = ["--k", "2", "--target", target, "--model", model, "--trials", "3", "--n-max", "3",
+              "--seed", "4"]
+    run_script("spectrum_experiment.py", *common, "--sizes", "5", "--out-dir", str(tmp_path))
+    stem = tmp_path / f"{target}_k2_N5"
+    argv = ["spectrum", *common, "--N", "5", "--hist", str(tmp_path / "cli.svg")]
+    for fmt in ("json", "csv"):  # exit 1 on a moment past --tol still writes the report
+        assert main([*argv, "--format", fmt, "--out", str(tmp_path / f"cli.{fmt}")]) in (0, 1)
+    script = json.loads(stem.with_suffix(".json").read_text())
+    printed = json.loads((tmp_path / "cli.json").read_text())["report"]
+    assert script.pop("timings") and printed.pop("timings")
+    assert script == printed
+    # the command ends its output with a newline
+    assert (tmp_path / "cli.csv").read_bytes() == stem.with_suffix(".csv").read_bytes() + b"\n"
+    assert (tmp_path / "cli.svg").read_bytes() == stem.with_suffix(".svg").read_bytes()
 
 
 def test_word_trend_exact_column_is_the_oracle():

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from tensorflat import spectra
-from tensorflat.moments import Target
+from tensorflat.cli import spectrum_csv
+from tensorflat.moments import Target, Word
 from tensorflat.perms import Permutation, group
 from tensorflat.spectra import (
     CHUNK_ENTRIES,
@@ -32,10 +33,12 @@ from tensorflat.tensors import (
     draw_chunks,
     draw_halves,
     flatten,
+    parse_model,
     perm_matrix,
     sample_tensor,
     trial_rng,
 )
+from tensorflat.traffic import full_trace_expect_detailed
 
 CG = TensorModel.complex_ginibre()
 
@@ -99,7 +102,7 @@ def block(model, N, k, target, seed, trial=0):
 
 
 def stacked(matrix, parts=2):
-    """A dense matrix in the stacked real form of Block.data: its real part
+    """A dense matrix in the stacked real form of build_target: its real part
     on its imaginary part, or its real part alone (parts = 1)."""
     return np.stack([matrix.real, matrix.imag][:parts])
 
@@ -151,20 +154,20 @@ def test_fast_path_matches_dense(which, k, N, index):
     B = block(model, N, k, target, 17, index)
     dense = dense_target(sample_tensor(model, N, k, 17, index), target, model)
     want = stacked(compress(dense, target, N, k), model.parts)
-    assert B.side == side and B.data.shape == want.shape
-    base = spectral_operand(B.data, herm)
+    assert B.shape == want.shape
+    base = spectral_operand(B, herm)
     spec = empirical_spectrum(base)
-    assert spec.shape == (B.data.shape[-1],)
+    assert spec.shape == (B.shape[-1],)
     spec = padded(spec, side)
     n_max = 12
     moms = trace_power_moments(base, n_max, side)
     if target.signed and N < 2 * k:
         # S2 antisymmetrizes all 2k axes, so it vanishes for N < 2k: the
         # block is exactly 0, the dense sum only rounding noise
-        assert not B.data.any() and np.abs(dense).max() <= 1e-12
+        assert not B.any() and np.abs(dense).max() <= 1e-12
         assert not spec.any() and moms == [0] * n_max
         return
-    assert np.abs(B.data - want).max() <= 1e-10 * np.abs(dense).max()
+    assert np.abs(B - want).max() <= 1e-10 * np.abs(dense).max()
     eigs = dense_spectrum(dense, herm)
     assert np.abs(spec - eigs).max() <= 1e-10 * np.abs(eigs).max()
     # moment n is pinned relative to the mean of |eigenvalue|^n
@@ -248,7 +251,7 @@ def check_plan(maps, N, k):
 def test_chunking_changes_nothing(monkeypatch, entries):
     # at N = 5, k = 2, 80 entries give chunks of 3 rows and of 1 orbit pair
     # row, 7 entries chunks of 1 row
-    wide = {target: block(CG, 5, 2, target, 3).data for target in Target}
+    wide = {target: block(CG, 5, 2, target, 3) for target in Target}
     maps = {signed: orbit_maps(5, 2, signed) for signed in (False, True)}
     monkeypatch.setattr(spectra, "CHUNK_ENTRIES", entries)
     spectra.orbit_maps.cache_clear()
@@ -261,7 +264,7 @@ def test_chunking_changes_nothing(monkeypatch, entries):
             for plan in (want, got):
                 check_plan(plan, 5, 2)
         for target, want in wide.items():
-            assert np.abs(block(CG, 5, 2, target, 3).data - want).max() <= 1e-12
+            assert np.abs(block(CG, 5, 2, target, 3) - want).max() <= 1e-12
     finally:
         spectra.orbit_maps.cache_clear()
 
@@ -313,7 +316,7 @@ def test_gaussian_trial_holds_no_draw_buffer():
     finally:
         tracemalloc.stop()
     assert peak < 10**6 * 8
-    assert report.timings["sample_s"] > 0 and report.timings["build_s"] > 0
+    assert report["timings"]["sample_s"] > 0 and report["timings"]["build_s"] > 0
 
 
 def test_sample_s_times_the_draws_alone(monkeypatch):
@@ -327,7 +330,7 @@ def test_sample_s_times_the_draws_alone(monkeypatch):
             return self.rng.standard_normal(out=out)
 
     monkeypatch.setattr(spectra, "trial_rng", lambda seed, trial: Slow(trial_rng(seed, trial)))
-    timings = run_experiment(CG, Target.S1, 2, 4, 2, 2, seed=1).timings
+    timings = run_experiment(CG, Target.S1, 2, 4, 2, 2, seed=1)["timings"]
     assert timings["sample_s"] >= 4 * 0.05 and timings["build_s"] < 0.05
 
 
@@ -356,16 +359,16 @@ def test_moments_of_the_stacked_operand_are_traces_of_complex_powers(target, ind
     # n_max = 12 takes the powers up to 6, the odd ones 3 and 5 among them
     N, k, n_max = 6, 2, 12
     B = block(_models(N)[index], N, k, target, 21)
-    base = spectral_operand(B.data, target.hermitian)
-    got = trace_power_moments(base, n_max, B.side)
+    base = spectral_operand(B, target.hermitian)
+    got = trace_power_moments(base, n_max, N**k)
     C = unstacked(base)
     eigs = np.linalg.eigvalsh(C)
     power = np.eye(C.shape[0])
     for n in range(1, n_max + 1):
         power = power @ C
         # moment n relative to the normalized trace of |C|^n
-        scale = np.sum(np.abs(eigs) ** n) / B.side
-        assert abs(got[n - 1] - np.trace(power).real / B.side) <= 1e-12 * scale
+        scale = np.sum(np.abs(eigs) ** n) / N**k
+        assert abs(got[n - 1] - np.trace(power).real / N**k) <= 1e-12 * scale
 
 
 def test_a_complex_trial_holds_a_few_blocks():
@@ -445,14 +448,14 @@ def test_symmetry_basis_dimensions():
 def test_empty_exterior_power(k, N):
     # Lambda^k of C^N is empty for N < k: S2 vanishes identically
     B = block(CG, N, k, Target.S2, 9)
-    assert B.data.shape == (2, 0, 0)
-    base = spectral_operand(B.data, False)
+    assert B.shape == (2, 0, 0)
+    base = spectral_operand(B, False)
     assert trace_power_moments(base, 4, N**k) == [0, 0, 0, 0]
     assert empirical_spectrum(base).shape == (0,)
     report = run_experiment(CG, Target.S2, k, N, 1, 4, seed=9, with_hist=True)
-    assert [row[1] for row in report.rows] == [0.0] * 4
-    assert report.hist["zero_mass"] == N**k
-    assert report.counters == {"side": N**k, "compressed_side": 0, "matmuls": 0, "orbit_bins": 0}
+    assert [row["empirical"] for row in report["moments"]] == [0.0] * 4
+    assert report["histogram"]["zero_mass"] == N**k
+    assert report["counters"] == {"side": N**k, "compressed_side": 0, "matmuls": 0, "orbit_bins": 0}
 
 
 def test_empty_matrix():
@@ -468,7 +471,7 @@ def test_hermitian_target_is_hermitian():
     # N = 20, k = 2: chunks of 163 rows, three to a half
     assert len(orbit_maps(20, 2, False).plan) == 3
     for model in _models(20):
-        B = unstacked(block(model, 20, 2, Target.S3, 0).data)
+        B = unstacked(block(model, 20, 2, Target.S3, 0))
         assert np.array_equal(B, B.conj().T)
 
 
@@ -498,11 +501,11 @@ def test_first_moment_is_frobenius_norm():
 def test_moment_spectrum_consistency():
     for target in (Target.S1, Target.S3):
         B = block(CG, 3, 2, target, 3)
-        base = spectral_operand(B.data, target.hermitian)
+        base = spectral_operand(B, target.hermitian)
         eigs = empirical_spectrum(base)  # the side - d zero eigenvalues add nothing
-        moms = trace_power_moments(base, 4, B.side)
+        moms = trace_power_moments(base, 4, 3**2)
         for n in range(1, 5):
-            assert abs((eigs**n).sum() / B.side - moms[n - 1]) <= 1e-8
+            assert abs((eigs**n).sum() / 3**2 - moms[n - 1]) <= 1e-8
 
 
 def test_empirical_spectrum_diag():
@@ -521,25 +524,25 @@ def test_normalization_invariance():
     scaled = TensorModel.diluted(1.0, base_scale=3.0)
     assert scaled.c == pytest.approx(9.0)
     for trial in range(2):
-        blocks = [block(model, 3, 1, Target.S1, 13, trial).data for model in (base, scaled)]
+        blocks = [block(model, 3, 1, Target.S1, 13, trial) for model in (base, scaled)]
         m1, m2 = (trace_power_moments(spectral_operand(B, False), 3) for B in blocks)
         assert np.allclose(m1, m2, atol=1e-10)
 
 
 def test_run_experiment_small():
     report = run_experiment(CG, Target.S1, 1, 16, 8, 3, seed=4, with_hist=True)
-    assert len(report.rows) == 3
+    assert len(report["moments"]) == 3
     # pure square case: first moment close to 1
-    n, emp, se, pred = report.rows[0]
-    assert pred == 1.0
-    assert abs(emp - 1.0) <= max(5 * se, 0.2)
-    payload = json.loads(report.to_json())
+    row = report["moments"][0]
+    assert row["predicted"] == 1.0
+    assert abs(row["empirical"] - 1.0) <= max(5 * row["stderr"], 0.2)
+    payload = json.loads(json.dumps(report))
     assert payload["N"] == 16 and payload["seed"] == 4
-    csv_text = report.to_csv()
+    csv_text = spectrum_csv(report["moments"])
     assert csv_text.splitlines()[0] == "n,predicted,empirical,stderr"
-    assert report.hist["zero_mass"] >= 0
+    assert report["histogram"]["zero_mass"] >= 0
     # B*B and its square for n_max 3; the spectrum reuses B*B
-    assert report.counters == {"side": 16, "compressed_side": 16, "matmuls": 2, "orbit_bins": 136}
+    assert report["counters"] == {"side": 16, "compressed_side": 16, "matmuls": 2, "orbit_bins": 136}
 
 
 def test_run_experiment_guards_the_draws_before_drawing():
@@ -551,16 +554,58 @@ def test_run_experiment_guards_the_draws_before_drawing():
     )
 
 
+@functools.cache
+def exact_moment(target, spec):
+    """The exact finite-N moment that the target's two-letter words give at
+    k = 2, m_1 (of A A*) or, for the Hermitian S3, m_2 (of A A), as
+    {power of N: coefficient}: the oracle's polynomial of every pair of the
+    target's letters, weighted by the product of their coefficients."""
+    model = parse_model(spec)
+    first = target.mixture(2, model.c, model.c_prime)
+    second = first if target.hermitian else first.adjoint
+    out = {}
+    for l1, c1 in first.terms:
+        for l2, c2 in second.terms:
+            for power, coeff in full_trace_expect_detailed(Word(2, (l1, l2)), model).terms:
+                out[power] = out.get(power, 0) + c1 * c2 * coeff
+    return out
+
+
+LAWS = ("complex_ginibre", "real_ginibre", "diluted:p=0.25")
+# the exact moment is prod (N - r) / (2 N^3) over these r: (N+1)(N+2)(N+3)
+# / (2N^3) for S1 and S3, and (N-1)(N-2)(N-3) / (2N^3) for S2, 0 for N < 2k
+ROOTS = {Target.S1: (-1, -2, -3), Target.S2: (1, 2, 3), Target.S3: (-1, -2, -3)}
+
+
+@pytest.mark.parametrize("spec", LAWS)
+@pytest.mark.parametrize("target", list(Target))
+def test_oracle_gives_the_closed_form_spectral_moment(target, spec):
+    want = dict(zip((0, -1, -2, -3), np.poly(ROOTS[target]) / 2))
+    got = exact_moment(target, spec)
+    for power in set(want) | set(got):
+        assert abs(got.get(power, 0) - want.get(power, 0)) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [5, 8])
+@pytest.mark.parametrize("spec", LAWS)
+@pytest.mark.parametrize("target", list(Target))
+def test_monte_carlo_moment_is_within_3_se_of_the_exact_one(target, spec, N):
+    n = 2 if target.hermitian else 1
+    row = run_experiment(parse_model(spec), target, 2, N, 300, 2, seed=3)["moments"][n - 1]
+    exact = sum(coeff * N**power for power, coeff in exact_moment(target, spec).items())
+    assert abs(row["empirical"] - exact.real) <= 3 * row["stderr"]
+
+
 def test_s2_matches_s1_statistics():
-    moments1 = run_experiment(CG, Target.S1, 1, 12, 10, 2, seed=5).rows
-    moments2 = run_experiment(CG, Target.S2, 1, 12, 10, 2, seed=6).rows
-    for (n1, e1, s1, _), (n2, e2, s2, _) in zip(moments1, moments2):
-        assert abs(e1 - e2) <= 2 * (s1 + s2) + 0.1
+    moments1 = run_experiment(CG, Target.S1, 1, 12, 10, 2, seed=5)["moments"]
+    moments2 = run_experiment(CG, Target.S2, 1, 12, 10, 2, seed=6)["moments"]
+    for r1, r2 in zip(moments1, moments2):
+        assert abs(r1["empirical"] - r2["empirical"]) <= 2 * (r1["stderr"] + r2["stderr"]) + 0.1
 
 
 def test_zero_atom_visible_in_spectrum():
     B = block(CG, 16, 2, Target.S3, 7)
-    eigs = padded(empirical_spectrum(spectral_operand(B.data, True)), B.side)
+    eigs = padded(empirical_spectrum(spectral_operand(B, True)), 16**2)
     frac = np.mean(np.abs(eigs) <= 0.05)
     assert frac >= 0.4  # half the spectrum collapses at zero in the limit
 
