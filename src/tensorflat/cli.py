@@ -56,13 +56,20 @@ from .tensors import (
 from .traffic import check_letters, full_trace_expect_detailed, word_cond_expect_exact
 
 
+def flagged(flag, parse, text):
+    """parse(text), where a ValueError names flag, the flag that gave text."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def load_word(spec):
-    """Word JSON, inline or from a file path."""
-    text = spec
+    """Word JSON, inline or from a file path; text that is no JSON names --word."""
     if not spec.lstrip().startswith("{"):
         with open(spec) as fh:
-            text = fh.read()
-    return Word.from_json(text)
+            spec = fh.read()
+    return Word.from_json(flagged("--word", json.loads, spec))
 
 
 def with_config_flags(argv):
@@ -214,7 +221,7 @@ def cmd_check(args):
 
 def permutation(flag, text, name, degree):
     """The permutation of flag's JSON image array, of the degree name = degree."""
-    perm = Permutation.from_json(text)
+    perm = flagged(flag, Permutation.from_json, text)
     if perm.n != degree:
         raise ValueError(f"{flag}: expected degree {name} = {degree}, got {perm.n}")
     return perm
@@ -281,6 +288,14 @@ def cmd_covariance(args):
 # --- moments ---------------------------------------------------------------
 
 
+def polynomial_text(terms):
+    """The [power, re, im] terms of TracePolynomial.to_json on one line, such
+    as "+5 N^0 +1 N^-2"; a coefficient with an imaginary part is bracketed."""
+    parts = [f"{re:+.10g} N^{power}" if im == 0 else f"({re:+.10g}{im:+.10g}j) N^{power}"
+             for power, re, im in terms]
+    return " ".join(parts) or "0"
+
+
 def cmd_moments(args):
     n_list = sizes(args.N_list, "--N-list")
     w = load_word(args.word)
@@ -311,6 +326,7 @@ def cmd_moments(args):
         f"limit phi = {phi_lim.real:+.6f}{phi_lim.imag:+.6f}j",
         f"recursion vs enumeration max diff = {agreement:.2e} "
         f"({'PASS' if passed else 'FAIL'} at {args.tol:.0e})",
+        f"as a polynomial in N: {polynomial_text(polynomial.to_json())}",
         f"{'N':>4} {'oracle phi':>22} {'|gap to limit|':>14}",
     ]
     for row in trend:
@@ -324,6 +340,7 @@ def cmd_moments(args):
             "limit_phi": [phi_lim.real, phi_lim.imag],
             "limit": limit.to_json(),
             "enum_agreement": agreement,
+            "polynomial": polynomial.to_json(),
             "trend": trend,
             "passed": passed,
             "counters": counters,
@@ -335,14 +352,6 @@ def cmd_moments(args):
 
 
 # --- oracle ----------------------------------------------------------------
-
-
-def polynomial_text(terms):
-    """The [power, re, im] terms of TracePolynomial.to_json on one line, such
-    as "+5 N^0 +1 N^-2"; a coefficient with an imaginary part is bracketed."""
-    parts = [f"{re:+.10g} N^{power}" if im == 0 else f"({re:+.10g}{im:+.10g}j) N^{power}"
-             for power, re, im in terms]
-    return " ".join(parts) or "0"
 
 
 def cmd_oracle(args):
@@ -440,10 +449,11 @@ def partition(flag, text, k):
 def cmd_freeness(args):
     k = args.k
     model = parse_model(args.model)
-    payload = {}
-    lines = []
+    payload, lines = {}, []
     counters = {"mixture_terms": 0, "letters": 0}
     timings = {"characters_s": 0.0, "letters_s": 0.0}
+    if args.rho2 is not None and not args.rho:
+        raise ValueError("--rho2: given without --rho")
     if args.rho:
         start = time.perf_counter()
         rho = partition("--rho", args.rho, k)
@@ -462,7 +472,8 @@ def cmd_freeness(args):
     if args.letters:
         start = time.perf_counter()
         # the criterion tries both eps of every letter, so eps may be left out
-        letters = letters_from_json(json.loads(args.letters), eps="1")
+        letters = flagged("--letters", lambda text: letters_from_json(json.loads(text), eps="1"),
+                          args.letters)
         for l in letters:
             if l.k != k:
                 raise ValueError(f"--letters: expected degree 2k = {2 * k}, got {l.sigma.n}")

@@ -15,7 +15,7 @@ identities.
   The signed sum S2 vanishes where I repeats an index and is sgn(I) bin[M]
   elsewhere, with sgn(I) the sign of the permutation sorting I and bin[M]
   the sign-weighted sum of x over the (2k)! arrangements of the set M.
-  S3 = S + S* comes from the bins of S1.
+  S3 = S + S* comes from the real half's bins of S1.
 * Orbit-weighted compression.  An entry of S1 or S3 depends only on the
   multiset of its row indices and on that of its column indices; an entry
   of S2 changes sign with their order.  Over the sorted multi-indices r
@@ -24,14 +24,14 @@ identities.
   rows and columns, so A = V B V^T with B[r, s] = sqrt(o_r o_s) A[r, s]:
     B[r, s] = sqrt(o_r o_s) |Stab(r u s)| bin[r u s]          (S1),
     B[r, s] = sqrt(o_r o_s) sgn(r, s) bin[r u s]              (S2),
-  with sgn(r, s) = sgn(I) at I = (r, s), divided by the target's scale, and
-  B + B^H for S3.  Hence A A* (or A
-  itself when Hermitian) has the spectrum of B*B (or B) padded with
-  side - d zeros, where d = C(N+k-1, k) on Sym^k and C(N, k) on Lambda^k,
-  and tr (A A*)^n = tr (B*B)^n.
+  with sgn(r, s) = sgn(I) at I = (r, s), divided by the target's scale.
+  S1's B = X + iY is symmetric, so S3's block B + B^H is X + X^T, real
+  under every law.  Hence A A* (or A itself when Hermitian) has the
+  spectrum of B*B (or B) padded with side - d zeros, where d = C(N+k-1, k)
+  on Sym^k and C(N, k) on Lambda^k, and tr (A A*)^n = tr (B*B)^n.
 * Stacked real form.  A block B = X + iY is held as one real array of
   shape (2, d, d), its real part stacked on its imaginary part, or (1, d, d)
-  for the real law.  With F = [X; Y] the (2d, d) reshape of that array,
+  for the real law and for S3.  With F = [X; Y] the (2d, d) reshape of it,
     B*B = F^T F + i (X^T Y - (X^T Y)^T),
   one syrk (numpy's path for F.T @ F) and one gemm, half the flops of a
   complex product (gram).  For Hermitian C^a and C^b, tr C^a C^b is the dot
@@ -42,15 +42,15 @@ identities.
 
 build_target takes the bins straight from a trial's unscaled normal draws,
 as chunks of rows in natural order (tensors.draw_chunks, which describes
-how each law draws them).  A bincount per chunk sums its draws over each
-pair of row orbit r' and column orbit s' into a d x d array H (each draw
-weighted by the signs of its row and column k-tuples for S2), over the row
-orbits that the chunk reaches; a second bincount folds H into one sum per
-multiset r' u s' (per set for S2, each pair weighted by the sign of its
-merge), and a gather of those sums writes the block over H, in place.  The
-index maps and the per-chunk plan depend only on (N, k, signed), and
-orbit_maps builds them once.  A chunk holds at most max(CHUNK_ENTRIES, N^k)
-draws.
+how each law draws them), of the real half alone for S3.  A bincount per
+chunk sums its draws over each pair of row orbit r' and column orbit s'
+into a d x d array H (each draw weighted by the signs of its row and
+column k-tuples for S2), over the row orbits that the chunk reaches; a
+second bincount folds H into one sum per multiset r' u s' (per set for S2,
+each pair weighted by the sign of its merge), and a gather of those sums
+writes the block over H, in place.  The index maps and the per-chunk plan
+depend only on (N, k, signed), and orbit_maps builds them once.  A chunk
+holds at most max(CHUNK_ENTRIES, N^k) draws.
 
 run_experiment returns its report as one plain dict, the record that the
 spectrum command prints as JSON, with a dict {n, empirical, stderr,
@@ -60,6 +60,7 @@ predicted} per moment order, the rows of the CLI's table and CSV.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -179,15 +180,17 @@ def build_target(chunks, target, model, N, k):
     tensors.chunk_views cut them, stands for.  Each chunk is binned before
     the next is taken.  The block reads only the target's signed and
     hermitian flags and its scale, and builds no Mixture.  It is the array
-    of shape (model.parts, d, d) of the stacked real form; no complex array
-    is formed."""
+    of shape (model.parts, d, d) of the stacked real form, or (1, d, d) for
+    a Hermitian target, which takes the real half's chunks and none after
+    them (module docstring); no complex array is formed."""
     signed = target.signed
     maps = orbit_maps(N, k, signed)
     side, d, bins = N**k, maps.root.size, maps.stab.size
-    totals = np.zeros((model.parts, d, d))
+    totals = np.zeros((1 if target.hermitian else model.parts, d, d))  # S3: X + X^T
     per_half = len(maps.plan)
+    wanted = len(totals) * per_half
     count, indexed = 0, None
-    for count, chunk in enumerate(chunks, 1):
+    for count, chunk in enumerate(itertools.islice(chunks, wanted), 1):
         half, c = divmod(count - 1, per_half)
         start = c * maps.step
         if chunk.shape != (min(maps.step, side - start), side):
@@ -202,8 +205,8 @@ def build_target(chunks, target, model, N, k):
             chunk *= maps.sign[start:start + maps.step][live, None]
         counts = np.bincount(index, chunk.ravel(), minlength=reached.size * d)
         totals[half][reached] += counts.reshape(-1, d)
-    if count != len(totals) * per_half:
-        raise ValueError(f"{count} chunks given, the plan has {len(totals) * per_half}")
+    if count != wanted:
+        raise ValueError(f"{count} chunks given, the plan has {wanted}")
     gain = model.gain / (model.scale(N, k) * target.scale(k, model.c, model.c_prime))
     for total in totals:
         # bins of even merges, of odd merges (signed only) and of meeting pairs
@@ -214,10 +217,8 @@ def build_target(chunks, target, model, N, k):
         np.take(table, maps.pair_bin, out=total, mode="clip")
     totals *= maps.root[:, None]
     totals *= maps.root
-    if target.hermitian:  # B + B^H = (X + X^T) + i (Y - Y^T)
+    if target.hermitian:
         totals[0] += totals[0].T
-        if len(totals) == 2:
-            totals[1] -= totals[1].T
     return totals
 
 
@@ -244,23 +245,11 @@ def product(P, Q):
     return out
 
 
-def spectral_operand(A, hermitian):
-    """The block A in the stacked real form, checked to be Hermitian when
-    declared so, or else A*A: the operand whose traces and eigenvalues the
-    moments and the spectrum describe."""
-    if not hermitian:
-        return gram(A)
-    signs = np.array([1.0, -1.0])[:len(A), None, None]  # A^H = X^T - i Y^T
-    if np.abs(A - signs * A.transpose(0, 2, 1)).max(initial=0.0) > 1e-10:
-        raise ValueError("matrix declared hermitian is not")
-    return A
-
-
 def trace_power_moments(base, n_max, side=None):
     """tr(base^n) / side for n = 1..n_max by half-power pairing (no
-    eigendecomposition).  base is a spectral_operand in the stacked real
-    form; side defaults to its own, and the side of the full target makes a
-    compressed block's traces those of its target."""
+    eigendecomposition).  base is a Hermitian block, or the gram of one, in
+    the stacked real form; side defaults to its own, and the side of the
+    full target makes a compressed block's traces those of its target."""
     guard("moment order n_max", n_max, MAX_MOMENT_ORDER)
     side = base.shape[-1] if side is None else side
     if side == 0:
@@ -280,8 +269,8 @@ def trace_power_moments(base, n_max, side=None):
 
 
 def empirical_spectrum(base):
-    """The ascending eigenvalues of the Hermitian base, a spectral_operand
-    in the stacked real form, which a complex base is converted from."""
+    """The ascending eigenvalues of the Hermitian base in the stacked real
+    form, which a complex base is converted from."""
     guard("eigensolver side", base.shape[-1], MAX_EIGENSOLVE_SIDE)
     return np.linalg.eigvalsh(base[0] if len(base) == 1 else base[0] + 1j * base[1])
 
@@ -341,16 +330,15 @@ def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
     predicted limits, the pooled "histogram" with_hist (else None), and
     "counters" and "timings".  Each trial draws its chunks into one reused
     buffer (tensors.draw_chunks), and its moments (and spectrum, with_hist)
-    share one spectral_operand, the only array of the trial's block size
-    that outlives it.  sample_s counts the drawing alone, and build_s the
-    rest of build_target."""
+    share one operand, the Hermitian block or else its gram, the only array
+    of the trial's block size that outlives it.  sample_s counts the
+    drawing alone, and build_s the rest of build_target."""
     guard("spectrum trial draws N^(2k)", N ** (2 * k), MAX_MAP_ENTRIES)
     guard("spectrum moments trials n_max", trials * n_max, MAX_MAP_ENTRIES)
     d = math.comb(N, k) if target.signed else math.comb(N + k - 1, k)
     if with_hist:
         guard("pooled eigenvalues trials d", trials * d, MAX_MAP_ENTRIES)
     model.check_samplable()
-    hermitian = target.hermitian
     start = time.perf_counter()
     maps = orbit_maps(N, k, target.signed)
     timings = {
@@ -365,8 +353,7 @@ def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
         chunks = draw_chunks(model, N**k, maps.step, trial_rng(seed, trial), out, timings)
         base = build_target(chunks, target, model, N, k)
         built = time.perf_counter()
-        # B + B^H is Hermitian by construction, so a Hermitian target skips the check
-        if not hermitian:
+        if not target.hermitian:
             base = gram(base)  # drops the block
         samples[trial] = trace_power_moments(base, n_max, N**k)
         done = time.perf_counter()
@@ -382,7 +369,7 @@ def run_experiment(model, target, k, N, trials, n_max, seed, with_hist=False):
     )
     predicted = target.predicted_moments(k, n_max)
     # B*B unless Hermitian, then the powers up to ceil(n_max/2), one product each
-    matmuls = (n_max + 1) // 2 - hermitian if d else 0
+    matmuls = (n_max + 1) // 2 - target.hermitian if d else 0
     hist = None
     if with_hist:
         start = time.perf_counter()

@@ -50,7 +50,8 @@ this rule.
 The spectrum trials take the stream as chunks of rows (draw_chunks): the
 Gaussian laws draw each chunk just in time into one reused buffer
 (draw_buffer), so a trial holds no N^2k draws, while the diluted law's mask
-follows all its normals, so its buffer holds the whole trial.
+follows all its normals, so its buffer holds the whole trial.  S3 takes the
+real half's chunks alone, so a Gaussian trial of it draws no imaginary half.
 """
 
 from __future__ import annotations

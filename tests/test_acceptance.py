@@ -32,8 +32,8 @@ from tensorflat.moments import (
 from tensorflat.perms import Permutation, compose, coset_key, embed_join, group, tau
 from tensorflat.spectra import (
     build_target,
+    gram,
     orbit_maps,
-    spectral_operand,
     trace_power_moments,
 )
 from tensorflat.tensors import (
@@ -283,7 +283,7 @@ def _extrapolated_moments(model_fn, targets, seed):
             draw_halves(model, N**4, trial_rng(seed, trial), draws)
             for target in targets:
                 B = build_target(chunk_views(draws, N**2, step), target, model, N, 2)
-                base = spectral_operand(B, target.hermitian)
+                base = B if target.hermitian else gram(B)
                 moments = trace_power_moments(base, 4, N**2)
                 rows[target][size].append([m.real for m in moments])
     out = {}

@@ -237,6 +237,21 @@ def test_moments_walks_the_word_once_for_every_size(capsys, monkeypatch):
         assert abs(complex(*row["oracle_phi"]) - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("spec", ["complex_ginibre", "real_ginibre", "diluted:p=0.3"])
+def test_moments_reports_the_polynomial_of_the_oracle(capsys, spec):
+    letters = [{"sigma": [2, 1, 4, 3], "eps": e} for e in "1*1*"]
+    word = json.dumps({"k": 2, "letters": letters})
+    outs = [
+        json.loads(run(capsys, command, "--word", word, "--model", spec, "--format", "json")[1])
+        for command in ("moments", "oracle")
+    ]
+    assert outs[0]["polynomial"] == outs[1]["polynomial"] != []
+    code, out = run(capsys, "moments", "--word", word, "--model", spec)
+    assert code == 0
+    line = f"as a polynomial in N: {cli.polynomial_text(outs[1]['polynomial'])}"
+    assert line in out.splitlines()
+
+
 def test_oracle_json_builds_no_table_lines(capsys, monkeypatch):
     def refuse(terms):
         raise AssertionError("table lines built for a JSON report")
@@ -961,9 +976,36 @@ def test_out_file(capsys, tmp_path):
          "error: --rho: expected a partition of k = 1, got 'true'"),
         (["freeness", "--k", "2", "--rho", "2", "--rho2", "1.5,0.9"],
          "error: --rho2: expected a partition of k = 2, got '1.5,0.9'"),
+        (["freeness", "--k", "2", "--letters", '[{"sigma": [1, 2, 3, 4]}]', "--rho2", "9"],
+         "error: --rho2: given without --rho"),
     ],
     ids=["sigma-past-2k", "sigma-short-of-2k", "sigma2", "letters", "rho2", "rho", "rho-floats",
-         "rho-bool", "rho2-floats"],
+         "rho-bool", "rho2-floats", "rho2-without-rho"],
 )
 def test_a_permutation_or_partition_of_the_wrong_size_names_its_flag(capsys, argv, message):
+    assert usage_error(capsys, *argv) == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["covariance", "--k", "1", "--sigma", "[2,1", "--sigma2", "[2,1]"],
+         "error: --sigma: Expecting ',' delimiter: line 1 column 5 (char 4)"),
+        (["covariance", "--k", "1", "--sigma", "[2,2]", "--sigma2", "[2,1]"],
+         "error: --sigma: not a bijection of [2]: (2, 2)"),
+        (["covariance", "--k", "1", "--sigma", "[2,1]", "--sigma2", "5"],
+         "error: --sigma2: a permutation is not a list of integers: 5"),
+        (COVARIANCE_K2 + ["--sigma", "[1,2,3,4]", "--eta", "[1,1]"],
+         "error: --eta: not a bijection of [2]: (1, 1)"),
+        (["freeness", "--letters", '[{"sigma":[1,2,3,4]}'],
+         "error: --letters: Expecting ',' delimiter: line 1 column 21 (char 20)"),
+        (["freeness", "--letters", '[{"eps":"1"}]'],
+         "error: --letters: a letter lacks the key 'sigma'"),
+        (["oracle", "--word", '{"k": 1, "letters": ['],
+         "error: --word: Expecting value: line 1 column 22 (char 21)"),
+    ],
+    ids=["sigma-json", "sigma-bijection", "sigma2-shape", "eta-bijection", "letters-json",
+         "letters-key", "word-json"],
+)
+def test_malformed_json_of_a_flag_names_the_flag(capsys, argv, message):
     assert usage_error(capsys, *argv) == message

@@ -23,7 +23,6 @@ from tensorflat.spectra import (
     orbit_maps,
     percentiles,
     run_experiment,
-    spectral_operand,
     trace_power_moments,
 )
 from tensorflat.tensors import (
@@ -153,9 +152,13 @@ def test_fast_path_matches_dense(which, k, N, index):
     side = N**k
     B = block(model, N, k, target, 17, index)
     dense = dense_target(sample_tensor(model, N, k, 17, index), target, model)
-    want = stacked(compress(dense, target, N, k), model.parts)
+    # a Hermitian block is the real part of the dense reference, whose
+    # imaginary part is rounding noise
+    if herm:
+        assert np.abs(dense.imag).max() <= 1e-12 * np.abs(dense).max(initial=0.0)
+    want = stacked(compress(dense, target, N, k), 1 if herm else model.parts)
     assert B.shape == want.shape
-    base = spectral_operand(B, herm)
+    base = B if herm else gram(B)
     spec = empirical_spectrum(base)
     assert spec.shape == (B.shape[-1],)
     spec = padded(spec, side)
@@ -172,7 +175,7 @@ def test_fast_path_matches_dense(which, k, N, index):
     assert np.abs(spec - eigs).max() <= 1e-10 * np.abs(eigs).max()
     # moment n is pinned relative to the mean of |eigenvalue|^n
     scales = [np.mean(np.abs(eigs) ** n) for n in range(1, n_max + 1)]
-    dense_base = spectral_operand(stacked(dense), herm)
+    dense_base = stacked(dense) if herm else gram(stacked(dense))
     for got in (moms, trace_power_moments(dense_base, n_max)):
         for m, want_m, scale in zip(got, dense_moments(dense, herm, n_max), scales):
             assert abs(m - want_m) <= 1e-10 * scale
@@ -359,7 +362,7 @@ def test_moments_of_the_stacked_operand_are_traces_of_complex_powers(target, ind
     # n_max = 12 takes the powers up to 6, the odd ones 3 and 5 among them
     N, k, n_max = 6, 2, 12
     B = block(_models(N)[index], N, k, target, 21)
-    base = spectral_operand(B, target.hermitian)
+    base = B if target.hermitian else gram(B)
     got = trace_power_moments(base, n_max, N**k)
     C = unstacked(base)
     eigs = np.linalg.eigvalsh(C)
@@ -449,7 +452,7 @@ def test_empty_exterior_power(k, N):
     # Lambda^k of C^N is empty for N < k: S2 vanishes identically
     B = block(CG, N, k, Target.S2, 9)
     assert B.shape == (2, 0, 0)
-    base = spectral_operand(B, False)
+    base = gram(B)
     assert trace_power_moments(base, 4, N**k) == [0, 0, 0, 0]
     assert empirical_spectrum(base).shape == (0,)
     report = run_experiment(CG, Target.S2, k, N, 1, 4, seed=9, with_hist=True)
@@ -460,8 +463,7 @@ def test_empty_exterior_power(k, N):
 
 def test_empty_matrix():
     empty = np.zeros((2, 0, 0))
-    for hermitian in (False, True):
-        base = spectral_operand(empty, hermitian)
+    for base in (gram(empty), empty):
         assert empirical_spectrum(base).shape == (0,)
         with pytest.raises(ValueError, match="empty 0x0"):
             trace_power_moments(base, 2)
@@ -473,6 +475,37 @@ def test_hermitian_target_is_hermitian():
     for model in _models(20):
         B = unstacked(block(model, 20, 2, Target.S3, 0))
         assert np.array_equal(B, B.conj().T)
+
+
+@pytest.mark.parametrize("k, N", [(1, 9), (2, 5), (3, 3)])
+@pytest.mark.parametrize("index", range(3))
+def test_s1_block_is_symmetric(k, N, index):
+    # B[r, s] reads only the multiset r u s, so S3 = B + B^H = 2 Re B, one real part
+    model = _models(N)[index]
+    B = block(model, N, k, Target.S1, 11)
+    assert np.abs(B - B.transpose(0, 2, 1)).max() <= 1e-15 * np.abs(B).max()
+    assert block(model, N, k, Target.S3, 11).shape == (1,) + B.shape[1:]
+
+
+@pytest.mark.parametrize("k, N", [(1, 9), (2, 5), (3, 3)])
+def test_s3_moments_are_those_of_the_real_half(k, N):
+    # the real law draws the complex law's real half, at the same gain over scale
+    got, want = (
+        run_experiment(model, Target.S3, k, N, 3, 6, seed=8)["moments"]
+        for model in (CG, TensorModel.real_ginibre())
+    )
+    for a, b in zip(got, want):
+        assert abs(a["empirical"] - b["empirical"]) <= 1e-12 * abs(b["empirical"])
+
+
+@pytest.mark.parametrize("k, N", [(1, 9), (2, 5), (2, 20)])
+def test_s3_trial_draws_only_the_real_half(k, N):
+    rng, step = trial_rng(6, 0), orbit_maps(N, k, False).step
+    out = draw_buffer(CG, N**k, step)
+    draws = draw_chunks(CG, N**k, step, rng, out, {"sample_s": 0.0})
+    build_target(draws, Target.S3, CG, N, k)
+    stream = trial_rng(6, 0).standard_normal(N ** (2 * k) + 1)
+    assert rng.standard_normal() == stream[-1]
 
 
 def test_target_invariant_under_permutation_operators():
@@ -488,20 +521,20 @@ def test_trace_power_moments_basics():
     eye = np.eye(3)[None]
     assert trace_power_moments(eye, 3) == [1, 1, 1]
     zero = np.zeros((2, 3, 3))
-    assert trace_power_moments(spectral_operand(zero, False), 3) == [0, 0, 0]
+    assert trace_power_moments(gram(zero), 3) == [0, 0, 0]
 
 
 def test_first_moment_is_frobenius_norm():
     rng = np.random.default_rng(2)
     data = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    m1 = trace_power_moments(spectral_operand(stacked(data), False), 1)[0]
+    m1 = trace_power_moments(gram(stacked(data)), 1)[0]
     assert abs(m1 - (np.abs(data) ** 2).sum() / 9) <= 1e-12
 
 
 def test_moment_spectrum_consistency():
     for target in (Target.S1, Target.S3):
         B = block(CG, 3, 2, target, 3)
-        base = spectral_operand(B, target.hermitian)
+        base = B if target.hermitian else gram(B)
         eigs = empirical_spectrum(base)  # the side - d zero eigenvalues add nothing
         moms = trace_power_moments(base, 4, 3**2)
         for n in range(1, 5):
@@ -510,11 +543,7 @@ def test_moment_spectrum_consistency():
 
 def test_empirical_spectrum_diag():
     diag = stacked(np.diag([5.0, 3, 1, 4, 2]))
-    assert np.allclose(empirical_spectrum(spectral_operand(diag, True)), [1, 2, 3, 4, 5])
-    for nonh in ([[0, 1], [0, 0]], [[0, 1j], [1j, 0]]):
-        for parts in (1, 2)[np.iscomplexobj(nonh):]:
-            with pytest.raises(ValueError):
-                spectral_operand(stacked(np.array(nonh), parts), True)
+    assert np.allclose(empirical_spectrum(diag), [1, 2, 3, 4, 5])
 
 
 def test_normalization_invariance():
@@ -525,7 +554,7 @@ def test_normalization_invariance():
     assert scaled.c == pytest.approx(9.0)
     for trial in range(2):
         blocks = [block(model, 3, 1, Target.S1, 13, trial) for model in (base, scaled)]
-        m1, m2 = (trace_power_moments(spectral_operand(B, False), 3) for B in blocks)
+        m1, m2 = (trace_power_moments(gram(B), 3) for B in blocks)
         assert np.allclose(m1, m2, atol=1e-10)
 
 
@@ -605,7 +634,7 @@ def test_s2_matches_s1_statistics():
 
 def test_zero_atom_visible_in_spectrum():
     B = block(CG, 16, 2, Target.S3, 7)
-    eigs = padded(empirical_spectrum(spectral_operand(B, True)), 16**2)
+    eigs = padded(empirical_spectrum(B), 16**2)
     frac = np.mean(np.abs(eigs) <= 0.05)
     assert frac >= 0.4  # half the spectrum collapses at zero in the limit
 
