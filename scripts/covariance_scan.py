@@ -9,7 +9,7 @@ lists the pairs with the largest fitted 1/N constants.
 
 import sys
 
-from tensorflat.cli import Parser, bounded
+from tensorflat.cli import Parser, bounded, flagged
 from tensorflat.moments import plain_word, word_phi
 from tensorflat.perms import group
 from tensorflat.tensors import parse_model
@@ -25,7 +25,7 @@ def main():
     ap.add_argument("--top", type=bounded(0), default=10)
     args = ap.parse_args()
 
-    model = parse_model(args.model)
+    model = flagged("--model", parse_model, args.model)
     k = args.k
     rows = []
     for sigma in group(2 * k):

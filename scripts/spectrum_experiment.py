@@ -10,7 +10,7 @@ import json
 import pathlib
 import sys
 
-from tensorflat.cli import Parser, bounded, sizes, spectrum_csv
+from tensorflat.cli import Parser, bounded, flagged, sizes, spectrum_csv
 from tensorflat.moments import MAX_MOMENT_ORDER, Target
 from tensorflat.spectra import histogram_svg, run_experiment
 from tensorflat.tensors import parse_model
@@ -29,7 +29,7 @@ def main():
     args = ap.parse_args()
 
     n_list = sizes(args.sizes, "--sizes")
-    model = parse_model(args.model)
+    model = flagged("--model", parse_model, args.model)
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for N in n_list:

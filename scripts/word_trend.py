@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from tensorflat.cli import Parser, bounded, load_word, sizes
+from tensorflat.cli import Parser, bounded, flagged, load_word, sizes
 from tensorflat.moments import word_phi
 from tensorflat.tensors import parse_model, phi_N, sample_tensor, word_eval
 from tensorflat.traffic import full_trace_expect_detailed
@@ -33,7 +33,7 @@ def main():
 
     n_list = sizes(args.sizes, "--sizes")
     w = load_word(args.word)
-    model = parse_model(args.model)
+    model = flagged("--model", parse_model, args.model)
     limit = complex(word_phi(w, model.c, model.c_prime))
     print(f"limit phi = {limit.real:+.8f}{limit.imag:+.8f}j")
     header = f"{'N':>5} {'exact':>22} {'|gap|':>12}"

@@ -65,11 +65,11 @@ def flagged(flag, parse, text):
 
 
 def load_word(spec):
-    """Word JSON, inline or from a file path; text that is no JSON names --word."""
+    """Word JSON, inline or from a file path; any fault of the JSON names --word."""
     if not spec.lstrip().startswith("{"):
         with open(spec) as fh:
             spec = fh.read()
-    return Word.from_json(flagged("--word", json.loads, spec))
+    return flagged("--word", Word.from_json, spec)
 
 
 def with_config_flags(argv):
@@ -232,7 +232,7 @@ def cmd_covariance(args):
     first = Letter(permutation("--sigma", args.sigma, "2k", 2 * k), args.eps)
     second = Letter(permutation("--sigma2", args.sigma2, "2k", 2 * k), args.eps2)
     eta = Permutation.identity(k) if args.eta is None else permutation("--eta", args.eta, "k", k)
-    model = parse_model(args.model)
+    model = flagged("--model", parse_model, args.model)
 
     w = Word(k, (first.followed_by(eta), second))
     check_trials(k, trials)
@@ -299,7 +299,7 @@ def polynomial_text(terms):
 def cmd_moments(args):
     n_list = sizes(args.N_list, "--N-list")
     w = load_word(args.word)
-    model = parse_model(args.model)
+    model = flagged("--model", parse_model, args.model)
     c, cp = model.c, model.c_prime
     check_letters(len(w))  # the oracle guard, before the limit evaluators spend their time
     start = time.perf_counter()
@@ -356,7 +356,7 @@ def cmd_moments(args):
 
 def cmd_oracle(args):
     w = load_word(args.word)
-    model = parse_model(args.model)
+    model = flagged("--model", parse_model, args.model)
     N, L = args.N, len(w)
     check_letters(L)  # before the law's table of that order is built
     plain = sum(letter.eps == "1" for letter in w.letters)
@@ -409,8 +409,8 @@ def spectrum_csv(moments):
 
 def cmd_spectrum(args):
     report = run_experiment(
-        parse_model(args.model), Target[args.target], args.k, args.N, args.trials, args.n_max,
-        args.seed, with_hist=bool(args.hist),
+        flagged("--model", parse_model, args.model), Target[args.target], args.k, args.N,
+        args.trials, args.n_max, args.seed, with_hist=bool(args.hist),
     )
     if args.hist:
         with open(args.hist, "w") as fh:
@@ -448,13 +448,13 @@ def partition(flag, text, k):
 
 def cmd_freeness(args):
     k = args.k
-    model = parse_model(args.model)
+    model = flagged("--model", parse_model, args.model)
     payload, lines = {}, []
     counters = {"mixture_terms": 0, "letters": 0}
     timings = {"characters_s": 0.0, "letters_s": 0.0}
-    if args.rho2 is not None and not args.rho:
+    if args.rho2 is not None and args.rho is None:
         raise ValueError("--rho2: given without --rho")
-    if args.rho:
+    if args.rho is not None:
         start = time.perf_counter()
         rho = partition("--rho", args.rho, k)
         rho2 = rho if args.rho2 is None else partition("--rho2", args.rho2, k)
@@ -469,7 +469,7 @@ def cmd_freeness(args):
             f"cross_free={cross} a_scalar={a_scal} a2_scalar={a2_scal}"
         )
         timings["characters_s"] = time.perf_counter() - start
-    if args.letters:
+    if args.letters is not None:
         start = time.perf_counter()
         # the criterion tries both eps of every letter, so eps may be left out
         letters = flagged("--letters", lambda text: letters_from_json(json.loads(text), eps="1"),

@@ -27,17 +27,19 @@ per worker and sets it to each trial's state, which trial_states computes for
 a block of trials at once: the streams are trial_rng's, bit for bit.  The
 draws and dot products release the interpreter lock, so
 PairProjection.samples splits the trials into contiguous chunks, one per
-worker thread, up to the CPUs of the process's affinity set.  Every trial's
-column is computed as with one worker, so the estimates are bit-identical for
-any worker count.  Threads are used only when one trial draws at least
-MIN_THREADED_DRAWS = 4096 normals (2 N^2k for the complex and diluted laws,
-N^2k for the real law): on 2 cores, complex trials of k = 2 with N >= 8 and
-of k = 3 with N = 5 took 0.61-0.72x the time of one thread, while trials of
-at most 2592 normals (k = 1; k = 2 with N <= 7) took 1.0-1.9x, as the lock
-passes between their short numpy calls.  Each worker holds its own buffers:
-48 N^2k bytes for the complex laws, 16 N^2k for the real law.  The seeding,
-sampling and estimating timings are summed over every worker's trials, so
-they can exceed the wall time of the call.
+worker, up to the CPUs of the process's affinity set: the caller runs the
+first chunk and a concurrent.futures.ThreadPoolExecutor the others, and
+leaving the pool joins every worker; one worker starts no pool.  Every
+trial's column is computed as with one worker, so the estimates are
+bit-identical for any worker count.  Threads are used only when one trial
+draws at least MIN_THREADED_DRAWS = 4096 normals (2 N^2k for the complex
+and diluted laws, N^2k for the real law): on 2 cores, complex trials of
+k = 2 with N >= 8 and of k = 3 with N = 5 took 0.61-0.72x the time of one
+thread, while trials of at most 2592 normals (k = 1; k = 2 with N <= 7)
+took 1.0-1.9x, as the lock passes between their short numpy calls.  Each
+worker holds its own buffers: 48 N^2k bytes for the complex laws, 16 N^2k
+for the real law.  The seeding, sampling and estimating timings are summed
+over every worker's trials, so they can exceed the wall time of the call.
 
 TensorModel fixes the draw layout.  A trial's stream (draw_halves) is parts
 N^2k standard normals, the real parts then the imaginary parts, and for the
@@ -60,7 +62,6 @@ import functools
 import math
 import operator
 import os
-import threading
 import time
 import types
 import warnings
@@ -559,14 +560,15 @@ class PairProjection:
         of two adjoint letters is the conjugate of the plain one.
 
         The trials are cut into one contiguous chunk per worker (module
-        docstring); the caller runs the first chunk and a thread each of the
-        others, all with their own buffers, each writing only its chunk's
+        docstring); the caller runs the first chunk and a ThreadPoolExecutor
+        the others, all with their own buffers, each writing only its chunk's
         columns.  Each worker reuses one PCG64, set to each trial's state
         from trial_states, SEED_BLOCK trials at a time, so it draws the
-        stream of trial_rng(seed, trial).  A worker's exception is raised here
-        once every worker has been joined.  Sets self.workers, and
-        self.timings: seeding, sampling and estimating time, summed over the
-        trials of every worker."""
+        stream of trial_rng(seed, trial).  Leaving the pool joins every
+        worker, and the lowest failing chunk's exception is raised only after
+        all of them are done; one worker starts no pool.  Sets self.workers, and self.timings: seeding,
+        sampling and estimating time, summed over the trials of every
+        worker."""
         check_trials(self.k, trials)
         model.check_samplable()
         size, side = self.N ** (2 * self.k), self.N**self.k
@@ -610,23 +612,13 @@ class PairProjection:
 
         workers = max(1, min(usable_cpus(), trials)) if draws >= MIN_THREADED_DRAWS else 1
         chunks = [range(trials * i // workers, trials * (i + 1) // workers) for i in range(workers)]
-        spent, errors = [None] * workers, [None] * workers
-
-        def work(i):
-            try:
-                spent[i] = run(chunks[i])
-            except BaseException as exc:  # raised below, once every worker is joined
-                errors[i] = exc
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(1, workers)]
-        for thread in threads:
-            thread.start()
-        work(0)
-        for thread in threads:
-            thread.join()
-        for exc in errors:
-            if exc is not None:
-                raise exc
+        if workers == 1:  # no pool: an empty one costs a one-worker call about 1 %
+            spent = [run(chunks[0])]
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # only threaded calls import it
+            with ThreadPoolExecutor(workers - 1) as pool:
+                others = [pool.submit(run, chunk) for chunk in chunks[1:]]
+                spent = [run(chunks[0])] + [other.result() for other in others]
         out *= model.gain**2 / (model.scale(self.N, self.k) ** 2 * side)
         self.workers = workers
         self.timings = dict(zip(("seed_s", "sample_s", "estimate_s"), map(sum, zip(*spent))))

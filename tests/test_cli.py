@@ -847,7 +847,7 @@ def test_an_error_after_a_warning_prints_the_error_alone():
 
 def test_model_spec_past_diluted_exits_2(capsys):
     message = usage_error(capsys, "oracle", "--word", WORD_K1, "--N", "3", "--model", "diluted2")
-    assert message == "error: unknown model spec 'diluted2'"
+    assert message == "error: --model: unknown model spec 'diluted2'"
 
 
 @pytest.mark.parametrize("command", ["oracle", "moments"])
@@ -922,7 +922,7 @@ WRONG_DEGREE_WORD = {
         (COVARIANCE_K2 + ["--sigma", "[1,2,3,4]", "--eta", "[1,2,3]"],
          "error: --eta: expected degree k = 2, got 3"),
         (["oracle", "--word", json.dumps(WRONG_DEGREE_WORD), "--N", "2"],
-         "error: degree mismatch: eta has degree 3, the letter k = 2"),
+         "error: --word: degree mismatch: eta has degree 3, the letter k = 2"),
     ],
     ids=["covariance", "oracle"],
 )
@@ -978,9 +978,13 @@ def test_out_file(capsys, tmp_path):
          "error: --rho2: expected a partition of k = 2, got '1.5,0.9'"),
         (["freeness", "--k", "2", "--letters", '[{"sigma": [1, 2, 3, 4]}]', "--rho2", "9"],
          "error: --rho2: given without --rho"),
+        (["freeness", "--k", "2", "--rho", "", "--letters", '[{"sigma": [1, 2, 3, 4]}]'],
+         "error: --rho: expected a partition of k = 2, got []"),
+        (["freeness", "--k", "2", "--rho", "2", "--letters", ""],
+         "error: --letters: Expecting value: line 1 column 1 (char 0)"),
     ],
     ids=["sigma-past-2k", "sigma-short-of-2k", "sigma2", "letters", "rho2", "rho", "rho-floats",
-         "rho-bool", "rho2-floats", "rho2-without-rho"],
+         "rho-bool", "rho2-floats", "rho2-without-rho", "rho-empty", "letters-empty"],
 )
 def test_a_permutation_or_partition_of_the_wrong_size_names_its_flag(capsys, argv, message):
     assert usage_error(capsys, *argv) == message
@@ -1003,9 +1007,27 @@ def test_a_permutation_or_partition_of_the_wrong_size_names_its_flag(capsys, arg
          "error: --letters: a letter lacks the key 'sigma'"),
         (["oracle", "--word", '{"k": 1, "letters": ['],
          "error: --word: Expecting value: line 1 column 22 (char 21)"),
+        (["oracle", "--word", '{"k":1,"letters":[{"sigma":5,"eps":"1"}]}'],
+         "error: --word: a permutation is not a list of integers: 5"),
     ],
     ids=["sigma-json", "sigma-bijection", "sigma2-shape", "eta-bijection", "letters-json",
-         "letters-key", "word-json"],
+         "letters-key", "word-json", "word-shape"],
 )
 def test_malformed_json_of_a_flag_names_the_flag(capsys, argv, message):
+    assert usage_error(capsys, *argv) == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["covariance", "--k", "1", "--sigma", "[2,1]", "--sigma2", "[1,2]", "--model", "foo"],
+         "error: --model: unknown model spec 'foo'"),
+        (["spectrum", "--model", "diluted:p=2"],
+         "error: --model: dilution probability 2.0 outside (0, 1]"),
+        (["moments", "--word", WORD_K1, "--model", "diluted:q=1"],
+         "error: --model: unknown diluted parameter 'q'"),
+    ],
+    ids=["covariance", "spectrum", "moments"],
+)
+def test_a_model_spec_fault_names_the_flag(capsys, argv, message):
     assert usage_error(capsys, *argv) == message

@@ -71,6 +71,11 @@ def test_script_runs(tmp_path, name, argv):
         ("word_trend.py", ["--word", '{"k": 1, "letters": []}'], "at least one letter"),
         ("word_trend.py", ["--word", json.dumps(TWISTED), "--trials", "1"],
          "--trials: must be 0 or at least 2"),
+        ("word_trend.py", ["--word", json.dumps(TWISTED), "--model", "foo"],
+         "--model: unknown model spec 'foo'"),
+        ("covariance_scan.py", ["--k", "1", "--model", "foo"], "--model: unknown model spec 'foo'"),
+        ("spectrum_experiment.py", ["--k", "1", "--model", "foo"],
+         "--model: unknown model spec 'foo'"),
     ],
 )
 def test_bad_input_exits_2_in_one_line(tmp_path, name, argv, message):

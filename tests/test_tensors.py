@@ -439,25 +439,71 @@ def test_samples_stay_on_one_thread_below_the_cutoff(monkeypatch):
         assert project.workers == workers
 
 
-def test_a_failing_worker_fails_the_call(monkeypatch):
-    # 5 trials on 2 workers: chunks 0..1 and 2..4; trial 3 raises in the second
-    bad = trial_rng(6, 3).bit_generator.state
-    drawn = []
+def patch_draws(monkeypatch, seed, trials, failing=()):
+    """Patches draw_halves to raise on the streams of the failing trials,
+    each once some trial has been drawn, as a failure met while another
+    worker draws; returns the list it fills with (trial, the drawing
+    thread's ident, threading.active_count()) for every other draw."""
+    trial_of = {rng_state(seed, t)[0]: t for t in range(trials)}
+    drawn, drawing = [], threading.Event()
 
     def draw(model, size, rng, out):
-        if rng.bit_generator.state == bad:
-            raise RuntimeError("draw failed")
-        drawn.append(rng.bit_generator.state)
+        trial = trial_of[rng.bit_generator.state["state"]["state"]]
+        if trial in failing:
+            drawing.wait(5)
+            raise RuntimeError(f"trial {trial} failed")
+        drawn.append((trial, threading.get_ident(), threading.active_count()))
+        drawing.set()
         return draw_halves(model, size, rng, out)
 
     monkeypatch.setattr(tensors, "draw_halves", draw)
-    w = Word(1, (Letter(Permutation([2, 1]), "1"), Letter(Permutation([1, 2]), "*")))
+    return drawn
+
+
+PAIR_K1 = Word(1, (Letter(Permutation([2, 1]), "1"), Letter(Permutation([1, 2]), "*")))
+
+
+def test_a_failing_worker_fails_the_call(monkeypatch):
+    # 5 trials on 2 workers: chunks 0..1 and 2..4; trial 3 raises in the second
+    drawn = patch_draws(monkeypatch, 6, 5, failing={3})
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="draw failed"):
-        threaded_samples(monkeypatch, 2, CG, w, 3, 6, 5)
+    with pytest.raises(RuntimeError, match="trial 3 failed"):
+        threaded_samples(monkeypatch, 2, CG, PAIR_K1, 3, 6, 5)
     assert threading.active_count() == before
-    # trials 0 to 2: the first chunk ran to its end, the second to its failure
-    assert len(drawn) == 3
+    # trials 0 to 2: the first chunk ran to its end on the caller, the second
+    # to its failure
+    assert sorted(trial for trial, *_ in drawn) == [0, 1, 2]
+    assert {trial for trial, ident, _ in drawn if ident == threading.get_ident()} == {0, 1}
+
+
+def test_a_failing_caller_chunk_is_raised_after_the_other_workers(monkeypatch):
+    # 5 trials on 2 workers: the caller's chunk 0..1 fails at trial 0 while
+    # the worker of chunk 2..4 draws, which still draws every trial
+    drawn = patch_draws(monkeypatch, 6, 5, failing={0})
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="trial 0 failed"):
+        threaded_samples(monkeypatch, 2, CG, PAIR_K1, 3, 6, 5)
+    assert sorted(trial for trial, *_ in drawn) == [2, 3, 4]
+    assert threading.active_count() == before
+
+
+def test_of_two_failing_chunks_the_lower_is_raised(monkeypatch):
+    # 6 trials on 3 workers: chunks 0..1, 2..3 and 4..5; chunk 2 fails at
+    # its first trial, chunk 1 at its second
+    drawn = patch_draws(monkeypatch, 6, 6, failing={3, 4})
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="trial 3 failed"):
+        threaded_samples(monkeypatch, 3, CG, PAIR_K1, 3, 6, 6)
+    assert sorted(trial for trial, *_ in drawn) == [0, 1, 2]
+    assert threading.active_count() == before
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    drawn = patch_draws(monkeypatch, 6, 5)
+    before = threading.active_count()
+    project, _ = threaded_samples(monkeypatch, 1, CG, PAIR_K1, 3, 6, 5)
+    assert project.workers == 1
+    assert drawn == [(trial, threading.get_ident(), before) for trial in range(5)]
 
 
 @settings(max_examples=60, deadline=None)
