@@ -29,7 +29,7 @@ draws and dot products release the interpreter lock, so
 PairProjection.samples splits the trials into contiguous chunks, one per
 worker, up to the CPUs of the process's affinity set: the caller runs the
 first chunk and a concurrent.futures.ThreadPoolExecutor the others, and
-leaving the pool joins every worker; one worker starts no thread.  Every
+leaving the pool joins every worker; one worker starts no pool.  Every
 trial's column is computed as with one worker, so the estimates are
 bit-identical for any worker count.  Threads are used only when one trial
 draws at least MIN_THREADED_DRAWS = 4096 normals (2 N^2k for the complex
@@ -566,9 +566,9 @@ class PairProjection:
         from trial_states, SEED_BLOCK trials at a time, so it draws the
         stream of trial_rng(seed, trial).  Leaving the pool joins every
         worker, and the lowest failing chunk's exception is raised only after
-        all of them are done; one worker submits nothing, so no thread starts.
-        Sets self.workers, and self.timings: seeding, sampling and estimating
-        time, summed over the trials of every worker."""
+        all of them are done; one worker starts no pool.  Sets self.workers,
+        and self.timings: seeding, sampling and estimating time, summed over
+        the trials of every worker."""
         check_trials(self.k, trials)
         model.check_samplable()
         size, side = self.N ** (2 * self.k), self.N**self.k
@@ -612,10 +612,13 @@ class PairProjection:
 
         workers = max(1, min(usable_cpus(), trials)) if draws >= MIN_THREADED_DRAWS else 1
         chunks = [range(trials * i // workers, trials * (i + 1) // workers) for i in range(workers)]
-        from concurrent.futures import ThreadPoolExecutor  # only covariance starts threads
-        with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-            others = [pool.submit(run, chunk) for chunk in chunks[1:]]
-            spent = [run(chunks[0])] + [other.result() for other in others]
+        if workers == 1:  # an empty pool costs such a call about 1 % (README)
+            spent = [run(chunks[0])]
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # only threaded calls import it
+            with ThreadPoolExecutor(workers - 1) as pool:
+                others = [pool.submit(run, chunk) for chunk in chunks[1:]]
+                spent = [run(chunks[0])] + [other.result() for other in others]
         out *= model.gain**2 / (model.scale(self.N, self.k) ** 2 * side)
         self.workers = workers
         self.timings = dict(zip(("seed_s", "sample_s", "estimate_s"), map(sum, zip(*spent))))
