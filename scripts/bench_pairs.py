@@ -4,8 +4,11 @@
     PYTHONPATH=src python3 scripts/bench_pairs.py --parent DIR --change DIR \
         --workload spectral --seeds 1:10,2:5 --out BENCH_spectral.json
 
-DIR is a checkout of each side (a git clone or export of the parent commit,
-a copy of the changed tree).  For each SEED:PAIRS item, it runs
+DIR is a checkout of each side, the parent commit and the change, and the
+two must lie in one directory: the same tree read op_p50_ms 1.02 times as
+high from a checkout placed elsewhere than its parent's, so the script exits
+2 otherwise.  Git clones side by side are the placement the BENCH files
+use.  For each SEED:PAIRS item, it runs
 `python3 bench/run.py --workload W --seed SEED --seconds S --trace 0` in
 both checkouts PAIRS times, one run at a time, and alternates from pair to
 pair which side runs first; S is the run_seconds of the change's
@@ -13,7 +16,10 @@ BENCHMARK.json.  It writes the `# machine` header of the first
 run and, per seed and metric, each side's runs, median and quartiles
 (statistics.quantiles, inclusive), the ratio of the medians
 (change_over_parent), the number of pairs in which the change is lower,
-and the failed and attempted op counts of each side.
+and the failed and attempted op counts of each side.  For each side it
+records the commit that bench/run.py reads and whether the checkout has
+uncommitted changes (git status), since an uncommitted change reads as
+its parent's commit.
 """
 
 import json
@@ -41,6 +47,16 @@ def seed_pairs(text):
         if not sep or items[-1][1] < 1:
             raise ValueError(f"--seeds: expected SEED:PAIRS with PAIRS >= 1, got {item!r}")
     return items
+
+
+def uncommitted(checkout):
+    """Whether git status lists a change in the checkout; None for a checkout
+    without a .git of its own, whose commit bench/run.py does not read."""
+    if not (checkout / ".git").exists():
+        return None
+    done = subprocess.run(["git", "status", "--porcelain"], cwd=checkout, capture_output=True,
+                          text=True)
+    return bool(done.stdout.strip()) if done.returncode == 0 else None
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -99,10 +115,14 @@ def main():
     args = ap.parse_args()
     items = seed_pairs(args.seeds)
     dirs = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    if dirs["parent"].parent != dirs["change"].parent:
+        raise ValueError(f"--parent and --change must lie in one directory, not in "
+                         f"{dirs['parent'].parent} and {dirs['change'].parent}")
     for side, path in dirs.items():
         if not (path / "bench" / "run.py").is_file():
             raise ValueError(f"--{side}: no bench/run.py under {path}")
     seconds = json.loads((dirs["change"] / "BENCHMARK.json").read_text())["run_seconds"]
+    dirty = {side: uncommitted(path) for side, path in dirs.items()}
     machine, commits, summary, order = None, {}, [], 0
     for seed, count in items:
         pairs = []
@@ -122,8 +142,8 @@ def main():
     report = {
         "command": f"python3 bench/run.py --workload {args.workload} --seed S "
                    f"--seconds {seconds} --trace 0",
-        "parent": {"dir": dirs["parent"].name, "git_commit": commits["parent"]},
-        "change": {"dir": dirs["change"].name, "git_commit": commits["change"]},
+        **{side: {"dir": dirs[side].name, "git_commit": commits[side],
+                  "uncommitted": dirty[side]} for side in SIDES},
         "protocol": "parent and change alternate within each pair, and which side runs first "
                     "alternates from pair to pair; one run at a time. Quartiles: "
                     "statistics.quantiles(method='inclusive').",

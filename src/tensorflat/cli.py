@@ -279,6 +279,7 @@ def cmd_covariance(args):
         "matmuls": 0,  # per trial: the letters meet in gathered dot products
         "map_entries": math.factorial(k) * N ** (2 * k),
         "workers": project.workers,
+        "block_trials": project.block_trials,
     }
     timings = {"maps_s": maps_s, **project.timings, "peak_rss_mb": peak_rss_mb()}
     emit(args, {"rows": rows, "passed": passed, "counters": counters, "timings": timings}, lines)

@@ -33,13 +33,17 @@ leaving the pool joins every worker; one worker starts no pool.  Every
 trial's column is computed as with one worker, so the estimates are
 bit-identical for any worker count.  Threads are used only when one trial
 draws at least MIN_THREADED_DRAWS = 4096 normals (2 N^2k for the complex
-and diluted laws, N^2k for the real law): on 2 cores, complex trials of
-k = 2 with N >= 8 and of k = 3 with N = 5 took 0.61-0.72x the time of one
-thread, while trials of at most 2592 normals (k = 1; k = 2 with N <= 7)
-took 1.0-1.9x, as the lock passes between their short numpy calls.  Each
-worker holds its own buffers: 48 N^2k bytes for the complex laws, 16 N^2k
-for the real law.  The seeding, sampling and estimating timings are summed
-over every worker's trials, so they can exceed the wall time of the call.
+and diluted laws, N^2k for the real law): on 2 cores two threads took
+0.59-0.86x the time of one above it, and 0.94-2.6x below it (README).  A
+worker takes its chunk in blocks of B = max(1, BLOCK_ENTRIES // N^2k)
+trials, or all the call's trials if fewer: per trial it sets the state and
+draws into a row of a reused (B, parts N^2k) buffer, and per block it
+composes one (B, N^2k) z and makes one gather and one row-wise dot per map.
+The stacked matmul and vecdot equal np.dot and np.vdot row by row, bit for
+bit.  Each worker holds 48 B N^2k bytes of buffers for the complex laws and
+16 B N^2k for the real law, at most 192 KiB below the bound.  The seeding,
+sampling and estimating timings are summed over every worker's trials, so
+they can exceed the wall time of the call.
 
 TensorModel fixes the draw layout.  A trial's stream (draw_halves) is parts
 N^2k standard normals, the real parts then the imaginary parts, and for the
@@ -59,6 +63,7 @@ real half's chunks alone, so a Gaussian trial of it draws no imaginary half.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import os
@@ -462,6 +467,9 @@ MIN_THREADED_DRAWS = 4096
 # (tracemalloc), so at most 2 MB a worker at any trial count.
 SEED_BLOCK = 4096
 
+# Bound on the entries of a block of PairProjection.samples (module docstring).
+BLOCK_ENTRIES = 4096
+
 
 def check_trials(k, trials):
     """The guard on the k! trials estimates of PairProjection.samples."""
@@ -555,59 +563,67 @@ class PairProjection:
         """The k! x trials complex array of the projection's coefficients on
         sample_tensor(model, N, k, seed, trial), rows in group(k) order: sums
         over the unscaled draws z, scaled once (module docstring).  Each sum is
-        one dot product, chosen once by the letters' eps: vdot conjugates its
-        first argument, so the adjoint letter's entries go first, and a sum
-        of two adjoint letters is the conjugate of the plain one.
+        a row of one row-wise dot, chosen once by the letters' eps: vecdot
+        conjugates its first argument, so the adjoint letter's entries go
+        first, and a sum of two adjoint letters is the conjugate of the plain
+        one.
 
         The trials are cut into one contiguous chunk per worker (module
         docstring); the caller runs the first chunk and a ThreadPoolExecutor
         the others, all with their own buffers, each writing only its chunk's
         columns.  Each worker reuses one PCG64, set to each trial's state
         from trial_states, SEED_BLOCK trials at a time, so it draws the
-        stream of trial_rng(seed, trial).  Leaving the pool joins every
-        worker, and the lowest failing chunk's exception is raised only after
-        all of them are done; one worker starts no pool.  Sets self.workers,
-        and self.timings: seeding, sampling and estimating time, summed over
-        the trials of every worker."""
+        stream of trial_rng(seed, trial), in blocks of block_trials trials
+        (module docstring) that the seed blocks may cut across.  Leaving the
+        pool joins every worker, and the lowest failing chunk's exception is
+        raised only after all of them are done; one worker starts no pool.
+        Sets self.workers, self.block_trials, and self.timings: seeding,
+        sampling and estimating time, summed over the trials of every worker."""
         check_trials(self.k, trials)
         model.check_samplable()
         size, side = self.N ** (2 * self.k), self.N**self.k
         real = model.parts == 1
         draws = model.parts * size
-        dot = {
-            ("1", "1"): np.dot,
-            ("*", "1"): np.vdot,
-            ("1", "*"): lambda met, z: np.vdot(z, met),
-            ("*", "*"): lambda met, z: np.dot(met, z).conjugate(),
+        block = max(1, min(trials, BLOCK_ENTRIES // size))  # trials a block
+        dot = {  # into c, row by row np.dot's and np.vdot's sums to the bit
+            ("1", "1"): lambda m, z, c: np.matmul(m[:, None], z[:, :, None], out=c[:, None, None]),
+            ("*", "1"): lambda m, z, c: np.vecdot(m, z, out=c),
+            ("1", "*"): lambda m, z, c: np.vecdot(z, m, out=c),
+            ("*", "*"): lambda m, z, c: np.conjugate(
+                np.matmul(m[:, None], z[:, :, None], out=c[:, None, None])[:, 0, 0], out=c),
         }[self.eps]
         out = np.empty((len(self.maps), trials), dtype=complex)
 
         def run(chunk):
-            buf = np.empty(draws)
-            z = buf if real else np.empty(size, dtype=complex)
+            buf = np.empty((block, draws))
+            z = buf if real else np.empty((block, size), dtype=complex)
             met = np.empty_like(z)
             rng = np.random.Generator(np.random.PCG64())
             seed_s = sample_s = estimate_s = 0.0
-            for at in range(0, len(chunk), SEED_BLOCK):
+            stream = itertools.chain.from_iterable(  # SEED_BLOCK trials a call, as needed
+                trial_states(seed, chunk[at:at + SEED_BLOCK])
+                for at in range(0, len(chunk), SEED_BLOCK))
+            for at in range(0, len(chunk), block):
+                cols = chunk[at:at + block]
                 start = time.perf_counter()
-                block = chunk[at:at + SEED_BLOCK]
-                states = trial_states(seed, block)
-                seed_s += time.perf_counter() - start
-                for trial, (state, inc) in zip(block, states):
-                    start = time.perf_counter()
+                states = list(itertools.islice(stream, len(cols)))
+                seeded = time.perf_counter()
+                for row, (state, inc) in zip(buf, states):
                     rng.bit_generator.state = {
                         "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                         "has_uint32": 0, "uinteger": 0,
                     }
-                    draw_halves(model, size, rng, buf)
-                    if not real:
-                        z.real, z.imag = buf[:size], buf[size:]
-                    sampled = time.perf_counter()
-                    for row, q in enumerate(self.maps):
-                        z.take(q, out=met)
-                        out[row, trial] = dot(met, z)
-                    sample_s += sampled - start
-                    estimate_s += time.perf_counter() - sampled
+                    draw_halves(model, size, rng, row)
+                zs, mets = z[:len(cols)], met[:len(cols)]
+                if not real:
+                    zs.real, zs.imag = buf[:len(cols), :size], buf[:len(cols), size:]
+                sampled = time.perf_counter()
+                for q, cell in zip(self.maps, out[:, cols.start:cols.stop]):
+                    zs.take(q, axis=1, out=mets, mode="clip")  # q is in range: no checks
+                    dot(mets, zs, cell)
+                seed_s += seeded - start
+                sample_s += sampled - seeded
+                estimate_s += time.perf_counter() - sampled
             return seed_s, sample_s, estimate_s
 
         workers = max(1, min(usable_cpus(), trials)) if draws >= MIN_THREADED_DRAWS else 1
@@ -620,7 +636,7 @@ class PairProjection:
                 others = [pool.submit(run, chunk) for chunk in chunks[1:]]
                 spent = [run(chunks[0])] + [other.result() for other in others]
         out *= model.gain**2 / (model.scale(self.N, self.k) ** 2 * side)
-        self.workers = workers
+        self.workers, self.block_trials = workers, block
         self.timings = dict(zip(("seed_s", "sample_s", "estimate_s"), map(sum, zip(*spent))))
         return out
 

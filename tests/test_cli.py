@@ -106,9 +106,11 @@ def test_covariance_command(capsys):
     payload = json.loads(out)
     limit = {tuple(r["eta"]): r["limit"] for r in payload["rows"]}
     assert limit[(1,)] == [1.0, 0.0]
-    # 2 N^2k = 72 normals a trial, below the threading cutoff: one worker
+    # 2 N^2k = 72 normals a trial, below the threading cutoff: one worker;
+    # 4096 // 36 = 113 trials of 36 entries fit a block, so all 40 make one
     assert payload["counters"] == {
-        "side": 6, "trials": 40, "pairings": 1, "matmuls": 0, "map_entries": 36, "workers": 1
+        "side": 6, "trials": 40, "pairings": 1, "matmuls": 0, "map_entries": 36, "workers": 1,
+        "block_trials": 40,
     }
     assert set(payload["timings"]) == {"maps_s", "seed_s", "sample_s", "estimate_s", "peak_rss_mb"}
     assert all(v >= 0 for v in payload["timings"].values())
@@ -123,7 +125,9 @@ def test_covariance_counts_the_workers_it_used(capsys, monkeypatch):
     for trials, workers in [(2, 2), (5, 3)]:
         code, out = run(capsys, *argv, "--trials", str(trials))
         assert code == 0
-        assert json.loads(out)["counters"]["workers"] == workers
+        counters = json.loads(out)["counters"]
+        assert counters["workers"] == workers
+        assert counters["block_trials"] == 1  # 2401 entries a trial, past the block bound
 
 
 def formed_product(t, sigma, eps, eta, sigma2, eps2):

@@ -204,3 +204,31 @@ def test_bench_pairs_refuses_a_bad_seed_list(text):
     err = run_script("bench_pairs.py", "--parent", str(ROOT), "--change", str(ROOT), "--workload", "limit",
                      "--seeds", text, "--out", "unused.json", code=2)
     assert err.count("\n") == 1 and err.startswith("error: --seeds")
+
+
+def test_bench_pairs_refuses_checkouts_in_two_directories(tmp_path):
+    # a stub checkout of each side, each with a bench/run.py, in two parents
+    sides = [tmp_path / "a" / "parent", tmp_path / "b" / "change"]
+    for side in sides:
+        (side / "bench").mkdir(parents=True)
+        (side / "bench" / "run.py").write_text("")
+    err = run_script("bench_pairs.py", "--parent", str(sides[0]), "--change", str(sides[1]),
+                     "--workload", "limit", "--seeds", "1:1", "--out", str(tmp_path / "x.json"),
+                     code=2)
+    assert err.count("\n") == 1 and "must lie in one directory" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_bench_pairs_records_uncommitted_changes(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import bench_pairs
+
+    assert bench_pairs.uncommitted(tmp_path) is None  # no .git of its own
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "init", "-q"], cwd=tmp_path, check=True)
+    (tmp_path / "f.txt").write_text("1")
+    subprocess.run([*git, "add", "f.txt"], cwd=tmp_path, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "f"], cwd=tmp_path, check=True)
+    assert bench_pairs.uncommitted(tmp_path) is False
+    (tmp_path / "f.txt").write_text("2")
+    assert bench_pairs.uncommitted(tmp_path) is True

@@ -428,6 +428,32 @@ def test_samples_seed_each_worker_in_blocks(monkeypatch):
     assert np.array_equal(fast, reference_samples(CG, project, 8, 5))
 
 
+@pytest.mark.parametrize("model", LAWS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("bound, block", [(3 * 81, 3), (80, 1)])
+def test_samples_cross_block_boundaries(monkeypatch, model, cpus, bound, block):
+    # 81 entries a trial at k = 2, N = 3: a bound of 243 makes blocks of 3
+    # trials, 7 trials 0..2, 3..5, 6 on one worker and 0..2 | 3..5, 6 on two,
+    # which seed blocks of 2 cut across; a bound below one trial, blocks of 1
+    monkeypatch.setattr(tensors, "BLOCK_ENTRIES", bound)
+    monkeypatch.setattr(tensors, "SEED_BLOCK", 2)
+    rows = []
+
+    def draw(model, size, rng, out):  # out is a row of the block's buffer
+        rows.append((out.ctypes.data - out.base.ctypes.data) // out.nbytes)
+        return draw_halves(model, size, rng, out)
+
+    monkeypatch.setattr(tensors, "draw_halves", draw)
+    sigma = Permutation([3, 1, 4, 2])
+    for eps in itertools.product("1*", repeat=2):
+        w = Word(2, (Letter(sigma, eps[0]).followed_by(Permutation([2, 1])), Letter(sigma, eps[1])))
+        rows.clear()
+        project, fast = threaded_samples(monkeypatch, cpus, model, w, 3, 12, 7)
+        assert project.block_trials == block
+        assert sorted(rows) == sorted(t % block for t in [0, 1, 2, 0, 1, 2, 0])
+        assert np.array_equal(fast, reference_samples(model, project, 12, 7))
+
+
 def test_samples_stay_on_one_thread_below_the_cutoff(monkeypatch):
     # 2 N^2k = 2592 complex draws at k = 2, N = 6; 4096 real ones at N = 8
     monkeypatch.setattr(tensors, "usable_cpus", lambda: 2)
@@ -484,6 +510,21 @@ def test_a_failing_caller_chunk_is_raised_after_the_other_workers(monkeypatch):
     with pytest.raises(RuntimeError, match="trial 0 failed"):
         threaded_samples(monkeypatch, 2, CG, PAIR_K1, 3, 6, 5)
     assert sorted(trial for trial, *_ in drawn) == [2, 3, 4]
+    assert threading.active_count() == before
+
+
+def test_a_failure_within_a_block_is_raised_after_the_other_workers(monkeypatch):
+    # blocks of 3 trials, seeded 2 at a time: 7 trials on 2 workers, chunks
+    # 0..2 and 3..6; the caller's block 0..2 fails at trial 1 while the
+    # worker of chunk 3..6 draws, which still draws its blocks 3..5 and 6
+    monkeypatch.setattr(tensors, "BLOCK_ENTRIES", 3 * 81)
+    monkeypatch.setattr(tensors, "SEED_BLOCK", 2)
+    drawn = patch_draws(monkeypatch, 6, 7, failing={1})
+    before = threading.active_count()
+    w = Word(2, (Letter(Permutation([3, 1, 4, 2]), "1"), Letter(Permutation([1, 2, 3, 4]), "*")))
+    with pytest.raises(RuntimeError, match="trial 1 failed"):
+        threaded_samples(monkeypatch, 2, CG, w, 3, 6, 7)
+    assert [trial for trial, *_ in drawn if trial != 0] == [3, 4, 5, 6]
     assert threading.active_count() == before
 
 
