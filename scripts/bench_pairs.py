@@ -12,13 +12,14 @@ use.  For each SEED:PAIRS item, it runs
 `python3 bench/run.py --workload W --seed SEED --seconds S --trace 0` in
 both checkouts PAIRS times, one run at a time, and alternates from pair to
 pair which side runs first; S is the run_seconds of the change's
-BENCHMARK.json.  It writes the `# machine` header of the first
-run and, per seed and metric, each side's runs, median and quartiles
+BENCHMARK.json.  It writes the `# machine` header of the first run and,
+per seed and metric, each side's runs, median and quartiles
 (statistics.quantiles, inclusive), the ratio of the medians
 (change_over_parent), the number of pairs in which the change is lower,
-and the failed and attempted op counts of each side.  For each side it
-records the commit that bench/run.py reads and whether the checkout has
-uncommitted changes (git status), since an uncommitted change reads as
+and the failed and attempted op counts of each side.  A run whose machine
+(nproc, blas_threads, numpy, ...) is not the first run's exits 2.  For each
+side it records the commit that bench/run.py reads and whether the checkout
+has uncommitted changes (git status), since an uncommitted change reads as
 its parent's commit.
 """
 
@@ -28,25 +29,19 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tensorflat.cli import Parser
+from tensorflat.cli import Parser, flagged, run
 
 SIDES = ("parent", "change")
 # header fields that differ from run to run or from side to side
 RUN_FIELDS = ("workload", "seed", "git_commit")
 
 
-def seed_pairs(text):
-    """SEED:PAIRS items, comma separated, as (seed, pairs) tuples."""
-    items = []
-    for item in text.split(","):
-        seed, sep, pairs = item.partition(":")
-        try:
-            items.append((int(seed), int(pairs)))
-        except ValueError:
-            raise ValueError(f"--seeds: expected SEED:PAIRS items, got {item!r}") from None
-        if not sep or items[-1][1] < 1:
-            raise ValueError(f"--seeds: expected SEED:PAIRS with PAIRS >= 1, got {item!r}")
-    return items
+def seed_pair(item):
+    """One SEED:PAIRS item of --seeds as a (seed, pairs) tuple."""
+    seed, sep, pairs = item.partition(":")
+    if not sep or int(pairs) < 1:
+        raise ValueError(f"expected SEED:PAIRS with PAIRS >= 1, got {item!r}")
+    return int(seed), int(pairs)
 
 
 def uncommitted(checkout):
@@ -71,6 +66,16 @@ def run_once(checkout, workload, seed, seconds):
     header = next(json.loads(line[len("# machine "):]) for line in lines
                   if line.startswith("# machine "))
     return header, json.loads(lines[-1])
+
+
+def same_machine(machine, header, checkout):
+    """header's fields but RUN_FIELDS, which must equal machine, the first run's."""
+    own = {key: value for key, value in header.items() if key not in RUN_FIELDS}
+    for field in sorted(machine.keys() | own.keys()) if machine is not None else ():
+        if machine.get(field) != own.get(field):
+            raise ValueError(f"{checkout}: runs on different machines do not compare: {field} "
+                             f"{machine.get(field)!r} in the first run, {own.get(field)!r} here")
+    return own
 
 
 def spread(values):
@@ -113,7 +118,7 @@ def main():
     ap.add_argument("--seeds", required=True, help="SEED:PAIRS items, e.g. 1:10,2:5")
     ap.add_argument("--out", required=True, help="the BENCH JSON file to write")
     args = ap.parse_args()
-    items = seed_pairs(args.seeds)
+    items = [flagged("--seeds", seed_pair, item) for item in args.seeds.split(",")]
     dirs = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     if dirs["parent"].parent != dirs["change"].parent:
         raise ValueError(f"--parent and --change must lie in one directory, not in "
@@ -131,8 +136,7 @@ def main():
             for side in SIDES[::-1] if order % 2 else SIDES:
                 header, pair[side] = run_once(dirs[side], args.workload, seed, seconds)
                 commits[side] = header["git_commit"]
-                if machine is None:
-                    machine = {k: v for k, v in header.items() if k not in RUN_FIELDS}
+                machine = same_machine(machine, header, dirs[side])
             order += 1
             pairs.append(pair)
             print(f"seed {seed} pair {len(pairs)}: wall_s parent "
@@ -154,8 +158,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except (ValueError, OSError) as exc:  # as tensorflat's CLI: one line, exit 2
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
+    raise SystemExit(run(main))

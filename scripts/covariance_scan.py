@@ -7,9 +7,7 @@ computed at two sizes and compared against the limiting value; the table
 lists the pairs with the largest fitted 1/N constants.
 """
 
-import sys
-
-from tensorflat.cli import Parser, bounded, flagged
+from tensorflat.cli import MAX_SIZE, Parser, bounded, flagged, run
 from tensorflat.moments import plain_word, word_phi
 from tensorflat.perms import group
 from tensorflat.tensors import parse_model
@@ -19,8 +17,8 @@ from tensorflat.traffic import full_trace_expect_detailed
 def main():
     ap = Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--k", type=bounded(1), default=2)
-    ap.add_argument("--N", type=bounded(1), default=4)
-    ap.add_argument("--N2", type=bounded(1), default=8)
+    ap.add_argument("--N", type=bounded(1, MAX_SIZE), default=4)
+    ap.add_argument("--N2", type=bounded(1, MAX_SIZE), default=8)
     ap.add_argument("--model", default="complex_ginibre")
     ap.add_argument("--top", type=bounded(0), default=10)
     args = ap.parse_args()
@@ -50,8 +48,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except (ValueError, OSError) as exc:  # as tensorflat's CLI: one line, exit 2
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
+    raise SystemExit(run(main))

@@ -30,7 +30,7 @@ from pathlib import Path  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import workloads  # noqa: E402
-from tensorflat.cli import Parser  # noqa: E402
+from tensorflat.cli import Parser, run  # noqa: E402
 
 
 def without_timings(value):
@@ -77,4 +77,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run(main))

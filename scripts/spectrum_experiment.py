@@ -8,9 +8,8 @@ Example:
 
 import json
 import pathlib
-import sys
 
-from tensorflat.cli import Parser, bounded, flagged, sizes, spectrum_csv
+from tensorflat.cli import Parser, bounded, flagged, run, sizes, spectrum_csv
 from tensorflat.moments import MAX_MOMENT_ORDER, Target
 from tensorflat.spectra import histogram_svg, run_experiment
 from tensorflat.tensors import parse_model
@@ -28,7 +27,7 @@ def main():
     ap.add_argument("--out-dir", default="out")
     args = ap.parse_args()
 
-    n_list = sizes(args.sizes, "--sizes")
+    n_list = flagged("--sizes", sizes, args.sizes)
     model = flagged("--model", parse_model, args.model)
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -49,8 +48,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except (ValueError, OSError) as exc:  # as tensorflat's CLI: one line, exit 2
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
+    raise SystemExit(run(main))

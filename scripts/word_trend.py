@@ -10,11 +10,10 @@ uses:
 """
 
 import math
-import sys
 
 import numpy as np
 
-from tensorflat.cli import Parser, bounded, flagged, load_word, sizes
+from tensorflat.cli import Parser, bounded, flagged, load_word, run, sizes
 from tensorflat.moments import word_phi
 from tensorflat.tensors import parse_model, phi_N, sample_tensor, word_eval
 from tensorflat.traffic import full_trace_expect_detailed
@@ -31,7 +30,7 @@ def main():
     if args.trials == 1:  # one trial gives no standard error
         ap.error(f"argument --trials: must be 0 or at least 2, got {args.trials}")
 
-    n_list = sizes(args.sizes, "--sizes")
+    n_list = flagged("--sizes", sizes, args.sizes)
     w = load_word(args.word)
     model = flagged("--model", parse_model, args.model)
     limit = complex(word_phi(w, model.c, model.c_prime))
@@ -62,8 +61,4 @@ def main():
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except (ValueError, OSError) as exc:  # as tensorflat's CLI: one line, exit 2
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
+    raise SystemExit(run(main))

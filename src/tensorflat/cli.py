@@ -4,6 +4,7 @@ Subcommands: check, covariance, moments, oracle, spectrum, freeness.
 Exit codes: 0 pass, 1 tolerance failure, 2 usage or guard error.  Warnings
 raised by a command that completes are printed after it, one line each, as
 "warning: <message>"; a command that exits 2 prints only its error line.
+Every script under scripts/ runs through the same runner, run, warnings included.
 """
 
 from __future__ import annotations
@@ -56,11 +57,12 @@ from .tensors import (
 from .traffic import check_letters, full_trace_expect_detailed, word_cond_expect_exact
 
 
-def flagged(flag, parse, text):
-    """parse(text), where a ValueError names flag, the flag that gave text."""
+def flagged(flag, parse, text, *args):
+    """parse(text, *args), where a ValueError, or the RecursionError of JSON nested
+    past the recursion limit, names flag, the flag that gave text."""
     try:
-        return parse(text)
-    except ValueError as exc:
+        return parse(text, *args)
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{flag}: {exc}") from None
 
 
@@ -298,7 +300,7 @@ def polynomial_text(terms):
 
 
 def cmd_moments(args):
-    n_list = sizes(args.N_list, "--N-list")
+    n_list = flagged("--N-list", sizes, args.N_list)
     w = load_word(args.word)
     model = flagged("--model", parse_model, args.model)
     c, cp = model.c, model.c_prime
@@ -436,14 +438,14 @@ def cmd_spectrum(args):
 # --- freeness ----------------------------------------------------------------
 
 
-def partition(flag, text, k):
-    """The partition of k that flag's text, comma-separated JSON integers, gives."""
+def partition(text, k):
+    """The partition of k that text, comma-separated JSON integers, gives."""
     try:
         parts = check_partition(json.loads(f"[{text}]"))
     except ValueError:  # no JSON, or no weakly decreasing positive integers
-        raise ValueError(f"{flag}: expected a partition of k = {k}, got {text!r}") from None
+        raise ValueError(f"expected a partition of k = {k}, got {text!r}") from None
     if sum(parts) != k:
-        raise ValueError(f"{flag}: expected a partition of k = {k}, got {list(parts)}")
+        raise ValueError(f"expected a partition of k = {k}, got {list(parts)}")
     return parts
 
 
@@ -457,8 +459,8 @@ def cmd_freeness(args):
         raise ValueError("--rho2: given without --rho")
     if args.rho is not None:
         start = time.perf_counter()
-        rho = partition("--rho", args.rho, k)
-        rho2 = rho if args.rho2 is None else partition("--rho2", args.rho2, k)
+        rho = flagged("--rho", partition, args.rho, k)
+        rho2 = rho if args.rho2 is None else flagged("--rho2", partition, args.rho2, k)
         mixtures = character_mixture(k, rho), character_mixture(k, rho2)
         cross, a_scal, a2_scal = freeness_conditions(*mixtures)
         counters["mixture_terms"] = sum(len(m.terms) for m in mixtures)
@@ -495,7 +497,7 @@ def cmd_freeness(args):
 
 class Parser(argparse.ArgumentParser):
     """Reports a rejected command line or config file as a ValueError, which
-    main prints in one line with exit code 2."""
+    run prints in one line with exit code 2."""
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
@@ -523,14 +525,19 @@ def tolerance(text):
     return value
 
 
-def sizes(text, flag):
-    """A comma-separated list of sizes, each at least 1."""
+MAX_SIZE = sys.float_info.max  # TracePolynomial.at reads a size N as a float
+
+
+def sizes(text):
+    """A comma-separated list of sizes, each in 1..MAX_SIZE."""
     try:
         values = [int(v) for v in text.split(",")]
     except ValueError:
-        raise ValueError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
     if min(values) < 1:
-        raise ValueError(f"{flag}: every size must be >= 1, got {text!r}")
+        raise ValueError(f"every size must be >= 1, got {text!r}")
+    if max(values) > MAX_SIZE:
+        raise ValueError(f"every size must be at most {MAX_SIZE}, got {text!r}")
     return values
 
 
@@ -585,7 +592,7 @@ def build_parser():
     p.add_argument("--N-list", dest="N_list", default="4,6,8", help="comma-separated sizes")
 
     p = command("oracle", cmd_oracle, "exact expected trace of a word at finite N")
-    p.add_argument("--N", type=bounded(1), default=5)
+    p.add_argument("--N", type=bounded(1, MAX_SIZE), default=5)
     model(p)
     p.add_argument("--word", required=True)
 
@@ -628,18 +635,23 @@ def parse_command_line(argv):
     return args
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
+def run(body):
+    """The exit code of body(), an entry point's body, under the contract of the
+    module docstring: a ValueError or an OSError is one "error:" line and 2."""
     with warnings.catch_warnings(record=True) as caught:
         try:
-            args = parse_command_line(argv)
-            code = args.func(args)
+            code = body()
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
     return code
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    return run(lambda: (args := parse_command_line(argv)).func(args))
 
 
 if __name__ == "__main__":

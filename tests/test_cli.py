@@ -25,7 +25,7 @@ from tensorflat.tensors import (
     perm_matrix,
     sample_tensor,
 )
-from tensorflat.traffic import full_trace_expect, word_cond_expect_exact
+from tensorflat.traffic import full_trace_expect, full_trace_expect_detailed, word_cond_expect_exact
 
 
 def run(capsys, *argv):
@@ -1035,3 +1035,59 @@ def test_malformed_json_of_a_flag_names_the_flag(capsys, argv, message):
 )
 def test_a_model_spec_fault_names_the_flag(capsys, argv, message):
     assert usage_error(capsys, *argv) == message
+
+
+DEEP = "[" * 5000 + "]" * 5000  # JSON nested past the recursion limit
+HUGE = "1" + "0" * 400  # a size past float range
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["oracle", "--word", '{"k": %s}' % DEEP], "--word"),
+        (["moments", "--word", '{"k": 1, "letters": %s}' % DEEP], "--word"),
+        (COVARIANCE_K2 + ["--sigma", DEEP], "--sigma"),
+        (["covariance", "--k", "2", "--sigma", "[1,2,3,4]", "--sigma2", DEEP], "--sigma2"),
+        (COVARIANCE_K2 + ["--sigma", "[1,2,3,4]", "--eta", DEEP], "--eta"),
+        (["freeness", "--letters", DEEP], "--letters"),
+        (["freeness", "--rho", DEEP], "--rho"),
+        (["freeness", "--rho", "2", "--rho2", DEEP], "--rho2"),
+    ],
+    ids=["oracle-word", "moments-word", "sigma", "sigma2", "eta", "letters", "rho", "rho2"],
+)
+def test_json_nested_past_the_recursion_limit_names_the_flag(capsys, argv, flag):
+    assert usage_error(capsys, *argv).startswith(f"error: {flag}: maximum recursion depth")
+
+
+@pytest.mark.parametrize("command", ["oracle", "moments"])
+def test_a_word_file_nested_past_the_recursion_limit_names_the_flag(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text('{"k": 1, "letters": %s}' % DEEP)
+    message = usage_error(capsys, command, "--word", str(path))
+    assert message.startswith("error: --word: maximum recursion depth")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle", "--word", WORD_K1, "--N", HUGE],
+         f"error: tensorflat oracle: argument --N: must be in 1..1.7976931348623157e+308, "
+         f"got {HUGE}"),
+        (["moments", "--word", WORD_K1, "--N-list", f"4,{HUGE}"],
+         f"error: --N-list: every size must be at most 1.7976931348623157e+308, got '4,{HUGE}'"),
+    ],
+    ids=["oracle", "moments"],
+)
+def test_a_size_past_float_range_names_the_flag(capsys, argv, message):
+    assert usage_error(capsys, *argv) == message
+
+
+def test_the_largest_size_a_float_holds_is_evaluated(capsys):
+    top = int(sys.float_info.max)
+    word = json.dumps({"k": 1, "letters": [{"sigma": [2, 1], "eps": eps} for eps in "1*1*"]})
+    polynomial = full_trace_expect_detailed(Word.from_json(word), parse_model("real_ginibre"))
+    common = ["--word", word, "--model", "real_ginibre", "--format", "json"]
+    code, out = run(capsys, "oracle", *common, "--N", str(top))
+    assert code == 0 and json.loads(out)["exact"] == [polynomial.at(top).real, 0.0]
+    code, out = run(capsys, "moments", *common, "--N-list", f"4,{top}")
+    assert code == 0 and [row["N"] for row in json.loads(out)["trend"]] == [4, top]

@@ -1,5 +1,6 @@
 """The runnable wrappers in scripts/, each run once at tiny sizes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tensorflat.cli import main
+from tensorflat.cli import main, run
 from tensorflat.moments import Word
 from tensorflat.tensors import parse_model
 from tensorflat.traffic import word_cond_expect_exact
@@ -27,6 +28,9 @@ TWISTED = {
     ],
     "etas": [[2, 1]] * 4,
 }
+# JSON nested past the recursion limit, and a size past float range
+DEEP = "[" * 5000 + "]" * 5000
+HUGE = "1" + "0" * 400
 
 
 def run_script(name, *argv, code=0):
@@ -76,6 +80,13 @@ def test_script_runs(tmp_path, name, argv):
         ("covariance_scan.py", ["--k", "1", "--model", "foo"], "--model: unknown model spec 'foo'"),
         ("spectrum_experiment.py", ["--k", "1", "--model", "foo"],
          "--model: unknown model spec 'foo'"),
+        ("pool_digest.py", ["--workload", "nope"], "argument --workload: invalid choice: 'nope'"),
+        ("word_trend.py", ["--word", '{"k": 1, "letters": %s}' % DEEP],
+         "--word: maximum recursion depth exceeded"),
+        ("word_trend.py", ["--word", json.dumps(TWISTED), "--sizes", f"3,{HUGE}"],
+         "--sizes: every size must be at most 1.7976931348623157e+308"),
+        ("covariance_scan.py", ["--k", "1", "--N", HUGE], "argument --N: must be in 1..1.79"),
+        ("covariance_scan.py", ["--k", "1", "--N2", HUGE], "argument --N2: must be in 1..1.79"),
     ],
 )
 def test_bad_input_exits_2_in_one_line(tmp_path, name, argv, message):
@@ -83,6 +94,32 @@ def test_bad_input_exits_2_in_one_line(tmp_path, name, argv, message):
         argv = argv + ["--out-dir", str(tmp_path)]
     err = run_script(name, *argv, code=2)
     assert err.count("\n") == 1 and err.startswith("error:") and message in err
+
+
+def test_every_script_runs_under_the_cli_runner():
+    # the command-line contract is written once, in cli.run: no script
+    # catches a ValueError or an OSError itself, and every __main__ block
+    # hands its body to run
+    names = []
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names.append(path.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler):
+                caught = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)} \
+                    if node.type else {"BaseException"}
+                assert not caught & {"ValueError", "OSError", "Exception", "BaseException"}, \
+                    f"{path.name}:{node.lineno}"
+        imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                    and node.module == "tensorflat.cli" for alias in node.names}
+        assert "run" in imported, path.name
+        [block] = [node for node in tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+        calls = {node.func.id for node in ast.walk(block)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "run" in calls, path.name
+    assert names == ["bench_pairs.py", "covariance_scan.py", "pool_digest.py",
+                     "spectrum_experiment.py", "word_trend.py"]
 
 
 @pytest.mark.parametrize("target, model", [("S1", "complex_ginibre"), ("S3", "diluted:p=0.25")])
@@ -232,3 +269,52 @@ def test_bench_pairs_records_uncommitted_changes(monkeypatch, tmp_path):
     assert bench_pairs.uncommitted(tmp_path) is False
     (tmp_path / "f.txt").write_text("2")
     assert bench_pairs.uncommitted(tmp_path) is True
+
+
+MACHINE = {"workload": "limit", "seed": 1, "git_commit": "a" * 40, "nproc": 2, "blas_threads": 1,
+           "numpy": "2.4.6", "python": "3.11.7"}
+
+
+def test_bench_pairs_compares_every_run_with_the_first_machine(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import bench_pairs
+
+    machine = bench_pairs.same_machine(None, MACHINE, tmp_path)
+    assert machine == {"nproc": 2, "blas_threads": 1, "numpy": "2.4.6", "python": "3.11.7"}
+    # the run fields differ from run to run and from side to side
+    other_run = {**MACHINE, "workload": "oracle", "seed": 2, "git_commit": "b" * 40}
+    assert bench_pairs.same_machine(machine, other_run, tmp_path) == machine
+    for field, value in [("nproc", 4), ("blas_threads", 2), ("numpy", "2.3.0"),
+                         ("python", "3.12.1")]:
+        with pytest.raises(ValueError) as caught:
+            bench_pairs.same_machine(machine, {**MACHINE, field: value}, tmp_path)
+        assert str(caught.value) == (f"{tmp_path}: runs on different machines do not compare: "
+                                     f"{field} {MACHINE[field]!r} in the first run, {value!r} here")
+    # a field that only one of the two headers has is a difference too
+    with pytest.raises(ValueError, match="l3_bytes None in the first run, 1024 here"):
+        bench_pairs.same_machine(machine, {**MACHINE, "l3_bytes": 1024}, tmp_path)
+
+
+def test_bench_pairs_exits_2_on_a_pair_measured_on_two_machines(monkeypatch, capsys, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import bench_pairs
+
+    sides = [tmp_path / "parent", tmp_path / "change"]
+    for side in sides:
+        (side / "bench").mkdir(parents=True)
+        (side / "bench" / "run.py").write_text("")
+    (sides[1] / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+    # canned runs: the second side of the first pair reports 4 cores
+    headers = iter([MACHINE, {**MACHINE, "nproc": 4}])
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda *args: (next(headers), bench_result(1.0, 80.0)))
+    out = tmp_path / "x.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", str(sides[0]), "--change",
+                                      str(sides[1]), "--workload", "limit", "--seeds", "1:2",
+                                      "--out", str(out)])
+    assert run(bench_pairs.main) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.endswith(": runs on different machines do not compare: nproc 2 in the first run, "
+                        "4 here\n")
+    assert not out.exists()
